@@ -1,10 +1,19 @@
 //! The served-fleet workload: a self-hosted TCP server driven closed-loop
 //! by one client thread per core, each stepping its sessions through
-//! `step_burst` and checkpointing them at a fixed cadence. Every session's
-//! features are checked against an in-process reference.
+//! `step_burst` and checkpointing them. Every session's features are
+//! checked against an in-process reference.
+//!
+//! The traffic is `LoadgenConfig::default()`, the shape of the repository's
+//! own `loadgen`: 64 sessions of 120 steps over 8 locations, dealt from 16
+//! distinct pulse streams, with lag 10 and `Window(64)`. Its sessions are
+//! split evenly over one connection per client thread. Each session is
+//! checkpointed where `loadgen::run_chaos` checkpoints its fleet: after a
+//! third and after two thirds of its steps.
 
 use std::hint::black_box;
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use insitu::region::FeatureValue;
@@ -14,44 +23,38 @@ use serve::{Client, Frame, Server, ServerConfig, SessionSpec};
 
 use crate::layers;
 use crate::report::Report;
-use crate::stats::{self, median, ns_since, pct, per, percentile};
+use crate::stats::{self, median, ns_since, pct, per, percentile, Calibration};
 use crate::Opts;
 
 /// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 5;
+const SETUPS: usize = 21;
 
-/// Sessions each client connection multiplexes.
-const SESSIONS_PER_CLIENT: usize = 16;
-
-/// Steps in one session's life; a client then closes its sessions and
-/// opens fresh ones.
-const STEPS: u64 = 256;
-
-/// Every session is checkpointed after each this many steps.
-const CHECKPOINT_EVERY: u64 = 64;
-
-/// Distinct pulse workloads the sessions are dealt from.
-const DISTINCT: usize = 8;
-
-/// Session lifetimes per summary window: 1024 bursts, a p99 with ten
+/// Bursts a window of the step-latency percentiles needs: a p99 with ten
 /// samples beyond it.
-const WINDOW_ROUNDS: usize = 4;
+const WINDOW_BURSTS: usize = 1_000;
 
-/// Fewest session lifetimes per client, whatever `--seconds` says.
-const MIN_ROUNDS: usize = WINDOW_ROUNDS;
+/// The `loadgen` traffic every run replays.
+fn traffic() -> LoadgenConfig {
+    LoadgenConfig::default()
+}
 
-/// The loadgen session shape: 8 locations, lag 10, `Window(64)`.
-fn shape() -> LoadgenConfig {
-    LoadgenConfig {
-        steps: STEPS,
-        locations: 8,
-        window: 64,
-        ..LoadgenConfig::default()
-    }
+fn steps() -> u64 {
+    traffic().steps
+}
+
+/// Whether every session is checkpointed once step `it` is done.
+fn checkpoint_after(it: u64) -> bool {
+    let done = it + 1;
+    done == steps() / 3 || done == 2 * steps() / 3
+}
+
+/// Session lifetimes per summary window.
+fn window_rounds() -> usize {
+    WINDOW_BURSTS.div_ceil(steps() as usize)
 }
 
 fn locations() -> Vec<u64> {
-    (1..=shape().locations as u64).collect()
+    (1..=traffic().locations as u64).collect()
 }
 
 fn values(seed: u64, iteration: u64, locations: &[u64]) -> Vec<f64> {
@@ -73,12 +76,12 @@ fn replay(
     let mut session = Session::open(spec)?;
     let locations = locations();
     let mut step_ns = 0;
-    for it in 0..STEPS {
+    for it in 0..steps() {
         let values = values(seed, it, &locations);
         let t = Instant::now();
         black_box(session.step(it, &locations, &values)?);
         step_ns += ns_since(t);
-        if (it + 1) % CHECKPOINT_EVERY == 0 {
+        if checkpoint_after(it) {
             let t = Instant::now();
             black_box(session.snapshot());
             checkpoints.push(ns_since(t) as f64);
@@ -93,18 +96,17 @@ fn replay(
 #[derive(Default)]
 struct Driven {
     bursts: usize,
-    /// Per window of [`WINDOW_ROUNDS`] lifetimes: the median and p99 burst
-    /// round trip (ns), and the stall ratio (see `stats::stall_pct`).
+    /// Per window of [`window_rounds`] lifetimes: the median and p99 burst
+    /// round trip, in ns.
     window_p50_ns: Vec<f64>,
     window_p99_ns: Vec<f64>,
-    window_stall_pct: Vec<f64>,
     session_steps: u64,
     /// Mean round trip per session-step of each session lifetime, in µs.
     round_step_us: Vec<f64>,
     /// Session-steps per second of each session lifetime.
     round_rates: Vec<f64>,
-    /// Each lifetime's round trips over the server's own pipeline time for
-    /// the same steps (its stage clocks, read back with `Stats`), in %.
+    /// The whole process's CPU time per session-step of each round, over
+    /// the calibration's CPU time on this thread right after it, in %.
     round_overhead_pct: Vec<f64>,
     /// Server-side pipeline nanoseconds, summed over every session.
     engine_ns: u64,
@@ -120,106 +122,167 @@ struct Driven {
     blob: Option<(Vec<u8>, u64, u64)>,
 }
 
-/// One client thread: session lifetimes until the deadline.
+/// The client threads' lock-step rounds. Each round is a session lifetime
+/// on every thread, then a calibration on every thread with the server
+/// idle, then one thread's decision whether another round starts. The
+/// process CPU clock is read between two barriers, where no thread works.
+struct Rounds {
+    barrier: Barrier,
+    stop: AtomicBool,
+    deadline: Instant,
+    /// Fewest rounds, whatever `--seconds` says.
+    min_rounds: usize,
+}
+
+impl Rounds {
+    /// The process CPU clock once every thread has reached this point.
+    fn quiet_cpu_ns(&self) -> u64 {
+        self.barrier.wait();
+        let cpu = stats::process_cpu_ns();
+        self.barrier.wait();
+        cpu
+    }
+
+    /// Ends round `round` (counted from 1). Returns whether every thread
+    /// stops, and the process CPU clock the next round starts from. A
+    /// failed thread stops them all.
+    fn finish(&self, round: usize, failed: bool) -> (bool, u64) {
+        if failed {
+            self.stop.store(true, Ordering::Relaxed);
+        }
+        if self.barrier.wait().is_leader()
+            && round >= self.min_rounds
+            && Instant::now() >= self.deadline
+        {
+            self.stop.store(true, Ordering::Relaxed);
+        }
+        let cpu = stats::process_cpu_ns();
+        self.barrier.wait();
+        (self.stop.load(Ordering::Relaxed), cpu)
+    }
+}
+
+/// One client thread: lock-step rounds until the fleet stops.
 fn drive(
     addr: SocketAddr,
     seeds: &[u64],
     references: &[(u64, Features)],
     spec: &SessionSpec,
-    deadline: Instant,
+    rounds: &Rounds,
 ) -> Result<Driven, String> {
-    let mut client = connect(addr)?;
-    let locations = locations();
+    let mut client = connect(addr).and_then(|client| {
+        let calibration = Calibration::new().map_err(|e| e.to_string())?;
+        Ok((client, calibration))
+    });
     let mut out = Driven::default();
-    let mut rounds = 0;
-    // The current window: every burst's round trip, and its `(pipeline ns
-    // per session-step, round trip ns per session-step)` stall pair.
     let mut window_ns = Vec::new();
-    let mut window_stalls = Vec::new();
-    let mut round_bursts = Vec::with_capacity(STEPS as usize);
-    let mut round_checkpoints = Vec::new();
-    loop {
-        let sessions = open(&mut client, spec, seeds.len())?;
-        let mut round_ns = 0;
-        round_bursts.clear();
-        round_checkpoints.clear();
-        for it in 0..STEPS {
-            let t = Instant::now();
-            let bounced = client
-                .step_burst(&sessions, it, &locations, |session| {
-                    let at = sessions.iter().position(|&s| s == session).unwrap_or(0);
-                    values(seeds[at], it, &locations)
-                })
-                .map_err(|e| e.to_string())?;
-            let ns = ns_since(t);
-            round_bursts.push(ns as f64);
-            round_ns += ns;
-            out.busy += bounced;
-            out.attempted += sessions.len() as u64 + bounced;
-            out.failed += bounced;
-            if (it + 1) % CHECKPOINT_EVERY == 0 {
-                for (&session, &seed) in sessions.iter().zip(seeds) {
-                    let t = Instant::now();
-                    let blob = client.snapshot(session).map_err(|e| e.to_string())?;
-                    round_checkpoints.push(ns_since(t) as f64);
-                    out.checkpoint_bytes += blob.len() as u64;
-                    out.attempted += 1;
-                    if out.blob.is_none() {
-                        out.blob = Some((blob, it + 1, seed));
-                    }
+    let mut error = None;
+    let fleet_steps = (traffic().sessions as u64 * steps()) as f64;
+    let mut cpu = rounds.quiet_cpu_ns();
+    for round in 1.. {
+        let lifetime = match &mut client {
+            Ok((client, _)) => lifetime(client, seeds, references, spec, &mut out, &mut window_ns),
+            Err(e) => Err(e.clone()),
+        };
+        let lived = rounds.quiet_cpu_ns() - cpu;
+        let calibrated = match &mut client {
+            Ok((_, calibration)) => calibration.cpu_ns().map_err(|e| e.to_string()),
+            Err(e) => Err(e.clone()),
+        };
+        match lifetime.and(calibrated) {
+            Ok(calibration) => out
+                .round_overhead_pct
+                .push(pct(per(lived as f64, fleet_steps), calibration as f64)),
+            Err(e) => error = Some(e),
+        }
+        if round % window_rounds() == 0 && error.is_none() {
+            // No early return here: the other threads wait at the barrier.
+            window_ns.sort_by(f64::total_cmp);
+            match (percentile(&window_ns, 0.5), percentile(&window_ns, 0.99)) {
+                (Some(p50), Some(p99)) => {
+                    out.window_p50_ns.push(p50);
+                    out.window_p99_ns.push(p99);
+                }
+                _ => error = Some("window too small for a p99".into()),
+            }
+            window_ns.clear();
+        }
+        let (stop, next) = rounds.finish(round, error.is_some());
+        if stop {
+            break;
+        }
+        cpu = next;
+    }
+    error.map_or(Ok(out), Err)
+}
+
+/// One session lifetime on `client`: open, step with checkpoints, read
+/// back telemetry, check every session against its reference, close.
+fn lifetime(
+    client: &mut Client,
+    seeds: &[u64],
+    references: &[(u64, Features)],
+    spec: &SessionSpec,
+    out: &mut Driven,
+    window_ns: &mut Vec<f64>,
+) -> Result<(), String> {
+    let locations = locations();
+    let sessions = open(client, spec, seeds.len())?;
+    let mut round_ns = 0;
+    let mut checkpoints = Vec::new();
+    for it in 0..steps() {
+        let t = Instant::now();
+        let bounced = client
+            .step_burst(&sessions, it, &locations, |session| {
+                let at = sessions.iter().position(|&s| s == session).unwrap_or(0);
+                values(seeds[at], it, &locations)
+            })
+            .map_err(|e| e.to_string())?;
+        let ns = ns_since(t);
+        window_ns.push(ns as f64);
+        round_ns += ns;
+        out.busy += bounced;
+        out.attempted += sessions.len() as u64 + bounced;
+        out.failed += bounced;
+        if checkpoint_after(it) {
+            for (&session, &seed) in sessions.iter().zip(seeds) {
+                let t = Instant::now();
+                let blob = client.snapshot(session).map_err(|e| e.to_string())?;
+                checkpoints.push(ns_since(t) as f64);
+                out.checkpoint_bytes += blob.len() as u64;
+                out.attempted += 1;
+                if out.blob.is_none() {
+                    out.blob = Some((blob, it + 1, seed));
                 }
             }
         }
-        let steps = STEPS * sessions.len() as u64;
-        let mut engine_ns = 0;
-        for &session in &sessions {
-            engine_ns += client
-                .stats(session)
-                .map_err(|e| e.to_string())?
-                .budget_used_ns;
-            out.attempted += 1;
-        }
-        out.session_steps += steps;
-        out.engine_ns += engine_ns;
-        out.round_step_us.push(round_ns as f64 / steps as f64 / 1e3);
-        out.round_rates
-            .push(per(steps as f64, round_ns as f64 / 1e9));
-        out.round_overhead_pct
-            .push(pct(round_ns as f64, engine_ns as f64));
-        out.bursts += round_bursts.len();
-        out.checkpoints += round_checkpoints.len();
-        out.round_checkpoint_ns.push(median(&round_checkpoints));
-        let base = per(engine_ns as f64, steps as f64);
-        let width = sessions.len() as f64;
-        window_stalls.extend(round_bursts.iter().map(|&ns| (base, ns / width)));
-        window_ns.extend_from_slice(&round_bursts);
-        for (&session, &seed) in sessions.iter().zip(seeds) {
-            let features = client.extract(session).map_err(|e| e.to_string())?;
-            out.attempted += 1;
-            if references.iter().all(|(s, f)| *s != seed || *f != features) {
-                out.failed += 1;
-                eprintln!(
-                    "served session {session} (pulse seed {seed}) differs from its reference"
-                );
-            }
-            client.close_session(session).map_err(|e| e.to_string())?;
-        }
-        rounds += 1;
-        if rounds % WINDOW_ROUNDS == 0 {
-            window_ns.sort_by(f64::total_cmp);
-            let p = |q| percentile(&window_ns, q).ok_or("window too small for a p99");
-            out.window_p50_ns.push(p(0.5)?);
-            out.window_p99_ns.push(p(0.99)?);
-            let stall = stats::stall_pct(&window_stalls, window_stalls.len(), 0.99);
-            out.window_stall_pct
-                .push(stall.ok_or("window too small for a p99")?);
-            window_ns.clear();
-            window_stalls.clear();
-        }
-        if rounds >= MIN_ROUNDS && Instant::now() >= deadline {
-            return Ok(out);
-        }
     }
+    let session_steps = steps() * sessions.len() as u64;
+    for &session in &sessions {
+        out.engine_ns += client
+            .stats(session)
+            .map_err(|e| e.to_string())?
+            .budget_used_ns;
+        out.attempted += 1;
+    }
+    out.session_steps += session_steps;
+    out.bursts += steps() as usize;
+    out.round_step_us
+        .push(round_ns as f64 / session_steps as f64 / 1e3);
+    out.round_rates
+        .push(per(session_steps as f64, round_ns as f64 / 1e9));
+    out.checkpoints += checkpoints.len();
+    out.round_checkpoint_ns.push(median(&checkpoints));
+    for (&session, &seed) in sessions.iter().zip(seeds) {
+        let features = client.extract(session).map_err(|e| e.to_string())?;
+        out.attempted += 1;
+        if references.iter().all(|(s, f)| *s != seed || *f != features) {
+            out.failed += 1;
+            eprintln!("served session {session} (pulse seed {seed}) differs from its reference");
+        }
+        client.close_session(session).map_err(|e| e.to_string())?;
+    }
+    Ok(())
 }
 
 fn connect(addr: SocketAddr) -> Result<Client, String> {
@@ -236,14 +299,12 @@ fn open(client: &mut Client, spec: &SessionSpec, count: usize) -> Result<Vec<u64
         .collect()
 }
 
-/// A ready fleet: the server and the in-process references.
-struct Fleet {
-    server: Server,
-    addr: SocketAddr,
-    references: Vec<(u64, Features)>,
-}
+/// A bound server, and every client connected with its sessions open.
+type OpenFleet = (Server, Vec<(Client, Vec<u64>)>);
 
-fn set_up(opts: &Opts, spec: &SessionSpec, pulse_seeds: &[u64]) -> Result<Fleet, String> {
+/// One timed set-up: bind the server, connect every client and open the
+/// whole fleet.
+fn set_up(opts: &Opts, spec: &SessionSpec, fleet: &[Vec<u64>]) -> Result<OpenFleet, String> {
     let config = ServerConfig {
         workers: opts.nproc,
         event_threads: opts.nproc.min(2),
@@ -251,61 +312,76 @@ fn set_up(opts: &Opts, spec: &SessionSpec, pulse_seeds: &[u64]) -> Result<Fleet,
     };
     let server = Server::bind_tcp("127.0.0.1:0", config).map_err(|e| e.to_string())?;
     let addr = server.tcp_addr().ok_or("server has no TCP address")?;
-    let mut references = Vec::with_capacity(pulse_seeds.len());
-    for &seed in pulse_seeds {
-        let (features, _) = replay(spec, seed, &mut Vec::new())?;
-        references.push((seed, features));
-    }
-    // Connect and open the whole fleet once, then close it again: a
-    // client connection cannot change threads, so each client thread
-    // reconnects and opens its own sessions.
-    for _ in 0..opts.nproc {
+    let mut clients = Vec::with_capacity(fleet.len());
+    for seeds in fleet {
         let mut client = connect(addr)?;
-        for session in open(&mut client, spec, SESSIONS_PER_CLIENT)? {
-            client.close_session(session).map_err(|e| e.to_string())?;
-        }
+        let sessions = open(&mut client, spec, seeds.len())?;
+        clients.push((client, sessions));
     }
-    Ok(Fleet {
-        server,
-        addr,
-        references,
-    })
+    Ok((server, clients))
 }
 
 /// Runs the served-fleet workload and reports its metrics.
 pub fn run(opts: &Opts) -> Result<Report, String> {
     let mut report = Report::default();
-    let spec = shape().session_spec();
+    let traffic = traffic();
+    let spec = traffic.session_spec();
     let base = stats::mix(opts.seed) % 1_000;
-    let pulse_seeds: Vec<u64> = (0..DISTINCT as u64).map(|d| base + d).collect();
+    let pulse_seeds: Vec<u64> = (0..traffic.distinct as u64).map(|d| base + d).collect();
+    // Session `s` of the fleet replays stream `s % distinct`, on client
+    // `s % clients`.
+    let clients = opts.nproc.min(traffic.sessions);
+    let fleet: Vec<Vec<u64>> = (0..clients)
+        .map(|t| {
+            (t..traffic.sessions)
+                .step_by(clients)
+                .map(|s| pulse_seeds[s % traffic.distinct])
+                .collect()
+        })
+        .collect();
 
-    let mut setups = Vec::with_capacity(SETUPS);
-    let mut fleet: Option<Fleet> = None;
-    for _ in 0..SETUPS {
-        if let Some(previous) = fleet.take() {
-            previous.server.shutdown();
-        }
-        let started = Instant::now();
-        fleet = Some(set_up(opts, &spec, &pulse_seeds)?);
-        setups.push(started.elapsed().as_secs_f64());
+    let mut references = Vec::with_capacity(pulse_seeds.len());
+    for &seed in &pulse_seeds {
+        let (features, _) = replay(&spec, seed, &mut Vec::new())?;
+        references.push((seed, features));
     }
-    let Fleet {
-        server,
-        addr,
-        references,
-    } = fleet.ok_or("no set-up ran")?;
+
+    // Set-up, repeated and timed alone in process CPU time, which counts
+    // the server's threads too. Closing the sessions, which client threads
+    // cannot share, and shutting down an earlier server are not timed.
+    let mut setups = Vec::with_capacity(SETUPS);
+    let mut server: Option<Server> = None;
+    for _ in 0..SETUPS {
+        if let Some(previous) = server.take() {
+            previous.shutdown();
+        }
+        let started = stats::process_cpu_ns();
+        let (bound, open) = set_up(opts, &spec, &fleet)?;
+        setups.push((stats::process_cpu_ns() - started) as f64 / 1e9);
+        for (mut client, sessions) in open {
+            for session in sessions {
+                client.close_session(session).map_err(|e| e.to_string())?;
+            }
+        }
+        server = Some(bound);
+    }
+    let server = server.ok_or("no set-up ran")?;
+    let addr = server.tcp_addr().ok_or("server has no TCP address")?;
     report.set("setup_s", median(&setups));
     report.samples("setup_s", setups.len());
 
-    let deadline = Instant::now() + opts.duration();
+    let rounds = Rounds {
+        barrier: Barrier::new(clients),
+        stop: AtomicBool::new(false),
+        deadline: Instant::now() + opts.duration(),
+        min_rounds: window_rounds(),
+    };
     let driven: Vec<Result<Driven, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..opts.nproc)
-            .map(|t| {
-                let seeds: Vec<u64> = (0..SESSIONS_PER_CLIENT)
-                    .map(|i| pulse_seeds[(t * SESSIONS_PER_CLIENT + i) % DISTINCT])
-                    .collect();
-                let (references, spec) = (&references, &spec);
-                scope.spawn(move || drive(addr, &seeds, references, spec, deadline))
+        let handles: Vec<_> = fleet
+            .iter()
+            .map(|seeds| {
+                let (references, spec, rounds) = (&references, &spec, &rounds);
+                scope.spawn(move || drive(addr, seeds, references, spec, rounds))
             })
             .collect();
         handles
@@ -332,16 +408,16 @@ pub fn run(opts: &Opts) -> Result<Report, String> {
     }
 
     if !opts.trace {
-        // Round trips over the server's own pipeline time, each taken
-        // within one session lifetime so host drift cancels.
-        report.set("overhead_pct", median(&gather(&|d| &d.round_overhead_pct)));
-        report.samples("overhead_pct", round_step_us.len());
+        // CPU per session-step over the calibration, each pair taken in one
+        // round so host drift cancels, summarised as the median round.
+        let overhead = gather(&|d| &d.round_overhead_pct);
+        report.set("overhead_pct", median(&overhead));
+        report.samples("overhead_pct", overhead.len());
         report.set("peak_rss_mb", stats::status_mb("VmHWM"));
 
-        // Ungated: the stall ratio, and the same lifetimes in absolute
-        // terms as best-quartile windows.
+        // Ungated: the same lifetimes in absolute terms, as best-quartile
+        // windows.
         let ungated = &mut report.ungated;
-        ungated.push(("stall_p99_pct", median(&gather(&|d| &d.window_stall_pct))));
         ungated.push(("insitu_us_per_step", stats::low_quartile(&round_step_us)));
         let rate: f64 = driven
             .iter()
@@ -355,7 +431,7 @@ pub fn run(opts: &Opts) -> Result<Report, String> {
             "checkpoint_p50_us",
             low_us(gather(&|d| &d.round_checkpoint_ns)),
         ));
-        for name in ["stall_p99_pct", "step_p50_us", "step_p99_us"] {
+        for name in ["step_p50_us", "step_p99_us"] {
             report.samples(name, bursts);
         }
         report.samples("checkpoint_p50_us", checkpoints);
@@ -379,7 +455,7 @@ pub fn run(opts: &Opts) -> Result<Report, String> {
                 eprintln!("in-process replay of pulse seed {seed} is not deterministic");
             }
         }
-        inproc_ns.push(per(ns as f64, (STEPS as usize * references.len()) as f64));
+        inproc_ns.push(per(ns as f64, (steps() as usize * references.len()) as f64));
     }
     let served_step_ns = median(&round_step_us) * 1e3;
     let session_steps: u64 = driven.iter().map(|d| d.session_steps).sum();
@@ -434,7 +510,7 @@ pub fn run(opts: &Opts) -> Result<Report, String> {
         let t = Instant::now();
         let mut session = Session::restore(&spec, blob)?;
         restores.push(ns_since(t) as f64);
-        for it in from..STEPS {
+        for it in from..steps() {
             session.step(it, &locations, &values(seed, it, &locations))?;
         }
         report.attempted += 1;

@@ -28,22 +28,22 @@ use crate::Opts;
 const STAGES: [Stage; 4] = [Stage::Sample, Stage::Assemble, Stage::Train, Stage::Extract];
 
 /// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 5;
+const SETUPS: usize = 21;
 
 /// Checkpoints taken of each run's final engine state.
 const CHECKPOINTS_PER_RUN: usize = 4;
 
-/// Fewest measured runs, whatever `--seconds` says; runs also continue
-/// until one [`STEP_WINDOW`] of steps is in, so every reported percentile
-/// has its samples.
-const MIN_RUNS: usize = 8;
+/// Fewest measured runs, whatever `--seconds` says: a first decile with
+/// ten runs beyond it. Runs also continue until one [`STEP_WINDOW`] of
+/// steps is in, so every reported percentile has its samples.
+const MIN_RUNS: usize = 20;
 
 /// The largest |extracted − ground truth| ÷ ground truth a run may show,
 /// in %: the tolerance the repository's own delay-time test allows.
 const MAX_FEATURE_ERROR_PCT: f64 = 25.0;
 
-/// Steps per window of the stall ratio and the step-latency percentiles:
-/// a p99 with 44 samples beyond it, about two seconds of LULESH.
+/// Steps per window of the step-latency percentiles: a p99 with 44
+/// samples beyond it, about two seconds of LULESH.
 const STEP_WINDOW: usize = 4_400;
 
 /// Checkpoints per window of the checkpoint median.
@@ -208,6 +208,10 @@ fn wd_engine(pool: &ThreadPool, traced: bool) -> Result<Armed<WdMergerSim>, Stri
 struct Run {
     steps: u64,
     solver_ns: u64,
+    /// The solver thread's on-CPU time in `sim.step()`, and in the engine
+    /// calls including the final drain and extraction.
+    solver_cpu_ns: u64,
+    insitu_cpu_ns: u64,
     /// Outside-timed `step(..).complete(..)` calls, summed.
     call_ns: u64,
     drain_ns: u64,
@@ -224,6 +228,8 @@ struct Run {
     extract_calls: u64,
     shard_fanouts: u64,
     train_fanouts: u64,
+    /// CPU time of the solver thread and of every pool thread from the
+    /// first step to the final extraction, read from `schedstat`.
     main_cpu_ns: u64,
     offthread_cpu_ns: u64,
     features: Vec<(String, FeatureValue)>,
@@ -259,29 +265,35 @@ fn batches_to_converge(trainer: &insitu::model::IncrementalTrainer) -> f64 {
 }
 
 /// One instrumented run: the solver loop with the engine attached, then
-/// drain, extraction and checkpoints. Each step's `(solver ns, engine
-/// call ns)` goes to `steps`.
+/// drain, extraction and checkpoints. Each step's engine call time goes to
+/// `calls`, in ns.
 fn instrumented<S: Sim>(
     mut sim: S,
     make: &dyn Fn(bool) -> Result<Armed<S>, String>,
     traced: bool,
-    steps: &mut Vec<(f64, f64)>,
+    calls: &mut Vec<f64>,
 ) -> Result<Run, String> {
     let mut armed = make(traced)?;
     let main_tid = stats::current_tid();
-    let cpu_before = traced.then(stats::thread_cpu_ns);
+    let cpu_before = stats::thread_cpu_ns();
     let mut run = Run::default();
     let started = Instant::now();
+    let mut cpu = stats::own_cpu_ns();
     while !sim.finished() {
         let t0 = Instant::now();
         sim.advance();
         let t1 = Instant::now();
+        let cpu_solved = stats::own_cpu_ns();
         let report = armed.engine.step(sim.iteration()).complete(&sim);
         let call = u64::try_from((Instant::now() - t1).as_nanos()).unwrap_or(u64::MAX);
         let solver = u64::try_from((t1 - t0).as_nanos()).unwrap_or(u64::MAX);
+        let cpu_called = stats::own_cpu_ns();
+        run.solver_cpu_ns += cpu_solved - cpu;
+        run.insitu_cpu_ns += cpu_called - cpu_solved;
+        cpu = cpu_called;
         run.solver_ns += solver;
         run.call_ns += call;
-        steps.push((solver as f64, call as f64));
+        calls.push(call as f64);
         if traced {
             let mut sum = 0;
             for (slot, &stage) in run.stage_ns.iter_mut().zip(&STAGES) {
@@ -304,11 +316,9 @@ fn instrumented<S: Sim>(
         .map_err(|e| e.to_string())?;
     run.extract_ns = ns_since(t);
     run.wall_ns = ns_since(started);
-    if let Some(before) = cpu_before {
-        let (main, others) = stats::cpu_split(&before, &stats::thread_cpu_ns(), main_tid);
-        run.main_cpu_ns = main;
-        run.offthread_cpu_ns = others;
-    }
+    run.insitu_cpu_ns += stats::own_cpu_ns() - cpu;
+    (run.main_cpu_ns, run.offthread_cpu_ns) =
+        stats::cpu_split(&cpu_before, &stats::thread_cpu_ns(), main_tid);
 
     let engine = &armed.engine;
     let status = engine
@@ -415,39 +425,45 @@ impl<S: Sim> Driver<'_, S> {
     fn drive(&self, opts: &Opts) -> Result<Report, String> {
         let mut report = Report::default();
 
-        // Set-up, repeated: build the pool, then compute the reference
-        // features with the stage clocks armed (so every untraced run is
-        // also a traced-vs-untraced identity check) and, for a twin
-        // configuration, the features the workload must reproduce.
+        // Set-up, repeated and timed alone in process CPU time: the pool,
+        // the simulation and the armed engine a run starts from. Tear-down
+        // is not timed. The last set-up's pool serves the measured phase.
         let mut setups = Vec::with_capacity(SETUPS);
-        let mut reference: Option<Vec<(String, FeatureValue)>> = None;
-        let mut pool = ThreadPool::serial();
+        let mut pool = None;
         for _ in 0..SETUPS {
-            let started = Instant::now();
-            pool = ThreadPool::new(ParallelConfig::new(1, opts.nproc).map_err(|e| e.to_string())?);
-            let make = |traced| (self.engine)(&pool, traced);
-            let traced = instrumented((self.sim)(), &make, true, &mut Vec::new())?;
-            let twin = match self.twin {
-                Some(twin) => {
-                    let make = |traced| twin(&pool, traced);
-                    Some(instrumented((self.sim)(), &make, false, &mut Vec::new())?.features)
-                }
-                None => None,
-            };
-            setups.push(started.elapsed().as_secs_f64());
-            report.attempted += 1;
-            let consistent = !traced.features.is_empty()
-                && twin.as_ref().is_none_or(|t| *t == traced.features)
-                && reference.as_ref().is_none_or(|r| *r == traced.features);
-            if !consistent {
-                report.failed += 1;
-                eprintln!("set-up references disagree (traced, twin or repeated set-up)");
-            }
-            reference = Some(traced.features);
+            drop(pool.take());
+            let started = stats::process_cpu_ns();
+            let built =
+                ThreadPool::new(ParallelConfig::new(1, opts.nproc).map_err(|e| e.to_string())?);
+            let sim = (self.sim)();
+            let armed = (self.engine)(&built, false)?;
+            setups.push((stats::process_cpu_ns() - started) as f64 / 1e9);
+            drop((sim, armed));
+            pool = Some(built);
         }
-        let reference = reference.ok_or("no set-up ran")?;
+        let pool = pool.ok_or("no set-up ran")?;
         report.set("setup_s", median(&setups));
         report.samples("setup_s", setups.len());
+
+        // The reference features, computed with the stage clocks armed so
+        // every untraced run is also a traced-vs-untraced identity check.
+        // A twin configuration must extract the same features.
+        let make = |traced| (self.engine)(&pool, traced);
+        let reference = instrumented((self.sim)(), &make, true, &mut Vec::new())?.features;
+        report.attempted += 1;
+        if reference.is_empty() {
+            report.failed += 1;
+            eprintln!("the reference run extracted no features");
+        }
+        if let Some(twin) = self.twin {
+            let make = |traced| twin(&pool, traced);
+            let features = instrumented((self.sim)(), &make, false, &mut Vec::new())?.features;
+            report.attempted += 1;
+            if features != reference {
+                report.failed += 1;
+                eprintln!("the twin configuration's features differ from the reference");
+            }
+        }
 
         if opts.trace {
             self.traced(opts, &pool, &reference, &mut report)?;
@@ -484,31 +500,34 @@ impl<S: Sim> Driver<'_, S> {
         report: &mut Report,
     ) -> Result<(), String> {
         let make = |traced| (self.engine)(pool, traced);
-        let mut steps = Vec::new();
+        let mut calls = Vec::new();
         let mut runs = Vec::new();
         let deadline = Instant::now() + opts.duration();
-        while runs.len() < MIN_RUNS || steps.len() < STEP_WINDOW || Instant::now() < deadline {
-            let run = instrumented((self.sim)(), &make, false, &mut steps)?;
+        while runs.len() < MIN_RUNS || calls.len() < STEP_WINDOW || Instant::now() < deadline {
+            let run = instrumented((self.sim)(), &make, false, &mut calls)?;
             self.check(&run, reference, report);
             runs.push(run);
         }
 
-        // In-situ time over solver time, each taken within one run so host
-        // drift cancels; see `stats`.
+        // The in-situ work's CPU time (the solver thread's in engine calls
+        // plus the pool threads') over the solver thread's CPU time in the
+        // solver, each taken within one run so host drift cancels,
+        // summarised as the first-decile run; see `README.md`.
         let per_run = |f: &dyn Fn(&Run) -> f64| runs.iter().map(f).collect::<Vec<_>>();
-        report.set(
-            "overhead_pct",
-            median(&per_run(&|r| pct(r.insitu_ns() as f64, r.solver_ns as f64))),
-        );
+        let mut ratios = per_run(&|r| {
+            pct(
+                (r.insitu_cpu_ns + r.offthread_cpu_ns) as f64,
+                r.solver_cpu_ns as f64,
+            )
+        });
+        ratios.sort_by(f64::total_cmp);
+        let overhead = percentile(&ratios, 0.1).ok_or("too few runs for a first decile")?;
+        report.set("overhead_pct", overhead);
         report.samples("overhead_pct", runs.len());
         report.set("peak_rss_mb", stats::status_mb("VmHWM"));
 
-        // Ungated: the stall ratio, and the same runs in absolute terms as
-        // best-quartile windows.
-        let stall = stats::stall_pct(&steps, STEP_WINDOW, 0.99).ok_or("too few steps")?;
-        report.ungated.push(("stall_p99_pct", stall));
-        report.samples("stall_p99_pct", steps.len());
-        let calls: Vec<f64> = steps.iter().map(|&(_, call)| call).collect();
+        // Ungated: the same runs in absolute terms, as best-quartile
+        // windows.
         let checkpoints: Vec<f64> = runs
             .iter()
             .flat_map(|r| r.checkpoint_ns.iter().map(|&ns| ns as f64))
@@ -544,14 +563,14 @@ impl<S: Sim> Driver<'_, S> {
         // Rounds of plain, untraced and traced runs, interleaved so drift
         // in the host hits all three alike.
         let (mut plains, mut untraced, mut traced) = (Vec::new(), Vec::new(), Vec::new());
-        let mut steps = Vec::new();
+        let mut calls = Vec::new();
         let deadline = Instant::now() + opts.duration();
-        while traced.len() < MIN_RUNS || steps.len() < STEP_WINDOW || Instant::now() < deadline {
+        while traced.len() < MIN_RUNS || calls.len() < STEP_WINDOW || Instant::now() < deadline {
             plains.push(plain((self.sim)()) as f64);
             let run = instrumented((self.sim)(), &make, false, &mut Vec::new())?;
             self.check(&run, reference, report);
             untraced.push(run);
-            let run = instrumented((self.sim)(), &make, true, &mut steps)?;
+            let run = instrumented((self.sim)(), &make, true, &mut calls)?;
             self.check(&run, reference, report);
             report.attempted += 2;
             report.failed += u64::from(!run.restore_ok) + u64::from(run.unreconciled > 0);
@@ -563,7 +582,7 @@ impl<S: Sim> Driver<'_, S> {
             }
             traced.push(run);
         }
-        let calls = sorted(steps.iter().map(|&(_, call)| call as u64));
+        calls.sort_by(f64::total_cmp);
 
         let sum = |runs: &[Run], f: &dyn Fn(&Run) -> u64| runs.iter().map(f).sum::<u64>() as f64;
         let n = traced.len() as f64;

@@ -14,7 +14,6 @@ pub const END_TO_END: &[(&str, &str)] = &[
 /// `(name, unit)`: measured on the same runs but too sensitive to co-tenant
 /// load on a shared host to gate (see `README.md`).
 pub const UNGATED: &[(&str, &str)] = &[
-    ("stall_p99_pct", "%"),
     ("insitu_us_per_step", "us"),
     ("sim_steps_per_s", "1/s"),
     ("step_p50_us", "us"),

@@ -1,6 +1,9 @@
 //! The benchmark's own arithmetic and host probes: percentiles, the failure
-//! share, and per-thread CPU time read from `/proc/self/task/*/schedstat`.
+//! share, per-thread CPU time read from `/proc/self/task/*/schedstat`, the
+//! thread and process CPU clocks, and a fixed calibration computation.
 
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::time::Instant;
 
 /// The fewest samples that must lie beyond a percentile before it is
@@ -55,10 +58,9 @@ pub fn quartiles(values: &[f64]) -> (f64, f64, f64) {
 /// a lower-is-better timing.
 ///
 /// Co-tenant load on a shared host slows whole stretches of a run by up to
-/// half; it only ever adds time. Summarising absolute timings by a good
-/// window rather than the median keeps them repeatable, while ratios taken
-/// within one window (in-situ over solver time) cancel the drift and use
-/// the median.
+/// half; it only ever adds time. Summarising by a good window rather than
+/// the median keeps a reading repeatable, for absolute timings and for
+/// ratios taken within one window alike.
 pub fn low_quartile(values: &[f64]) -> f64 {
     quartiles(values).0
 }
@@ -85,24 +87,59 @@ pub fn windowed(samples: &[f64], window: usize, q: f64) -> Option<f64> {
     (!per_window.is_empty()).then(|| low_quartile(&per_window))
 }
 
-/// How long a step stalls on in-situ work at quantile `q`, as a share of
-/// the typical step it stalls: per window of `window` consecutive
-/// `(base_ns, insitu_ns)` step samples, the `q`-quantile of the in-situ
-/// time over the median base time, in %, then the median window. Both
-/// halves of the ratio come from the same window, so host drift cancels.
-pub fn stall_pct(steps: &[(f64, f64)], window: usize, q: f64) -> Option<f64> {
-    let per_window: Option<Vec<f64>> = steps
-        .chunks_exact(window.max(1))
-        .map(|chunk| {
-            let mut base: Vec<f64> = chunk.iter().map(|&(b, _)| b).collect();
-            let mut insitu: Vec<f64> = chunk.iter().map(|&(_, i)| i).collect();
-            base.sort_by(f64::total_cmp);
-            insitu.sort_by(f64::total_cmp);
-            Some(pct(percentile(&insitu, q)?, median(&base)))
-        })
-        .collect();
-    let per_window = per_window?;
-    (!per_window.is_empty()).then(|| median(&per_window))
+/// Entries in the calibration's table: 256 KiB, an L2-sized working set.
+const CALIBRATION_TABLE: usize = 1 << 15;
+
+/// Table updates per calibration.
+const CALIBRATION_ROUNDS: usize = 1 << 17;
+
+/// Loopback round trips per calibration, each a 64-byte message and its
+/// echo.
+const CALIBRATION_MESSAGES: usize = 512;
+
+/// A fixed calibration computation that no change to the repository's
+/// crates can move: chained splitmix64 steps scattered into an L2-sized
+/// table, and small messages echoed over a loopback TCP pair, the mix of
+/// user-space work and socket calls a served step makes. It is the
+/// reference step of a workload with no solver, timed in the same window
+/// as the work it is set against, so host drift cancels from the ratio.
+pub struct Calibration {
+    near: TcpStream,
+    far: TcpStream,
+}
+
+impl Calibration {
+    /// Connects the loopback pair.
+    pub fn new() -> std::io::Result<Self> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let near = TcpStream::connect(listener.local_addr()?)?;
+        let (far, _) = listener.accept()?;
+        near.set_nodelay(true)?;
+        far.set_nodelay(true)?;
+        Ok(Self { near, far })
+    }
+
+    /// On-CPU nanoseconds of one calibration on the calling thread.
+    pub fn cpu_ns(&mut self) -> std::io::Result<u64> {
+        // Filled with ones, not zeros, so its pages are touched before
+        // timing.
+        let mut table = vec![1u64; CALIBRATION_TABLE];
+        let mut message = [7u8; 64];
+        let started = own_cpu_ns();
+        let mut x = 0;
+        for _ in 0..CALIBRATION_ROUNDS {
+            x = mix(x);
+            table[x as usize % CALIBRATION_TABLE] ^= x;
+        }
+        for _ in 0..CALIBRATION_MESSAGES {
+            self.near.write_all(&message)?;
+            self.far.read_exact(&mut message)?;
+            self.far.write_all(&message)?;
+            self.near.read_exact(&mut message)?;
+        }
+        std::hint::black_box((&table, &message));
+        Ok(own_cpu_ns() - started)
+    }
 }
 
 /// Failed operations as a percentage of those attempted.
@@ -178,6 +215,51 @@ pub fn cpu_split(before: &[(u32, u64)], after: &[(u32, u64)], main_tid: u32) -> 
         }
     }
     (main, others)
+}
+
+/// `struct timespec` on 64-bit Linux.
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+/// `CLOCK_PROCESS_CPUTIME_ID` and `CLOCK_THREAD_CPUTIME_ID` from
+/// `<time.h>`.
+const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+
+extern "C" {
+    fn clock_gettime(clock: i32, time: *mut Timespec) -> i32;
+}
+
+fn cpu_clock_ns(clock: i32) -> u64 {
+    let mut time = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `time` is a valid, writable `struct timespec`, and both
+    // clock ids are constants every Linux kernel supports.
+    let status = unsafe { clock_gettime(clock, &mut time) };
+    if status != 0 {
+        return 0;
+    }
+    u64::try_from(time.tv_sec).unwrap_or(0) * 1_000_000_000
+        + u64::try_from(time.tv_nsec).unwrap_or(0)
+}
+
+/// On-CPU nanoseconds of the calling thread so far. Unlike wall time it
+/// stops while the thread blocks, so it leaves out time spent waiting for
+/// another thread's core to be scheduled, and, on a guest that accounts
+/// steal time, time the host ran something else.
+pub fn own_cpu_ns() -> u64 {
+    cpu_clock_ns(CLOCK_THREAD_CPUTIME_ID)
+}
+
+/// On-CPU nanoseconds of every thread of this process so far, including
+/// threads that have exited.
+pub fn process_cpu_ns() -> u64 {
+    cpu_clock_ns(CLOCK_PROCESS_CPUTIME_ID)
 }
 
 /// The kernel thread id of the calling thread, read from `/proc`.
@@ -261,18 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn stalls_are_measured_against_their_own_window() {
-        // Two windows of 20 steps: base 100 then 200 ns, in-situ time
-        // 1..=20 then 2..=40 ns — the same 10 % median stall in both.
-        let steps: Vec<(f64, f64)> = (1..=2)
-            .flat_map(|w| (1..=20).map(move |i| (f64::from(w * 100), f64::from(w * i))))
-            .collect();
-        assert_eq!(stall_pct(&steps, 20, 0.5), Some(10.0));
-        assert_eq!(stall_pct(&steps, 20, 0.99), None);
-        assert_eq!(stall_pct(&steps[..10], 20, 0.5), None);
-    }
-
-    #[test]
     fn failure_share_counts_against_attempts() {
         assert_eq!(failed_pct(200, 0), 0.0);
         assert_eq!(failed_pct(200, 3), 1.5);
@@ -289,6 +359,21 @@ mod tests {
         assert_eq!(parse_schedstat("garbage 1 2"), None);
         let own = thread_cpu_ns();
         assert!(own.iter().any(|&(tid, _)| tid == current_tid()));
+    }
+
+    #[test]
+    fn own_cpu_time_advances_with_work_but_not_with_sleep() {
+        let start = own_cpu_ns();
+        assert!(start > 0);
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let slept = own_cpu_ns() - start;
+        let busy = Instant::now();
+        while busy.elapsed().as_millis() < 50 {
+            std::hint::black_box(mix(busy.elapsed().as_nanos() as u64));
+        }
+        let worked = own_cpu_ns() - start - slept;
+        assert!(slept < 25_000_000, "sleeping used {slept} ns of CPU");
+        assert!(worked > slept, "work used {worked} ns, sleep {slept} ns");
     }
 
     #[test]
