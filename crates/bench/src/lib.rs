@@ -32,7 +32,6 @@ pub mod lulesh_exp;
 pub mod report;
 pub mod rowref;
 pub mod service;
-pub mod shard;
 pub mod snapbench;
 pub mod summary;
 pub mod table;

@@ -289,9 +289,10 @@ pub struct OverheadRow {
 }
 
 impl OverheadRow {
-    /// Overhead in seconds (clamped at zero).
+    /// Overhead in seconds, signed: negative when the instrumented run
+    /// happened to finish faster than the plain one.
     pub fn overhead_seconds(&self) -> f64 {
-        (self.nonstop_seconds - self.origin_seconds).max(0.0)
+        self.nonstop_seconds - self.origin_seconds
     }
 
     /// Overhead as a percentage of the plain runtime.
@@ -514,6 +515,18 @@ pub fn early_termination_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn overhead_is_signed_when_the_instrumented_run_is_faster() {
+        let row = OverheadRow {
+            size: 8,
+            config: "8x1".into(),
+            origin_seconds: 0.070,
+            nonstop_seconds: 0.053,
+        };
+        assert!((row.overhead_seconds() + 0.017).abs() < 1e-12);
+        assert!(row.overhead_percent() < 0.0);
+    }
 
     #[test]
     fn fit_error_improves_with_more_training_on_inner_interval() {

@@ -66,7 +66,10 @@ mod tests {
         assert!(h.min_accuracy_percent <= h.max_accuracy_percent);
         assert!(h.max_accuracy_percent <= 100.0);
         assert!(h.min_overhead_percent <= h.max_overhead_percent);
-        assert!(h.min_overhead_percent >= 0.0);
+        // Signed: a noisy instrumented run may beat the plain one, but no
+        // run takes less than no time.
+        assert!(h.min_overhead_percent > -100.0);
+        assert!(h.max_overhead_percent.is_finite());
         assert!(h.max_accuracy_percent > 70.0);
     }
 }

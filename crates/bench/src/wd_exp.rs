@@ -192,21 +192,23 @@ pub struct WdOverheadRow {
 }
 
 impl WdOverheadRow {
-    /// Overhead (%) of the non-stop instrumented run.
+    /// Overhead (%) of the non-stop instrumented run, signed: negative
+    /// when it happened to finish faster than the plain run.
     pub fn overhead_percent(&self) -> f64 {
         if self.origin_seconds <= 0.0 {
             0.0
         } else {
-            (self.nonstop_seconds - self.origin_seconds).max(0.0) / self.origin_seconds * 100.0
+            (self.nonstop_seconds - self.origin_seconds) / self.origin_seconds * 100.0
         }
     }
 
-    /// Acceleration (%) achieved by early termination.
+    /// Acceleration (%) achieved by early termination, signed: negative
+    /// when the early-stopping run took longer than the plain one.
     pub fn acceleration_percent(&self) -> f64 {
         if self.origin_seconds <= 0.0 {
             0.0
         } else {
-            ((self.origin_seconds - self.stop_seconds) / self.origin_seconds * 100.0).max(0.0)
+            (self.origin_seconds - self.stop_seconds) / self.origin_seconds * 100.0
         }
     }
 }
@@ -283,6 +285,19 @@ pub fn overhead_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn overhead_and_acceleration_are_signed() {
+        let row = WdOverheadRow {
+            resolution: 8,
+            config: "8x1".into(),
+            origin_seconds: 1.0,
+            nonstop_seconds: 0.9,
+            stop_seconds: 1.2,
+        };
+        assert!((row.overhead_percent() + 10.0).abs() < 1e-9);
+        assert!((row.acceleration_percent() + 20.0).abs() < 1e-9);
+    }
 
     #[test]
     fn fit_error_does_not_grow_with_training_fraction() {

@@ -41,27 +41,24 @@ pub enum CollectionEvent {
     },
 }
 
-/// Cap on the per-location history pre-reservation shared by the global
-/// [`Collector`] and the sharded
-/// [`ShardedCollector`](crate::collect::ShardedCollector). Pre-sizing lets
-/// steady-state sampling append without reallocating — each location gets
-/// one value per sampled iteration — but a temporal characteristic
-/// spanning the whole simulation (millions of iterations) must not commit
-/// worst-case memory up front inside the host application, especially when
-/// early termination means most of it would never be used. Runs outliving
-/// the cap fall back to amortized `Vec` growth (a per-series allocation
-/// every doubling, still nothing per row); windowed retention additionally
-/// caps the reservation at the window's bounded backing storage.
-pub(crate) const MAX_EAGER_SAMPLES_PER_LOCATION: usize = 4096;
+/// Cap on the per-location history pre-reservation of a [`Collector`].
+/// Pre-sizing lets steady-state sampling append without reallocating —
+/// each location gets one value per sampled iteration — but a temporal
+/// characteristic spanning the whole simulation (millions of iterations)
+/// must not commit worst-case memory up front inside the host application,
+/// especially when early termination means most of it would never be used.
+/// Runs outliving the cap fall back to amortized `Vec` growth (a
+/// per-series allocation every doubling, still nothing per row); windowed
+/// retention additionally caps the reservation at the window's bounded
+/// backing storage.
+const MAX_EAGER_SAMPLES_PER_LOCATION: usize = 4096;
 
 /// Widens a requested [`Retention`] policy to the AR model's lagged reach:
 /// the deepest lagged read any layout performs is `order` strides of
 /// `ceil(lag / step)` sampled iterations (the purely temporal layout), and
-/// the window must cover it plus the target iteration itself. Shared by the
-/// single-store [`Collector`] and the sharded
-/// [`ShardedCollector`](crate::collect::ShardedCollector) so both bound
-/// memory without ever starving batch assembly or forecasting.
-pub(crate) fn widened_retention(
+/// the window must cover it plus the target iteration itself, so a bounded
+/// [`Collector`] never starves batch assembly or forecasting.
+fn widened_retention(
     retention: Retention,
     order: usize,
     lag: u64,

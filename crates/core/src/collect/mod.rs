@@ -24,17 +24,17 @@
 //!   configurable [`Retention`] policy ([`Retention::Window`] bounds
 //!   per-location memory for indefinitely-running analyses).
 //!
-//! For domain-decomposed simulations, [`ShardedCollector`] partitions one
-//! analysis' locations by rank ownership into per-shard slot-indexed
-//! stores that record and assemble communication-free in parallel and
-//! merge back bit-identically (see [`ShardedCollector`]).
+//! Every analysis collects through exactly one [`Collector`] on the
+//! simulation thread. The per-step record and assembly work is a few
+//! microseconds, less than a single thread-pool dispatch costs, so the
+//! collection layer is never split across workers; domain-decomposed
+//! simulations run one engine per rank instead.
 
 mod assembler;
 mod collector;
 mod history;
 mod minibatch;
 mod sample;
-mod shard;
 
 pub use assembler::{BatchAssembler, PredictorLayout};
 pub(crate) use collector::CollectorState;
@@ -42,5 +42,3 @@ pub use collector::{CollectionEvent, Collector};
 pub use history::{Retention, SampleHistory, SlotId};
 pub use minibatch::{BatchPool, MiniBatch};
 pub use sample::Sample;
-pub use shard::ShardedCollector;
-pub(crate) use shard::ShardedCollectorState;

@@ -3,11 +3,8 @@
 use std::collections::VecDeque;
 
 use parsim::ThreadPool;
-use simkit::decomposition::BlockDecomposition;
 
-use crate::collect::{
-    Collector, CollectorState, MiniBatch, SampleHistory, ShardedCollector, ShardedCollectorState,
-};
+use crate::collect::{Collector, CollectorState, MiniBatch, SampleHistory};
 use crate::extract::{
     BreakpointExtractor, BreakpointResult, DelayTimeExtractor, DelayTimeResult, FeatureKind,
     OutlierExtractor, OutlierReport,
@@ -83,139 +80,6 @@ pub(crate) fn take_feature(dec: &mut Dec<'_>) -> crate::error::Result<FeatureVal
     })
 }
 
-/// The collection backend of one analysis: either the global single-store
-/// [`Collector`] or a [`ShardedCollector`] partitioned by a
-/// [`BlockDecomposition`]. Every consumer in this module goes through this
-/// enum's uniform accessors, so the sample → assemble → train → extract
-/// pipeline — extraction included — is **oblivious** to sharding: the
-/// sharded variant answers the same queries through its cross-shard
-/// k-way merges and owner lookups, bit-identically.
-pub(crate) enum Store {
-    Single(Collector),
-    Sharded(ShardedCollector),
-}
-
-impl Store {
-    /// The **sample** stage; sharded stores fan the per-shard record +
-    /// assemble work out across `pool`. Returns the number of owned
-    /// samples recorded and whether a shard fan-out engaged.
-    fn sample<D: ?Sized>(
-        &mut self,
-        iteration: u64,
-        domain: &D,
-        provider: &(dyn crate::provider::VarProvider<D> + Send + Sync),
-        pool: &ThreadPool,
-    ) -> (usize, bool) {
-        match self {
-            Store::Single(c) => (c.sample(iteration, domain, provider), false),
-            Store::Sharded(s) => {
-                let before = s.parallel_fanouts();
-                let samples = s.sample(iteration, domain, provider, pool);
-                (samples, s.parallel_fanouts() > before)
-            }
-        }
-    }
-
-    /// The **assemble** stage: the filled global batch, if one is ready.
-    fn assemble(&mut self, iteration: u64) -> Option<MiniBatch> {
-        match self {
-            Store::Single(c) => c.assemble(iteration),
-            Store::Sharded(s) => s.assemble(iteration),
-        }
-    }
-
-    /// Returns a spent batch to the backing buffer pool.
-    fn recycle(&mut self, batch: MiniBatch) {
-        match self {
-            Store::Single(c) => c.recycle(batch),
-            Store::Sharded(s) => s.recycle(batch),
-        }
-    }
-
-    /// Whether the temporal characteristic has been exhausted.
-    pub(crate) fn finished(&self, iteration: u64) -> bool {
-        match self {
-            Store::Single(c) => c.finished(iteration),
-            Store::Sharded(s) => s.finished(iteration),
-        }
-    }
-
-    /// Total samples ever recorded (ghost duplicates excluded).
-    fn len(&self) -> usize {
-        match self {
-            Store::Single(c) => c.history().len(),
-            Store::Sharded(s) => s.len(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The globally sorted `(location, peak)` profile the break-point and
-    /// outlier extractors consume. `&mut` because the sharded variant
-    /// rebuilds its merged profile into retained capacity.
-    fn peak_profile(&mut self) -> &[(usize, f64)] {
-        match self {
-            Store::Single(c) => c.history().peak_profile(),
-            Store::Sharded(s) => s.peak_profile(),
-        }
-    }
-
-    fn values_of(&self, location: usize) -> Option<&[f64]> {
-        match self {
-            Store::Single(c) => c.history().values_of(location),
-            Store::Sharded(s) => s.values_of(location),
-        }
-    }
-
-    fn iterations_of(&self, location: usize) -> Option<&[u64]> {
-        match self {
-            Store::Single(c) => c.history().iterations_of(location),
-            Store::Sharded(s) => s.iterations_of(location),
-        }
-    }
-
-    fn last_iteration_of(&self, location: usize) -> Option<u64> {
-        match self {
-            Store::Single(c) => c.history().last_iteration_of(location),
-            Store::Sharded(s) => s.last_iteration_of(location),
-        }
-    }
-
-    /// The sampled location with the longest series (ties → largest id).
-    fn representative(&self) -> Option<usize> {
-        match self {
-            Store::Single(c) => {
-                let history = c.history();
-                history
-                    .iter_locations()
-                    .max_by_key(|loc| history.recorded_of(*loc))
-            }
-            Store::Sharded(s) => s.representative(),
-        }
-    }
-
-    /// The location of the maximum most-recently-observed value.
-    fn front_location(&self) -> Option<usize> {
-        match self {
-            Store::Single(c) => c
-                .history()
-                .iter_latest()
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(loc, _)| loc),
-            Store::Sharded(s) => s.front_location(),
-        }
-    }
-
-    fn write_predictors_for(&self, location: usize, iteration: u64, out: &mut [f64]) -> Option<()> {
-        match self {
-            Store::Single(c) => c.write_predictors_for(location, iteration, out),
-            Store::Sharded(s) => s.write_predictors_for(location, iteration, out),
-        }
-    }
-}
-
 /// One armed analysis: its specification plus the live collector/trainer
 /// state, driven through the explicit **sample → assemble → train →
 /// extract** stages by the engine.
@@ -225,7 +89,7 @@ impl Store {
 /// so the steady state reuses a fixed set of allocations.
 pub(crate) struct Analysis<D: ?Sized> {
     pub(crate) spec: AnalysisSpec<D>,
-    pub(crate) store: Store,
+    pub(crate) store: Collector,
     slot: TrainerSlot,
     /// Batches waiting for the background trainer, oldest first. Training
     /// order is preserved, which is what makes background results
@@ -250,36 +114,17 @@ pub(crate) struct Analysis<D: ?Sized> {
 }
 
 impl<D: ?Sized> Analysis<D> {
-    /// Arms an analysis. With `sharding` the collection layer is split by
-    /// decomposition ownership into a [`ShardedCollector`]; otherwise the
-    /// global single-store [`Collector`] is used. Both are bit-identical
-    /// end to end.
-    pub(crate) fn new(
-        spec: AnalysisSpec<D>,
-        sharding: Option<&BlockDecomposition>,
-        telemetry_capacity: usize,
-    ) -> Self {
-        let store = match sharding {
-            Some(partition) => Store::Sharded(ShardedCollector::new(
-                spec.spatial,
-                spec.temporal,
-                spec.trainer.order,
-                spec.lag,
-                spec.layout,
-                spec.batch_capacity,
-                spec.retention,
-                partition,
-            )),
-            None => Store::Single(Collector::with_retention(
-                spec.spatial,
-                spec.temporal,
-                spec.trainer.order,
-                spec.lag,
-                spec.layout,
-                spec.batch_capacity,
-                spec.retention,
-            )),
-        };
+    /// Arms an analysis over its own [`Collector`].
+    pub(crate) fn new(spec: AnalysisSpec<D>, telemetry_capacity: usize) -> Self {
+        let store = Collector::with_retention(
+            spec.spatial,
+            spec.temporal,
+            spec.trainer.order,
+            spec.lag,
+            spec.layout,
+            spec.batch_capacity,
+            spec.retention,
+        );
         let trainer = IncrementalTrainer::new(spec.trainer)
             .expect("spec builder validated the trainer configuration");
         let order = spec.trainer.order;
@@ -307,23 +152,16 @@ impl<D: ?Sized> Analysis<D> {
     }
 
     /// Stage 1 — **sample**: batch-query the provider over the spatial
-    /// characteristic and append to the history; sharded stores fan the
-    /// record/assemble work out across `pool`. Returns the number of
-    /// samples recorded (0 when the iteration is not selected) and whether
-    /// a shard fan-out engaged.
-    pub(crate) fn sample(
-        &mut self,
-        iteration: u64,
-        domain: &D,
-        pool: &ThreadPool,
-    ) -> (usize, bool) {
-        let (samples, fanned) =
-            self.store
-                .sample(iteration, domain, self.spec.provider.as_ref(), pool);
+    /// characteristic and append to the history. Returns the number of
+    /// samples recorded (0 when the iteration is not selected).
+    pub(crate) fn sample(&mut self, iteration: u64, domain: &D) -> usize {
+        let samples = self
+            .store
+            .sample(iteration, domain, self.spec.provider.as_ref());
         if samples > 0 {
             self.refresh_representative();
         }
-        (samples, fanned)
+        samples
     }
 
     /// Stage 2 — **assemble**: write fresh samples into the columnar batch;
@@ -339,30 +177,14 @@ impl<D: ?Sized> Analysis<D> {
         }
     }
 
-    /// Stage 3 (inline, sequential) — **train** the batch on the calling
-    /// thread and recycle its buffer. Returns the batch's loss when the
+    /// Stage 3 (inline) — **train** the batch on the calling thread and
+    /// recycle its buffer. Returns the batch's loss when the
     /// trainer accepted it.
     pub(crate) fn train_inline(&mut self, batch: MiniBatch) -> Option<f64> {
         let TrainerSlot::Idle(trainer) = &mut self.slot else {
             unreachable!("inline training never leaves the trainer in flight");
         };
         let loss = trainer.train_batch(&batch).ok();
-        self.store.recycle(batch);
-        self.record_batch_outcome(loss)
-    }
-
-    /// Stage 3 (inline, fan-out) — move the trainer and batch onto a worker.
-    /// The caller must pair this with [`Analysis::finish_train`] before the
-    /// step completes; the engine uses the pair to train several analyses'
-    /// batches concurrently within one step.
-    pub(crate) fn begin_train(&mut self, batch: MiniBatch, pool: &ThreadPool) {
-        self.slot.launch(batch, pool);
-    }
-
-    /// Joins the job started by [`Analysis::begin_train`], recycles the
-    /// spent batch and returns the loss.
-    pub(crate) fn finish_train(&mut self) -> Option<f64> {
-        let (batch, loss) = self.slot.join_if_busy()?;
         self.store.recycle(batch);
         self.record_batch_outcome(loss)
     }
@@ -447,11 +269,10 @@ impl<D: ?Sized> Analysis<D> {
     }
 
     /// Stage 4 — **extract**: attempts feature extraction from the current
-    /// history/model state. Oblivious to sharding: every read goes through
-    /// the [`Store`] accessors, which a sharded backend answers via its
-    /// cross-shard merges (peak profile) and owner lookups (series views).
+    /// history/model state.
     pub(crate) fn try_extract(&mut self) {
-        if self.store.is_empty() {
+        let history = self.store.history();
+        if history.is_empty() {
             return;
         }
         let extracted = match self.spec.feature {
@@ -459,7 +280,7 @@ impl<D: ?Sized> Analysis<D> {
                 // The incremental peak profile is maintained at record time;
                 // extraction reads it as a borrowed slice — no rescan of the
                 // per-location series, no allocation.
-                let peaks = self.store.peak_profile();
+                let peaks = history.peak_profile();
                 let initial = peaks.iter().map(|(_, v)| v.abs()).fold(0.0_f64, f64::max);
                 if initial <= 0.0 {
                     None
@@ -474,8 +295,8 @@ impl<D: ?Sized> Analysis<D> {
                 // The SoA history hands the extractor its iteration and
                 // value columns directly — no gather into scratch vectors.
                 let location = self.representative.unwrap_or(0);
-                let iterations = self.store.iterations_of(location);
-                let values = self.store.values_of(location);
+                let iterations = history.iterations_of(location);
+                let values = history.values_of(location);
                 iterations.zip(values).and_then(|(iterations, values)| {
                     DelayTimeExtractor::new()
                         .extract_sampled(iterations, values)
@@ -484,7 +305,7 @@ impl<D: ?Sized> Analysis<D> {
                 })
             }
             FeatureKind::Outliers { threshold } => {
-                let profile = self.store.peak_profile();
+                let profile = history.peak_profile();
                 OutlierExtractor::new(threshold)
                     .ok()
                     .and_then(|ex| ex.extract(profile).ok())
@@ -500,12 +321,15 @@ impl<D: ?Sized> Analysis<D> {
     /// most samples (ties broken by the largest id). Called from the sample
     /// stage, the only place the history grows.
     fn refresh_representative(&mut self) {
-        let len = self.store.len();
+        let history = self.store.history();
+        let len = history.len();
         if len == self.representative_len {
             return;
         }
         self.representative_len = len;
-        self.representative = self.store.representative();
+        self.representative = history
+            .iter_locations()
+            .max_by_key(|loc| history.recorded_of(*loc));
     }
 
     /// Latest one-step prediction at the representative location, if the
@@ -518,7 +342,7 @@ impl<D: ?Sized> Analysis<D> {
             return None;
         }
         let location = self.representative.unwrap_or(0);
-        let latest_iteration = self.store.last_iteration_of(location)?;
+        let latest_iteration = self.store.history().last_iteration_of(location)?;
         self.store
             .write_predictors_for(location, latest_iteration, &mut self.predictor_scratch)?;
         trainer.predict(&self.predictor_scratch).ok()
@@ -526,9 +350,13 @@ impl<D: ?Sized> Analysis<D> {
 
     /// The location of the maximum most-recently-observed value across the
     /// sampled locations — the "wave front" broadcast to other ranks in
-    /// the LULESH case study (merged across shards when sharded).
+    /// the LULESH case study.
     pub(crate) fn front_location(&self) -> Option<usize> {
-        self.store.front_location()
+        self.store
+            .history()
+            .iter_latest()
+            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(loc, _)| loc)
     }
 
     /// Whether this analysis considers its work done (model converged, or
@@ -550,31 +378,9 @@ impl<D: ?Sized> Analysis<D> {
         }
     }
 
-    /// The single global history, when this analysis is unsharded. Sharded
-    /// analyses have one store per shard — see
-    /// [`Engine::shard_history`](super::Engine::shard_history).
-    pub(crate) fn history(&self) -> Option<&SampleHistory> {
-        match &self.store {
-            Store::Single(c) => Some(c.history()),
-            Store::Sharded(_) => None,
-        }
-    }
-
-    /// Number of collection shards (1 for the single-store backend).
-    pub(crate) fn shard_count(&self) -> usize {
-        match &self.store {
-            Store::Single(_) => 1,
-            Store::Sharded(s) => s.shard_count(),
-        }
-    }
-
-    /// One shard's history (shard 0 of an unsharded analysis is the global
-    /// history).
-    pub(crate) fn shard_history(&self, shard: usize) -> Option<&SampleHistory> {
-        match &self.store {
-            Store::Single(c) => (shard == 0).then(|| c.history()),
-            Store::Sharded(s) => s.shard_history(shard),
-        }
+    /// The analysis' sample history.
+    pub(crate) fn history(&self) -> &SampleHistory {
+        self.store.history()
     }
 
     /// Appends the analysis' mutable pipeline state to a snapshot payload.
@@ -589,16 +395,10 @@ impl<D: ?Sized> Analysis<D> {
             self.pending.is_empty(),
             "snapshot requires a drained engine"
         );
-        match &self.store {
-            Store::Single(c) => {
-                enc.put_u8(0);
-                c.snapshot_encode(enc);
-            }
-            Store::Sharded(s) => {
-                enc.put_u8(1);
-                s.snapshot_encode(enc);
-            }
-        }
+        // Store tag 0 is the collector; `snapshot_decode` rejects tag 1,
+        // the retired sharded store.
+        enc.put_u8(0);
+        self.store.snapshot_encode(enc);
         self.slot
             .trainer()
             .expect("snapshot requires a drained engine (trainer resident)")
@@ -619,22 +419,14 @@ impl<D: ?Sized> Analysis<D> {
     /// [`Analysis::snapshot_encode`] against this (identically configured)
     /// analysis, without touching it.
     pub(crate) fn snapshot_decode(&self, dec: &mut Dec<'_>) -> crate::error::Result<AnalysisState> {
-        let store = match (dec.take_u8()?, &self.store) {
-            (0, Store::Single(c)) => StoreState::Single(c.snapshot_decode(dec)?),
-            (1, Store::Sharded(s)) => StoreState::Sharded(s.snapshot_decode(dec)?),
-            (tag @ (0 | 1), _) => {
+        let store = match dec.take_u8()? {
+            0 => self.store.snapshot_decode(dec)?,
+            1 => {
                 return Err(crate::error::Error::SnapshotMismatch {
-                    what: format!(
-                        "snapshot store backend {} vs configured {}",
-                        if tag == 0 { "single" } else { "sharded" },
-                        match &self.store {
-                            Store::Single(_) => "single",
-                            Store::Sharded(_) => "sharded",
-                        }
-                    ),
+                    what: "snapshot of a sharded store; sharded collection is retired".into(),
                 })
             }
-            (t, _) => return Err(corrupt(format!("invalid store tag {t}"))),
+            t => return Err(corrupt(format!("invalid store tag {t}"))),
         };
         let trainer = IncrementalTrainer::snapshot_decode(self.spec.trainer, dec)?;
         let feature = match dec.take_u8()? {
@@ -668,11 +460,7 @@ impl<D: ?Sized> Analysis<D> {
         while let Some(batch) = self.pending.pop_front() {
             self.store.recycle(batch);
         }
-        match (&mut self.store, state.store) {
-            (Store::Single(c), StoreState::Single(s)) => c.snapshot_apply(s),
-            (Store::Sharded(c), StoreState::Sharded(s)) => c.snapshot_apply(s),
-            _ => unreachable!("snapshot_decode matched the store backends"),
-        }
+        self.store.snapshot_apply(state.store);
         self.slot = TrainerSlot::Idle(Box::new(state.trainer));
         self.feature = state.feature;
         self.representative = state.representative;
@@ -681,17 +469,11 @@ impl<D: ?Sized> Analysis<D> {
     }
 }
 
-/// The backend half of a decoded [`AnalysisState`].
-enum StoreState {
-    Single(CollectorState),
-    Sharded(ShardedCollectorState),
-}
-
 /// One analysis' decoded-and-validated snapshot state, committed by
 /// [`Analysis::snapshot_apply`] once the whole engine snapshot has
 /// validated.
 pub(crate) struct AnalysisState {
-    store: StoreState,
+    store: CollectorState,
     trainer: IncrementalTrainer,
     feature: Option<FeatureValue>,
     representative: Option<usize>,

@@ -57,9 +57,7 @@ impl TrainerSlot {
         matches!(self, TrainerSlot::Idle(_))
     }
 
-    /// Moves the trainer onto a worker to train `batch`. Used both by
-    /// background mode and by the inline train stage's multi-analysis
-    /// fan-out.
+    /// Moves the trainer onto a worker to train `batch`.
     ///
     /// # Panics
     ///

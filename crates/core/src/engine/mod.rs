@@ -11,13 +11,13 @@
 //! 1. **sample** — batch-query each analysis' provider over its spatial
 //!    characteristic ([`VarProvider::fill`](crate::provider::VarProvider::fill)),
 //! 2. **assemble** — write fresh samples into a columnar
-//!    [`MiniBatch`] (contiguous predictors,
+//!    [`MiniBatch`](crate::collect::MiniBatch) (contiguous predictors,
 //!    stride = AR order; buffers recycled through a pool so the steady
 //!    state allocates nothing per row),
 //! 3. **train** — run gradient descent on full batches, either
-//!    [`TrainingMode::Inline`] on the simulation thread (fanning
-//!    independent analyses out across the pool when several batches fill
-//!    in one step) or [`TrainingMode::Background`] on a `parsim` worker,
+//!    [`TrainingMode::Inline`] on the simulation thread, right where the
+//!    batch was assembled, or [`TrainingMode::Background`] on a `parsim`
+//!    worker,
 //! 4. **extract** — derive the requested features once an analysis is done.
 //!
 //! The paired `begin`/`end` calls of the paper's API are replaced by the
@@ -74,9 +74,8 @@ mod step;
 pub use step::{StepReport, StepScope};
 
 use parsim::ThreadPool;
-use simkit::decomposition::BlockDecomposition;
 
-use crate::collect::{MiniBatch, SampleHistory};
+use crate::collect::SampleHistory;
 use crate::error::{Error, Result};
 use crate::model::IncrementalTrainer;
 use crate::region::{AnalysisSpec, ExitAction, NullBroadcaster, RegionStatus, StatusBroadcaster};
@@ -106,12 +105,11 @@ fn stage_elapsed(clock: Option<std::time::Instant>) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TrainingMode {
     /// Train inside [`StepScope::complete`] — the paper's original
-    /// behaviour, lowest latency to convergence signals. When **several**
-    /// analyses fill their batches in the same step and the configured pool
-    /// has more than one worker, their (independent) trainers fan out
-    /// across the pool and the step joins them before returning; results
-    /// are bit-identical to sequential training because each trainer only
-    /// ever consumes its own batches, in order.
+    /// behaviour, lowest latency to convergence signals. Each filled batch
+    /// trains on the simulation thread right after it is assembled; the
+    /// configured pool is never used. A batch trains in well under one
+    /// pool dispatch, so spreading several analyses' batches over workers
+    /// would only add cost.
     #[default]
     Inline,
     /// Move the trainer onto a `parsim` worker whenever a batch fills, so
@@ -127,16 +125,9 @@ pub enum TrainingMode {
 pub struct EngineConfig {
     /// Inline or background training (default inline).
     pub training_mode: TrainingMode,
-    /// Thread pool used for background training jobs, for the inline
-    /// train stage's multi-analysis fan-out, and for the shard-parallel
-    /// sample/record/assemble stage of sharded collection.
+    /// Thread pool for [`TrainingMode::Background`] training jobs; inline
+    /// engines never touch it.
     pub pool: ThreadPool,
-    /// When set, every analysis collects through a
-    /// [`ShardedCollector`](crate::collect::ShardedCollector) partitioned
-    /// by this decomposition's ownership (default: one global collector).
-    /// Sharding is a pure execution strategy — extracted features, training
-    /// losses and statuses are bit-identical to the unsharded engine.
-    pub sharding: Option<BlockDecomposition>,
     /// Stage-timing telemetry (default: off unless the `INSITU_TELEMETRY`
     /// environment variable enables it, or [`EngineConfig::budget`] is
     /// set). See [`crate::telemetry`].
@@ -150,17 +141,19 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Inline training on the simulation thread (the default; the pool is
-    /// serial, so multi-analysis steps train sequentially).
+    /// Inline training on the simulation thread (the default).
     pub fn inline() -> Self {
         Self::default()
     }
 
-    /// Inline training with the step's train stage fanning independent
-    /// analyses' batches out across the given pool.
+    /// [`EngineConfig::inline`] with `pool` set. The inline train stage no
+    /// longer fans out, so the pool goes unused.
+    #[deprecated(
+        since = "0.1.0",
+        note = "inline training never fans out; use `inline()`"
+    )]
     pub fn inline_parallel(pool: ThreadPool) -> Self {
         Self {
-            training_mode: TrainingMode::Inline,
             pool,
             ..Self::default()
         }
@@ -175,19 +168,18 @@ impl EngineConfig {
         }
     }
 
-    /// Sharded collection: each analysis' locations are partitioned by
-    /// `decomposition` ownership into per-shard slot-indexed stores, and
-    /// the per-step record/assemble work fans out across `pool` (jobs
-    /// queue FIFO when the machine has fewer cores — still bit-identical).
-    /// Training stays inline; set
-    /// [`training_mode`](EngineConfig::training_mode) to
-    /// [`TrainingMode::Background`] to combine sharded collection with
-    /// off-thread training.
-    pub fn sharded(decomposition: BlockDecomposition, pool: ThreadPool) -> Self {
+    /// [`EngineConfig::inline`] with `pool` set. Collection is no longer
+    /// sharded, so the decomposition is dropped.
+    #[deprecated(
+        since = "0.1.0",
+        note = "collection is never sharded; use `inline()` or `background(pool)`"
+    )]
+    pub fn sharded(
+        _decomposition: simkit::decomposition::BlockDecomposition,
+        pool: ThreadPool,
+    ) -> Self {
         Self {
-            training_mode: TrainingMode::Inline,
             pool,
-            sharding: Some(decomposition),
             ..Self::default()
         }
     }
@@ -259,14 +251,6 @@ struct EngineRegion<D: ?Sized> {
     status: RegionStatus,
 }
 
-/// A full mini-batch waiting for the inline train stage, remembering which
-/// analysis produced it.
-struct ReadyBatch {
-    region: usize,
-    analysis: usize,
-    batch: MiniBatch,
-}
-
 /// A multi-region in-situ session: the owner of every analysis' collector,
 /// trainer and extracted features, addressed through copyable handles.
 ///
@@ -275,17 +259,6 @@ struct ReadyBatch {
 pub struct Engine<D: ?Sized> {
     config: EngineConfig,
     regions: Vec<EngineRegion<D>>,
-    /// Scratch for the inline train stage: batches that filled during this
-    /// step. Reused across steps so the hot path does not allocate.
-    inline_ready: Vec<ReadyBatch>,
-    /// Scratch for the fan-out join pass (indices of launched analyses).
-    join_scratch: Vec<(usize, usize)>,
-    /// Number of steps whose train stage fanned out across the pool
-    /// (diagnostic; asserted by the parallelism tests).
-    parallel_train_fanouts: u64,
-    /// Number of steps whose sharded collection stage fanned out across
-    /// the pool (diagnostic; asserted by the sharding tests).
-    parallel_shard_fanouts: u64,
     /// Whether the stage clocks run (resolved once at construction from
     /// config + environment; budget implies timing).
     timed: bool,
@@ -348,10 +321,6 @@ impl<D: ?Sized> Engine<D> {
         Self {
             config,
             regions: Vec::new(),
-            inline_ready: Vec::new(),
-            join_scratch: Vec::new(),
-            parallel_train_fanouts: 0,
-            parallel_shard_fanouts: 0,
             timed,
             budget,
             total_cost_ns: 0,
@@ -364,18 +333,16 @@ impl<D: ?Sized> Engine<D> {
         self.config.training_mode
     }
 
-    /// Number of completed steps whose inline train stage fanned multiple
-    /// analyses' batches out across the pool (always 0 in background mode
-    /// and with a serial pool).
+    /// Always 0: the inline train stage no longer fans out.
+    #[deprecated(since = "0.1.0", note = "the inline train stage never fans out")]
     pub fn parallel_train_fanouts(&self) -> u64 {
-        self.parallel_train_fanouts
+        0
     }
 
-    /// Number of completed steps whose sharded sample/record/assemble
-    /// stage fanned shards out across the pool (always 0 without
-    /// [`EngineConfig::sharded`] and with a serial pool).
+    /// Always 0: collection is no longer sharded.
+    #[deprecated(since = "0.1.0", note = "collection never fans out")]
     pub fn parallel_shard_fanouts(&self) -> u64 {
-        self.parallel_shard_fanouts
+        0
     }
 
     /// Borrows an analysis' telemetry recorder: the stage-event ring plus
@@ -482,7 +449,6 @@ impl<D: ?Sized> Engine<D> {
         region: RegionId,
         spec: AnalysisSpec<D>,
     ) -> Result<AnalysisId> {
-        let sharding = self.config.sharding.as_ref();
         // Disabled telemetry gets a zero-capacity ring: the accessors stay
         // valid, the memory cost is nil, and nothing records into it.
         let telemetry_capacity = if self.timed {
@@ -494,8 +460,7 @@ impl<D: ?Sized> Engine<D> {
             what: "region",
             index: region.0,
         })?;
-        slot.analyses
-            .push(Analysis::new(spec, sharding, telemetry_capacity));
+        slot.analyses.push(Analysis::new(spec, telemetry_capacity));
         Ok(AnalysisId {
             region: region.0,
             index: slot.analyses.len() - 1,
@@ -549,38 +514,13 @@ impl<D: ?Sized> Engine<D> {
         self.regions.get(region.0).map(|r| &r.status)
     }
 
-    /// The sample history of one analysis. For analyses collected through
-    /// a sharded engine ([`EngineConfig::sharded`]) there is no single
-    /// global store — this returns `None`; use [`Engine::shard_count`] and
-    /// [`Engine::shard_history`] to inspect the per-shard stores instead.
+    /// The sample history of one analysis (`None` for stale handles).
     pub fn history(&self, analysis: AnalysisId) -> Option<&SampleHistory> {
         self.regions
             .get(analysis.region)?
             .analyses
             .get(analysis.index)
-            .and_then(Analysis::history)
-    }
-
-    /// Number of collection shards behind one analysis: 1 for the default
-    /// global collector, the number of non-empty ownership shards under
-    /// [`EngineConfig::sharded`]. `None` for stale handles.
-    pub fn shard_count(&self, analysis: AnalysisId) -> Option<usize> {
-        self.regions
-            .get(analysis.region)?
-            .analyses
-            .get(analysis.index)
-            .map(Analysis::shard_count)
-    }
-
-    /// The slot-indexed store of one collection shard (owned **and**
-    /// ghost-halo series). Shard 0 of an unsharded analysis is the global
-    /// history.
-    pub fn shard_history(&self, analysis: AnalysisId, shard: usize) -> Option<&SampleHistory> {
-        self.regions
-            .get(analysis.region)?
-            .analyses
-            .get(analysis.index)?
-            .shard_history(shard)
+            .map(Analysis::history)
     }
 
     /// The trainer of one analysis, for inspecting the fitted model and loss
@@ -689,14 +629,13 @@ impl<D: ?Sized> Engine<D> {
     /// background work happened to be scheduled.
     ///
     /// The captured state covers, per analysis: the sample history
-    /// (including incremental peak statistics and retention bookkeeping,
-    /// and per-shard stores plus merge counters under
-    /// [`EngineConfig::sharding`]), the partially-filled assembly batch,
-    /// the AR model coefficients, scaler moments, optimizer state and loss
-    /// history, and the extracted feature — plus each region's status and
-    /// the engine's fan-out diagnostics. Configuration (specs, providers,
-    /// pools, sharding) is **not** serialized: [`Engine::restore`] overlays
-    /// the snapshot onto an engine rebuilt with identical configuration.
+    /// (including incremental peak statistics and retention bookkeeping),
+    /// the partially-filled assembly batch, the AR model coefficients,
+    /// scaler moments, optimizer state and loss history, and the extracted
+    /// feature — plus each region's status. Configuration (specs,
+    /// providers, pools) is **not** serialized: [`Engine::restore`]
+    /// overlays the snapshot onto an engine rebuilt with identical
+    /// configuration.
     ///
     /// A restored engine continues bit-identically to one that never
     /// stopped: same losses, same features, same statuses.
@@ -706,8 +645,10 @@ impl<D: ?Sized> Engine<D> {
         let mut container = Container::new();
         let mut enc = Enc::default();
         enc.put_usize(self.regions.len());
-        enc.put_u64(self.parallel_train_fanouts);
-        enc.put_u64(self.parallel_shard_fanouts);
+        // Two retired fan-out counters, kept as zeros so the engine
+        // section's layout is unchanged.
+        enc.put_u64(0);
+        enc.put_u64(0);
         container.section(SECTION_ENGINE, enc);
         let timed = self.timed;
         let iteration = self.regions.first().map_or(0, |r| r.status.iteration);
@@ -734,7 +675,7 @@ impl<D: ?Sized> Engine<D> {
 
     /// Restores state captured by [`Engine::snapshot`] onto this engine,
     /// which must have been configured identically (same regions, analyses
-    /// and specs, in the same order; same sharding decomposition). After a
+    /// and specs, in the same order). After a
     /// successful restore the engine produces bit-identical losses,
     /// features and statuses to the engine the snapshot was taken from.
     ///
@@ -750,7 +691,8 @@ impl<D: ?Sized> Engine<D> {
     ///   version.
     /// * [`Error::SnapshotMismatch`] — a well-formed snapshot of a
     ///   *differently configured* engine (region/analysis names or counts,
-    ///   store backend, shard count, retention or trainer shape differ).
+    ///   retention or trainer shape differ), or of the retired sharded
+    ///   store.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<()> {
         let sections = parse_container(bytes)?;
         let Some(((first_id, engine_payload), region_sections)) = sections.split_first() else {
@@ -763,8 +705,9 @@ impl<D: ?Sized> Engine<D> {
         }
         let mut dec = Dec::new(engine_payload);
         let region_count = dec.take_usize()?;
-        let parallel_train_fanouts = dec.take_u64()?;
-        let parallel_shard_fanouts = dec.take_u64()?;
+        // The two retired fan-out counters: read and ignored.
+        dec.take_u64()?;
+        dec.take_u64()?;
         dec.finish()?;
         if region_count != region_sections.len() {
             return Err(corrupt(format!(
@@ -821,8 +764,6 @@ impl<D: ?Sized> Engine<D> {
         }
         // Everything validated — commit. Apply quiesces each analysis
         // (joining any in-flight training) before overwriting its state.
-        self.parallel_train_fanouts = parallel_train_fanouts;
-        self.parallel_shard_fanouts = parallel_shard_fanouts;
         for (region, (status, states)) in self.regions.iter_mut().zip(decoded) {
             region.status = status;
             for (analysis, state) in region.analyses.iter_mut().zip(states) {
@@ -867,22 +808,13 @@ impl<D: ?Sized> Engine<D> {
     /// The full pipeline for one completed step, run as explicit stages
     /// over every analysis of every region:
     ///
-    /// 1. **sample** + **assemble** for all analyses, collecting the
-    ///    columnar batches that filled this step. Under
-    ///    [`EngineConfig::sharded`] this is the **shard-parallel stage**:
-    ///    each analysis' record/assemble work fans out across the pool,
-    ///    one job per ownership shard, and the staged rows k-way-merge
-    ///    back into the global batch in location order (bit-identical to
-    ///    the unsharded scan);
-    /// 2. **train** the full batches — queued to workers in background
-    ///    mode, on the simulation thread inline, or fanned out across the
-    ///    pool when several independent analyses' batches are ready at
-    ///    once;
+    /// 1. **sample** + **assemble** each analysis on the simulation thread;
+    /// 2. **train** a batch the moment it fills — on the simulation thread
+    ///    inline, or queued to the worker in background mode;
     /// 3. **extract**, refresh and broadcast each region's status.
     ///
     /// Spent batches return to their collectors' buffer pools, so the
-    /// steady-state step performs zero per-row heap allocations — per
-    /// shard, too.
+    /// steady-state step performs zero per-row heap allocations.
     pub(crate) fn run_pipeline(&mut self, iteration: u64, domain: &D) -> StepReport {
         let background = self.config.training_mode == TrainingMode::Background;
         let timed = self.timed;
@@ -902,51 +834,36 @@ impl<D: ?Sized> Engine<D> {
         let shed = defer_extract || skip_collect;
         let mut stage_ns = [0u64; Stage::COUNT];
 
-        // Stages 1 + 2: sample and assemble. Inline-mode batches are parked
-        // in the reusable `inline_ready` scratch for the train stage. A
+        // Stages 1–3: sample, assemble and train, one analysis at a time. A
         // coarsening shed skips collection for this iteration entirely.
-        let mut shard_fanout = false;
         if !skip_collect {
-            let mut ready = std::mem::take(&mut self.inline_ready);
-            debug_assert!(ready.is_empty());
-            for (r, region) in self.regions.iter_mut().enumerate() {
+            for region in &mut self.regions {
                 let mut samples_this_iteration = 0;
-                for (a, analysis) in region.analyses.iter_mut().enumerate() {
+                for analysis in &mut region.analyses {
                     let clock = stage_clock(timed);
-                    let (samples, fanned) = analysis.sample(iteration, domain, &self.config.pool);
+                    samples_this_iteration += analysis.sample(iteration, domain);
                     let sample_ns = stage_elapsed(clock);
-                    samples_this_iteration += samples;
-                    shard_fanout |= fanned;
                     let clock = stage_clock(timed);
                     let assembled = analysis.assemble(iteration);
                     let assemble_ns = stage_elapsed(clock);
-                    let mut train_ns = 0;
-                    let mut trained = false;
-                    match assembled {
+                    // Inline engines clock only the steps that train.
+                    let clock = stage_clock(timed && (background || assembled.is_some()));
+                    let (trained, loss) = match assembled {
                         Some(batch) if background => {
-                            let clock = stage_clock(timed);
-                            if let Some(loss) = analysis.queue_batch(batch, &self.config.pool) {
-                                region.status.last_loss = Some(loss);
-                            }
-                            train_ns = stage_elapsed(clock);
-                            trained = true;
+                            (true, analysis.queue_batch(batch, &self.config.pool))
                         }
-                        Some(batch) => ready.push(ReadyBatch {
-                            region: r,
-                            analysis: a,
-                            batch,
-                        }),
+                        Some(batch) => (true, analysis.train_inline(batch)),
+                        // Keep reclaiming finished jobs even on iterations
+                        // that produced no batch.
                         None if background => {
-                            // Keep reclaiming finished jobs even on iterations
-                            // that produced no batch.
-                            let clock = stage_clock(timed);
-                            if let Some(loss) = analysis.pump(&self.config.pool) {
-                                region.status.last_loss = Some(loss);
-                                trained = true;
-                            }
-                            train_ns = stage_elapsed(clock);
+                            let loss = analysis.pump(&self.config.pool);
+                            (loss.is_some(), loss)
                         }
-                        None => {}
+                        None => (false, None),
+                    };
+                    let train_ns = stage_elapsed(clock);
+                    if let Some(loss) = loss {
+                        region.status.last_loss = Some(loss);
                     }
                     if timed {
                         analysis
@@ -965,68 +882,12 @@ impl<D: ?Sized> Engine<D> {
                 }
                 region.status.samples_collected += samples_this_iteration;
             }
-
-            // Stage 3 (inline): train the filled batches. Independent analyses
-            // fan out across the pool when the configuration asked for
-            // parallelism; otherwise train directly on the simulation thread.
-            // (The *configured* worker budget gates the fan-out rather than the
-            // machine-clamped one: on a smaller machine the jobs simply queue
-            // FIFO, which is still correct.) Either way the per-analysis batch
-            // order is preserved, so results are bit-identical. The telemetry
-            // clocks charge the simulation thread's share: dispatch + join
-            // under fan-out, the full training time inline.
-            if ready.len() >= 2 && self.config.pool.config().total_workers() >= 2 {
-                self.parallel_train_fanouts += 1;
-                let mut joins = std::mem::take(&mut self.join_scratch);
-                for item in ready.drain(..) {
-                    self.regions[item.region].analyses[item.analysis]
-                        .begin_train(item.batch, &self.config.pool);
-                    joins.push((item.region, item.analysis));
-                }
-                for (r, a) in joins.drain(..) {
-                    let clock = stage_clock(timed);
-                    let loss = self.regions[r].analyses[a].finish_train();
-                    let train_ns = stage_elapsed(clock);
-                    if let Some(loss) = loss {
-                        self.regions[r].status.last_loss = Some(loss);
-                    }
-                    if timed {
-                        self.regions[r].analyses[a].telemetry.record(
-                            Stage::Train,
-                            iteration,
-                            train_ns,
-                        );
-                        stage_ns[Stage::Train as usize] += train_ns;
-                    }
-                }
-                self.join_scratch = joins;
-            } else {
-                for item in ready.drain(..) {
-                    let clock = stage_clock(timed);
-                    let loss =
-                        self.regions[item.region].analyses[item.analysis].train_inline(item.batch);
-                    let train_ns = stage_elapsed(clock);
-                    if let Some(loss) = loss {
-                        self.regions[item.region].status.last_loss = Some(loss);
-                    }
-                    if timed {
-                        self.regions[item.region].analyses[item.analysis]
-                            .telemetry
-                            .record(Stage::Train, iteration, train_ns);
-                        stage_ns[Stage::Train as usize] += train_ns;
-                    }
-                }
-            }
-            self.inline_ready = ready;
         }
 
         // Stage 4: extract, refresh and broadcast. A deferring shed skips
         // extraction — a pure function of the collected state, so running
         // it later produces identical bits — but statuses still refresh and
         // broadcast so downstream ranks observe the step.
-        if shard_fanout {
-            self.parallel_shard_fanouts += 1;
-        }
         if shed {
             self.shed_steps += 1;
             let ewma = self.budget.as_ref().map_or(0, |b| b.ewma_ns);
@@ -1076,7 +937,6 @@ impl<D: ?Sized> Engine<D> {
         }
         StepReport {
             statuses,
-            shard_fanout,
             stage_ns,
             budget_used: self.total_cost_ns,
             budget_limit: self.budget.as_ref().map(|b| b.limit_ns),
@@ -1111,8 +971,7 @@ impl<D: ?Sized> Engine<D> {
 
     /// The location of the maximum most-recently-observed value across the
     /// first analysis' sampled locations — the "wave front" broadcast to
-    /// other ranks in the LULESH case study (reduced across shards when
-    /// collection is sharded).
+    /// other ranks in the LULESH case study.
     fn front_location(analyses: &[Analysis<D>]) -> Option<usize> {
         analyses.first()?.front_location()
     }
@@ -1290,7 +1149,7 @@ mod tests {
     }
 
     /// Two analyses with identical cadence so both fill their batches in
-    /// the same steps — the shape that triggers the inline fan-out.
+    /// the same steps.
     fn run_two_analyses(config: EngineConfig, iterations: u64) -> (Engine<Pulse>, RegionId) {
         let mut engine = Engine::with_config(config);
         let region = engine.add_region("pulse").unwrap();
@@ -1306,141 +1165,34 @@ mod tests {
         (engine, region)
     }
 
+    /// Inline training ignores the pool: a multi-worker pool trains the
+    /// same batches in the same order as the serial default.
     #[test]
     fn parallel_inline_training_is_bit_identical_to_sequential() {
         let (serial, serial_region) = run_two_analyses(EngineConfig::inline(), 301);
-        assert_eq!(serial.parallel_train_fanouts(), 0);
-
-        let pool = ThreadPool::new(ParallelConfig::new(2, 2).unwrap());
-        let (parallel, parallel_region) =
-            run_two_analyses(EngineConfig::inline_parallel(pool), 301);
-        assert!(
-            parallel.parallel_train_fanouts() > 0,
-            "two same-cadence analyses with a 2-worker pool must fan out"
-        );
+        let config = EngineConfig {
+            pool: ThreadPool::new(ParallelConfig::new(2, 2).unwrap()),
+            ..EngineConfig::inline()
+        };
+        let (parallel, parallel_region) = run_two_analyses(config, 301);
 
         let a = serial.status(serial_region).unwrap();
         let b = parallel.status(parallel_region).unwrap();
-        assert_eq!(a.samples_collected, b.samples_collected);
-        assert_eq!(a.batches_trained, b.batches_trained);
+        assert_eq!(a, b);
         assert!(a.batches_trained > 0);
-        assert_eq!(a.features, b.features);
         for index in 0..2 {
             let ia = serial.analysis_id(serial_region, index).unwrap();
             let ib = parallel.analysis_id(parallel_region, index).unwrap();
             assert_eq!(
                 serial.trainer(ia).unwrap().loss_history(),
                 parallel.trainer(ib).unwrap().loss_history(),
-                "analysis {index}: fan-out must not change the loss sequence"
+                "analysis {index}: the pool must not change the loss sequence"
             );
             assert_eq!(
                 serial.trainer(ia).unwrap().model().coefficients(),
                 parallel.trainer(ib).unwrap().model().coefficients()
             );
         }
-    }
-
-    /// A decomposition over a 1-D grid sized to the pulse's 12 sampled
-    /// locations, so a multi-rank split actually spreads them over
-    /// several shards.
-    fn pulse_partition(shards: usize) -> BlockDecomposition {
-        BlockDecomposition::new(simkit::index::Extents::new(14, 1, 1).unwrap(), shards).unwrap()
-    }
-
-    #[test]
-    fn sharded_engine_is_bit_identical_to_unsharded() {
-        let (reference, reference_region) = run_engine(Engine::new(), 301);
-        let a = reference.status(reference_region).unwrap();
-        for shards in [1usize, 3, 4] {
-            let pool = ThreadPool::new(ParallelConfig::new(2, 2).unwrap());
-            let config = EngineConfig::sharded(pulse_partition(shards), pool);
-            let (sharded, region) = run_engine(Engine::with_config(config), 301);
-            let b = sharded.status(region).unwrap();
-            assert_eq!(a.samples_collected, b.samples_collected, "{shards} shards");
-            assert_eq!(a.batches_trained, b.batches_trained, "{shards} shards");
-            assert_eq!(a.last_loss, b.last_loss, "{shards} shards");
-            assert_eq!(a.features, b.features, "{shards} shards");
-            assert_eq!(a.front_location, b.front_location, "{shards} shards");
-            assert!(!b.features.is_empty());
-            let ia = reference.analysis_id(reference_region, 0).unwrap();
-            let ib = sharded.analysis_id(region, 0).unwrap();
-            assert_eq!(
-                reference.trainer(ia).unwrap().loss_history(),
-                sharded.trainer(ib).unwrap().loss_history(),
-                "{shards} shards: loss sequence must be bit-identical"
-            );
-            assert_eq!(
-                reference.trainer(ia).unwrap().model().coefficients(),
-                sharded.trainer(ib).unwrap().model().coefficients()
-            );
-            if shards >= 2 {
-                assert!(
-                    sharded.parallel_shard_fanouts() > 0,
-                    "{shards} shards with a multi-worker pool must fan out"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_background_training_drains_bit_identical() {
-        let (inline, inline_region) = run_engine(Engine::new(), 301);
-        let pool = ThreadPool::new(ParallelConfig::new(2, 2).unwrap());
-        let config = EngineConfig {
-            training_mode: TrainingMode::Background,
-            pool,
-            sharding: Some(pulse_partition(4)),
-            ..EngineConfig::default()
-        };
-        let (sharded, region) = run_engine(Engine::with_config(config), 301);
-        let a = inline.status(inline_region).unwrap();
-        let b = sharded.status(region).unwrap();
-        assert_eq!(a.batches_trained, b.batches_trained);
-        assert_eq!(a.last_loss, b.last_loss);
-        assert_eq!(a.features, b.features);
-    }
-
-    #[test]
-    fn shard_accessors_expose_per_shard_stores() {
-        let pool = ThreadPool::serial();
-        let mut engine: Engine<Pulse> =
-            Engine::with_config(EngineConfig::sharded(pulse_partition(4), pool));
-        let region = engine.add_region("pulse").unwrap();
-        let analysis = engine.add_analysis(region, pulse_spec("velocity")).unwrap();
-        let mut domain = Pulse::new();
-        for it in 0..40u64 {
-            let step = engine.step(it);
-            domain.advance(it);
-            let report = step.complete(&domain);
-            // A serial pool never fans out; collection still shards.
-            assert!(!report.used_shard_fanout());
-        }
-        assert!(
-            engine.history(analysis).is_none(),
-            "sharded analyses have no single global history"
-        );
-        let shards = engine.shard_count(analysis).unwrap();
-        assert!(shards >= 2, "the 12-location pulse spans several shards");
-        let mut sampled = 0;
-        for s in 0..shards {
-            sampled += engine
-                .shard_history(analysis, s)
-                .unwrap()
-                .iter_locations()
-                .count();
-        }
-        // Ghost halos replicate up to `order` preceding locations per shard.
-        assert!(sampled >= 12, "all locations are sampled somewhere");
-        assert!(engine.shard_history(analysis, shards).is_none());
-
-        // Unsharded engines answer the shard accessors with one shard.
-        let mut unsharded: Engine<Pulse> = Engine::new();
-        let r = unsharded.add_region("pulse").unwrap();
-        let a = unsharded.add_analysis(r, pulse_spec("velocity")).unwrap();
-        assert_eq!(unsharded.shard_count(a), Some(1));
-        assert!(unsharded.shard_history(a, 0).is_some());
-        assert!(unsharded.shard_history(a, 1).is_none());
-        assert_eq!(unsharded.parallel_shard_fanouts(), 0);
     }
 
     #[test]
@@ -1673,11 +1425,7 @@ mod tests {
             a.trainer(ia).unwrap().model().coefficients(),
             b.trainer(ib).unwrap().model().coefficients()
         );
-        // Sharded stores expose per-shard histories only; compare the
-        // global history when both backends have one.
-        if let (Some(ha), Some(hb)) = (a.history(ia), b.history(ib)) {
-            assert_eq!(ha, hb);
-        }
+        assert_eq!(a.history(ia), b.history(ib));
     }
 
     /// The tentpole invariant: snapshot mid-run, restore onto a freshly
@@ -1736,49 +1484,6 @@ mod tests {
         drive(&mut reference, &mut domain, 0..301);
         reference.drain();
         assert_same_terminal_state(&restored, restored_region, &reference, reference_region);
-    }
-
-    /// The sharded path serializes per-shard sections and restores
-    /// bit-identically, including onto a *differently sharded* engine via
-    /// the unsharded reference (sharding is an execution strategy, but the
-    /// snapshot encodes the configured shard layout, so the layouts must
-    /// match).
-    #[test]
-    fn sharded_snapshot_round_trips() {
-        let pool = ThreadPool::new(ParallelConfig::new(2, 2).unwrap());
-        let config = EngineConfig::sharded(pulse_partition(3), pool);
-        let (mut original, _) = fresh_engine(config);
-        let mut domain = Pulse::new();
-        drive(&mut original, &mut domain, 0..153);
-        let bytes = original.snapshot();
-
-        let pool = ThreadPool::new(ParallelConfig::new(2, 2).unwrap());
-        let (mut restored, restored_region) =
-            fresh_engine(EngineConfig::sharded(pulse_partition(3), pool));
-        restored.restore(&bytes).unwrap();
-        let mut domain = Pulse::new();
-        drive(&mut restored, &mut domain, 153..301);
-        restored.drain();
-
-        let (mut reference, reference_region) = fresh_engine(EngineConfig::inline());
-        let mut domain = Pulse::new();
-        drive(&mut reference, &mut domain, 0..301);
-        reference.drain();
-        assert_same_terminal_state(&restored, restored_region, &reference, reference_region);
-
-        // A shard-count mismatch is a configuration mismatch, not corruption.
-        let pool = ThreadPool::new(ParallelConfig::new(2, 2).unwrap());
-        let (mut wrong, _) = fresh_engine(EngineConfig::sharded(pulse_partition(4), pool));
-        assert!(matches!(
-            wrong.restore(&bytes),
-            Err(Error::SnapshotMismatch { .. })
-        ));
-        // A store-backend mismatch likewise.
-        let (mut unsharded, _) = fresh_engine(EngineConfig::inline());
-        assert!(matches!(
-            unsharded.restore(&bytes),
-            Err(Error::SnapshotMismatch { .. })
-        ));
     }
 
     /// Restore fails closed: a mismatching or corrupt snapshot leaves the

@@ -63,10 +63,6 @@ impl<D: ?Sized> Drop for StepScope<'_, D> {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StepReport {
     pub(super) statuses: Vec<RegionStatus>,
-    /// Whether this step's sharded collection stage fanned shards out
-    /// across the pool (always `false` without
-    /// [`EngineConfig::sharded`](super::EngineConfig::sharded)).
-    pub(super) shard_fanout: bool,
     /// Simulation-thread nanoseconds spent in each stage this step,
     /// indexed by [`Stage`]. All zeros when telemetry is off.
     pub(super) stage_ns: [u64; Stage::COUNT],
@@ -81,13 +77,6 @@ pub struct StepReport {
 }
 
 impl StepReport {
-    /// Whether this step's sample/record/assemble work was fanned out
-    /// across collection shards on the engine's pool. Purely diagnostic:
-    /// the step's results are bit-identical either way.
-    pub fn used_shard_fanout(&self) -> bool {
-        self.shard_fanout
-    }
-
     /// Simulation-thread nanoseconds this step spent in `stage`, summed
     /// across every analysis. Always 0 when telemetry is disabled (see
     /// [`EngineConfig::telemetry_enabled`](super::EngineConfig::telemetry_enabled)).

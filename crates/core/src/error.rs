@@ -73,8 +73,8 @@ pub enum Error {
         supported: u32,
     },
     /// A structurally valid snapshot does not fit the engine it is being
-    /// restored into (different region/analysis layout, shard count, model
-    /// order, ...).
+    /// restored into (different region/analysis layout, model order, a
+    /// retired store backend, ...).
     SnapshotMismatch {
         /// Human readable description of the disagreement.
         what: String,

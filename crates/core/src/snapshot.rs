@@ -6,8 +6,8 @@
 //! statistics, regular-cadence index), the partially filled mini-batch,
 //! the fitted [`ArModel`](crate::model::ArModel), both online scalers,
 //! the optimizer's internal state (momentum velocity, Adagrad
-//! accumulator), the loss history and convergence streak, per-shard
-//! stores and their ghost halos, and every region's status. What it does
+//! accumulator), the loss history and convergence streak, and every
+//! region's status. What it does
 //! **not** capture is configuration: providers are closures and cannot be
 //! serialized, so [`Engine::restore`](crate::engine::Engine::restore)
 //! overlays a snapshot onto an engine that was re-built from the same

@@ -66,7 +66,7 @@ pub enum Stage {
     /// Columnar mini-batch assembly from freshly recorded samples.
     Assemble = 1,
     /// Gradient-descent training — simulation-thread time only (inline
-    /// training, fan-out dispatch/join, or background queue/reclaim).
+    /// training, or background queue/reclaim).
     Train = 2,
     /// Feature extraction from the history/model state.
     Extract = 3,

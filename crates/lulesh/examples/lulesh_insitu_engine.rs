@@ -1,40 +1,28 @@
 //! In-situ engine integration for the LULESH proxy: velocity curve fitting
-//! with sharded collection, background training and break-point
-//! extraction — the engine-native version of the paper's Fig. 2
-//! integration, scaled out the way the real application runs.
+//! with background training and break-point extraction — the
+//! engine-native version of the paper's Fig. 2 integration.
 //!
-//! LULESH decomposes its cubic domain over a cubic number of MPI ranks.
-//! [`EngineConfig::sharded`] mirrors that: the radial velocity profile
-//! sampled here spans two of the eight sub-cubes, so the collection layer
-//! splits it into two ownership shards whose record/assemble work fans
-//! out across the pool every step. Results are bit-identical to the
-//! unsharded engine — sharding is purely an execution strategy.
+//! [`EngineConfig::background`] moves gradient descent onto a pool
+//! worker, so the solver thread only samples and assembles. Results are
+//! bit-identical to inline training once the engine is drained.
 //!
 //! Run with `cargo run --release -p lulesh --example lulesh_insitu_engine`.
 
 use insitu::collect::Retention;
-use insitu::engine::{Engine, EngineConfig, TrainingMode};
+use insitu::engine::{Engine, EngineConfig};
 use insitu::extract::FeatureKind;
 use insitu::region::{AnalysisSpec, ExitAction};
 use insitu::IterParam;
 use lulesh::{LuleshConfig, LuleshSim};
 use parsim::{ParallelConfig, ThreadPool};
-use simkit::decomposition::BlockDecomposition;
-use simkit::index::Extents;
 
 fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     let size = 30;
     let mut sim = LuleshSim::new(LuleshConfig::with_edge_elems(size));
 
-    // The LULESH-style cubic split: 8 ranks over the 30^3 element grid.
-    // Sampled locations are assigned to shards by sub-cube ownership.
-    let decomposition = BlockDecomposition::new(Extents::cubic(size), 8)?;
-
-    // Shard record/assemble fans out on the pool; training additionally
-    // runs on a worker thread, so the solver thread only samples.
-    let pool = ThreadPool::new(ParallelConfig::new(2, 2)?);
-    let mut config = EngineConfig::sharded(decomposition, pool);
-    config.training_mode = TrainingMode::Background;
+    // Training runs on a worker thread, so the solver thread only samples.
+    let pool = ThreadPool::new(ParallelConfig::new(1, 2)?);
+    let mut config = EngineConfig::background(pool);
     // Arm the stage clocks so the run ends with a per-stage latency
     // breakdown of what the analysis cost the solver thread.
     config.telemetry.enabled = Some(true);
@@ -45,15 +33,13 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
         AnalysisSpec::builder()
             .name("velocity")
             .provider(|s: &LuleshSim, loc: usize| s.velocity_at(loc))
-            // The radial profile along the x edge crosses the sub-cube
-            // boundary at element 15, so it spans two ownership shards.
+            // The radial profile along the x edge.
             .spatial(IterParam::new(1, (size - 1) as u64, 1)?)
             .temporal(IterParam::new(1, 1500, 1)?)
             .feature(FeatureKind::Breakpoint { threshold: 0.05 })
             .lag(5)
             // The break-point comes from the incrementally-maintained peak
-            // profile (k-way merged across shards), which survives
-            // eviction — so the analysis can run in bounded memory no
+            // profile, which survives eviction — so the analysis can run in bounded memory no
             // matter how long the solve goes. Only the last 64 samples per
             // location stay resident for the AR model's lagged reads.
             .retention(Retention::Window(64))
@@ -73,11 +59,6 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
         summary.terminated_early,
         status.samples_collected,
         status.batches_trained
-    );
-    println!(
-        "collection ran over {} ownership shards; {} steps fanned shards across the pool",
-        engine.shard_count(analysis).expect("analysis is live"),
-        engine.parallel_shard_fanouts()
     );
     match status.feature("velocity") {
         Some(feature) => println!("extracted break-point radius = {:.0}", feature.scalar()),

@@ -12,17 +12,12 @@
 //! Sessions always train [inline](insitu::engine::EngineConfig::inline):
 //! the *server* provides the concurrency by spreading sessions across
 //! worker lanes, so a session must never block on (or compete for) pool
-//! job threads of its own. Specs with `shards >= 2` still get a sharded
-//! collector over a serial pool — the decomposition-partitioned store with
-//! fan-out degenerating to an in-place loop, preserving bit-identity with
-//! the unsharded scan.
+//! job threads of its own.
 
 use insitu::engine::{Engine, EngineConfig, RegionId};
 use insitu::prelude::{FrameProvider, SampleFrame};
 use insitu::region::{AnalysisSpec, FeatureValue};
 use insitu::telemetry::Stage;
-use parsim::ThreadPool;
-use simkit::{BlockDecomposition, Extents};
 
 use crate::wire::{SessionSpec, SessionStatus, SessionTelemetry, StageStats};
 
@@ -41,17 +36,7 @@ impl Session {
     /// the spec fails the core library's validation (surfaced to the
     /// client as [`ErrorCode::BadSpec`](crate::wire::ErrorCode::BadSpec)).
     pub fn open(spec: &SessionSpec) -> Result<Self, String> {
-        let mut config = if spec.shards >= 2 {
-            // A 1-D decomposition wide enough that every shard owns at
-            // least one location of the spatial characteristic.
-            let nx = (spec.spatial.end() as usize + 1).max(spec.shards);
-            let extents = Extents::new(nx, 1, 1).map_err(|e| e.to_string())?;
-            let decomposition =
-                BlockDecomposition::new(extents, spec.shards).map_err(|e| e.to_string())?;
-            EngineConfig::sharded(decomposition, ThreadPool::serial())
-        } else {
-            EngineConfig::inline()
-        };
+        let mut config = EngineConfig::inline();
         // Served sessions always run with telemetry armed so a `Stats`
         // request has something to report; the recorder is allocation-free
         // on the step path and perf_smoke pins its cost under 5 %.
@@ -284,16 +269,28 @@ mod tests {
         assert!(!served.is_empty(), "the workload extracts a feature");
     }
 
+    /// An `OpenSession` frame from a client that still fills the retired
+    /// shard-count slot opens the same inline session as one that does not.
     #[test]
-    fn sharded_session_matches_the_unsharded_one() {
+    fn legacy_shard_count_opens_the_plain_session() {
+        let mut bytes = Vec::new();
+        crate::wire::Frame::OpenSession(spec()).encode(&mut bytes);
+        // The spec, and with it the frame, ends in the u32 shard slot.
+        let slot = bytes.len() - 4;
+        bytes[slot..].copy_from_slice(&3u32.to_le_bytes());
+        let crate::wire::Frame::OpenSession(legacy) =
+            crate::wire::Frame::decode(&bytes[4..]).unwrap()
+        else {
+            panic!("an OpenSession frame decodes as one");
+        };
+        assert_eq!(legacy, spec());
+
         let mut plain = Session::open(&spec()).unwrap();
-        let mut sharded_spec = spec();
-        sharded_spec.shards = 3;
-        let mut sharded = Session::open(&sharded_spec).unwrap();
+        let mut reopened = Session::open(&legacy).unwrap();
         drive(&mut plain, 90);
-        drive(&mut sharded, 90);
-        assert_eq!(plain.extract(), sharded.extract());
-        assert_eq!(plain.poll(), sharded.poll());
+        drive(&mut reopened, 90);
+        assert_eq!(plain.extract(), reopened.extract());
+        assert_eq!(plain.poll(), reopened.poll());
     }
 
     #[test]

@@ -169,8 +169,7 @@ impl ErrorCode {
 /// Everything a server needs to arm one analysis session: the analysis
 /// configuration of [`AnalysisSpec`](insitu::region::AnalysisSpec) minus
 /// the provider (the wire feeds samples explicitly), plus the AR trainer
-/// hyper-parameters, the retention policy bounding per-session memory, and
-/// an optional shard count for decomposition-partitioned collection.
+/// hyper-parameters and the retention policy bounding per-session memory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSpec {
     /// Analysis name (reported back with extracted features).
@@ -192,14 +191,11 @@ pub struct SessionSpec {
     /// Sample-history retention policy. [`Retention::Window`] is what
     /// bounds per-session memory for indefinitely running sessions.
     pub retention: Retention,
-    /// Number of collection shards; `0` or `1` selects the global
-    /// single-store collector.
-    pub shards: usize,
 }
 
 impl SessionSpec {
     /// A spec with the library's defaults (order-3 AR, SGD, batch 16,
-    /// spatio-temporal layout, full retention, unsharded) over the given
+    /// spatio-temporal layout, full retention) over the given
     /// characteristics.
     pub fn new(name: impl Into<String>, spatial: IterParam, temporal: IterParam) -> Self {
         Self {
@@ -212,7 +208,6 @@ impl SessionSpec {
             batch_capacity: 16,
             trainer: TrainerConfig::default(),
             retention: Retention::Full,
-            shards: 0,
         }
     }
 }
@@ -995,7 +990,9 @@ fn put_spec(buf: &mut Vec<u8>, spec: &SessionSpec) {
             put_u64(buf, n as u64);
         }
     }
-    put_u32(buf, spec.shards as u32);
+    // The retired shard-count slot: always 0, kept so the frame layout
+    // is unchanged.
+    put_u32(buf, 0);
 }
 
 fn put_feature(buf: &mut Vec<u8>, feature: &FeatureValue) {
@@ -1190,7 +1187,9 @@ fn take_spec(cur: &mut Cursor<'_>) -> Result<SessionSpec, WireError> {
         1 => Retention::Window(cur.take_u64()? as usize),
         _ => return Err(WireError::Malformed("unknown retention policy")),
     };
-    let shards = cur.take_u32()? as usize;
+    // The retired shard-count slot: read so existing clients' frames
+    // still decode, then discarded.
+    cur.take_u32()?;
     Ok(SessionSpec {
         name,
         spatial,
@@ -1206,7 +1205,6 @@ fn take_spec(cur: &mut Cursor<'_>) -> Result<SessionSpec, WireError> {
             convergence,
         },
         retention,
-        shards,
     })
 }
 

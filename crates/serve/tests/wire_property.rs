@@ -143,7 +143,6 @@ fn random_spec(rng: &mut Rng) -> SessionSpec {
         } else {
             Retention::Window(rng.range_usize(1, 512))
         },
-        shards: rng.range_usize(0, 9),
     }
 }
 

@@ -2,12 +2,9 @@
 //! diagnostics analysed in one region, delay-time extraction per variable —
 //! the engine-native version of the paper's second case study.
 //!
-//! Castro/AMReX distributes its box list over ranks in contiguous chunks;
-//! [`EngineConfig::sharded`] with a **linear** split mirrors that. Each
-//! diagnostic here samples a single channel, so every analysis collapses
-//! to one ownership shard — demonstrating that sharded collection is safe
-//! to leave enabled for degenerate spatial characteristics: the engine
-//! behaves bit-identically to the unsharded one.
+//! Each diagnostic samples a single channel and trains a small batch, so
+//! the engine runs [inline](EngineConfig::inline): every batch trains on
+//! the simulation thread the step it fills.
 //!
 //! Run with `cargo run --release -p wdmerger --example wd_insitu_engine`.
 
@@ -16,20 +13,13 @@ use insitu::engine::{Engine, EngineConfig};
 use insitu::extract::FeatureKind;
 use insitu::region::AnalysisSpec;
 use insitu::IterParam;
-use parsim::ThreadPool;
-use simkit::decomposition::BlockDecomposition;
-use simkit::index::Extents;
 use wdmerger::{DiagnosticVariable, WdMergerConfig, WdMergerSim};
 
 fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     let config = WdMergerConfig::with_resolution(16);
     let mut sim = WdMergerSim::new(config);
 
-    // The Castro-style linear split: the four diagnostic channels spread
-    // round-robin-by-chunk over two ranks (channels 0-1 on rank 0, 2-3 on
-    // rank 1). Each single-channel analysis lands on exactly one shard.
-    let decomposition = BlockDecomposition::new(Extents::new(4, 1, 1)?, 2)?;
-    let mut engine_config = EngineConfig::sharded(decomposition, ThreadPool::serial());
+    let mut engine_config = EngineConfig::inline();
     // Arm the stage clocks so the run ends with a per-diagnostic latency
     // breakdown of what each analysis cost the simulation loop.
     engine_config.telemetry.enabled = Some(true);

@@ -156,3 +156,77 @@ fn engine_early_termination_matches_region_early_termination() {
     assert!(modern.terminated_early);
     assert_eq!(legacy.iterations, modern.iterations);
 }
+
+/// The per-batch loss sequence, intercept + coefficients, named features
+/// and the sample and batch counts of a drained engine, as exact bits.
+type Fingerprint = (Vec<u64>, Vec<u64>, Vec<(String, u64)>, usize, usize);
+
+/// Runs a 400-iteration LULESH scenario; `drain_period` forces a mid-run
+/// `drain()` every that many iterations and a `poll()` every 11.
+fn run_with_drains(config: EngineConfig, drain_period: Option<u64>) -> Fingerprint {
+    const ITERATIONS: u64 = 400;
+    let spec = AnalysisSpec::builder()
+        .name("velocity")
+        .provider(|s: &LuleshSim, loc: usize| s.velocity_at(loc))
+        .spatial(IterParam::new(1, 12, 1).unwrap())
+        .temporal(IterParam::new(1, ITERATIONS, 1).unwrap())
+        .feature(FeatureKind::Breakpoint { threshold: 0.05 })
+        .lag(5)
+        .batch_capacity(16)
+        .build()
+        .unwrap();
+    let mut sim = LuleshSim::new(LuleshConfig::with_edge_elems(EDGE_ELEMS));
+    let mut engine: Engine<LuleshSim> = Engine::with_config(config);
+    let region = engine.add_region("drains").unwrap();
+    let analysis = engine.add_analysis(region, spec).unwrap();
+    sim.run_with(|s, it| {
+        engine.step(it).complete(s);
+        if let Some(period) = drain_period {
+            if it % 11 == 0 {
+                engine.poll();
+            }
+            if it > 0 && it.is_multiple_of(period) {
+                engine.drain();
+            }
+        }
+        it < ITERATIONS
+    });
+    engine.drain();
+    engine.extract_now(region).unwrap();
+
+    let status = engine.status(region).unwrap();
+    let trainer = engine
+        .trainer(analysis)
+        .expect("trainer resident after drain");
+    let mut model = vec![trainer.model().intercept().to_bits()];
+    model.extend(trainer.model().coefficients().iter().map(|c| c.to_bits()));
+    (
+        trainer.loss_history().iter().map(|l| l.to_bits()).collect(),
+        model,
+        status
+            .features
+            .iter()
+            .map(|(name, value)| (name.clone(), value.scalar().to_bits()))
+            .collect(),
+        status.samples_collected,
+        status.batches_trained,
+    )
+}
+
+/// Mid-run drains join background training at arbitrary points between
+/// steps, and polls reclaim jobs in between; neither may change a bit of
+/// the outcome relative to inline training.
+#[test]
+fn drain_racing_background_steps_is_bit_identical() {
+    let expected = run_with_drains(EngineConfig::inline(), None);
+    assert!(!expected.0.is_empty(), "scenario must train batches");
+    assert!(!expected.2.is_empty(), "scenario must extract a feature");
+    for drain_period in [37u64, 113] {
+        let pool = ThreadPool::new(ParallelConfig::new(2, 2).unwrap());
+        assert_eq!(
+            expected,
+            run_with_drains(EngineConfig::background(pool), Some(drain_period)),
+            "drain every {drain_period} steps changed the outcome"
+        );
+    }
+}

@@ -353,95 +353,6 @@ fn window_eviction_exactly_at_the_ar_lagged_reach_boundary() {
     }
 }
 
-#[test]
-fn sharded_collection_matches_global_for_random_partitions() {
-    use insitu::collect::{Collector, ShardedCollector};
-    use parsim::{ParallelConfig, ThreadPool};
-    // The N-shard pin: for random workloads and random ownership splits
-    // (linear and cubic, 1..8 shards), the sharded collector's batch
-    // stream, merged peak profile and per-location views are bit-identical
-    // to the global single-store collector's.
-    let pool = ThreadPool::new(ParallelConfig::new(2, 2).unwrap());
-    for case in 0..CASES {
-        let mut rng = Rng::new(0x6311 + case);
-        let order = rng.range_usize(1, 4);
-        let lag = rng.range_u64(1, 6);
-        let locations = rng.range_u64(6, 30);
-        let steps = rng.range_u64(20, 60);
-        let batch_capacity = rng.range_usize(4, 24);
-        let spatial = IterParam::new(1, locations, 1).unwrap();
-        let temporal = IterParam::new(0, steps, 1).unwrap();
-        let layout = match rng.range_usize(0, 3) {
-            0 => PredictorLayout::SpatioTemporal,
-            1 => PredictorLayout::Temporal,
-            _ => PredictorLayout::Spatial,
-        };
-        // Random partition: cubic extents sometimes, flat extents (linear
-        // chunks over the location ids) otherwise.
-        let shards = rng.range_usize(1, 9);
-        let extents = if rng.range_usize(0, 2) == 0 {
-            Extents::cubic(rng.range_usize(2, 5) * 2)
-        } else {
-            Extents::new(locations as usize + rng.range_usize(1, 8), 1, 1).unwrap()
-        };
-        let Ok(partition) = BlockDecomposition::new(extents, shards) else {
-            continue;
-        };
-        let mut reference = Collector::with_retention(
-            spatial,
-            temporal,
-            order,
-            lag,
-            layout,
-            batch_capacity,
-            Retention::Full,
-        );
-        let mut sharded = ShardedCollector::new(
-            spatial,
-            temporal,
-            order,
-            lag,
-            layout,
-            batch_capacity,
-            Retention::Full,
-            &partition,
-        );
-        let mut wave: Vec<f64> = vec![0.0; locations as usize + 2];
-        for it in temporal.iter() {
-            for v in wave.iter_mut() {
-                *v = rng.range_f64(-100.0, 100.0);
-            }
-            let a = reference.sample(it, &wave, &insitu::provider::SliceProvider);
-            let b = sharded.sample(it, &wave, &insitu::provider::SliceProvider, &pool);
-            assert_eq!(a, b, "sample counts diverged (case {case}, it {it})");
-            let batch_a = reference.assemble(it);
-            let batch_b = sharded.assemble(it);
-            assert_eq!(
-                batch_a, batch_b,
-                "batch stream diverged (case {case}, shards {shards}, \
-                 layout {layout:?}, it {it})"
-            );
-            if let (Some(a), Some(b)) = (batch_a, batch_b) {
-                reference.recycle(a);
-                sharded.recycle(b);
-            }
-        }
-        assert_eq!(
-            reference.history().peak_profile(),
-            sharded.peak_profile(),
-            "merged profile diverged (case {case}, shards {shards})"
-        );
-        for loc in spatial.iter() {
-            let loc = loc as usize;
-            assert_eq!(reference.history().values_of(loc), sharded.values_of(loc));
-            assert_eq!(
-                reference.history().iterations_of(loc),
-                sharded.iterations_of(loc)
-            );
-        }
-    }
-}
-
 // ---- mini batch ------------------------------------------------------------
 
 #[test]

@@ -4,12 +4,13 @@
 //! style as `property_invariants.rs` — no proptest dependency):
 //!
 //! 1. **Continuation**: for random analysis shapes (lag, batch capacity,
-//!    model order, retention, inline/background/sharded execution) and a
+//!    model order, retention, inline/background execution) and a
 //!    random checkpoint boundary, snapshot + restore + continue is
 //!    bit-identical to never having stopped.
 //! 2. **Fail-closed**: random damage to a valid snapshot — truncation,
-//!    bit flips, version bumps, trailing garbage — is rejected with a
-//!    typed error and leaves the target engine untouched and usable.
+//!    bit flips, version bumps, trailing garbage, a record of the retired
+//!    sharded store — is rejected with a typed error and leaves the target
+//!    engine untouched and usable.
 
 use insitu::collect::Retention;
 use insitu::engine::{Engine, EngineConfig, RegionId};
@@ -18,8 +19,6 @@ use insitu::model::{ConvergenceCriteria, OptimizerKind, TrainerConfig};
 use insitu::region::AnalysisSpec;
 use insitu::{Error, IterParam};
 use parsim::{ParallelConfig, ThreadPool};
-use simkit::decomposition::BlockDecomposition;
-use simkit::index::Extents;
 
 /// xorshift64* — deterministic, dependency-free case generator.
 struct Rng(u64);
@@ -55,8 +54,8 @@ struct Case {
     batch_capacity: usize,
     order: usize,
     window: Option<usize>,
-    /// 0 = inline, 1 = background, 2+ = sharded with that many shards.
-    exec: usize,
+    /// Background training (inline otherwise).
+    background: bool,
     split: u64,
     total: u64,
 }
@@ -72,27 +71,17 @@ impl Case {
                 0 => None,
                 _ => Some(rng.range_usize(32, 96)),
             },
-            exec: match rng.range_usize(0, 4) {
-                0 => 0,
-                1 => 1,
-                n => n, // 2 or 3 shards
-            },
+            background: rng.range_usize(0, 2) == 1,
             split: rng.range_u64(20, total - 20),
             total,
         }
     }
 
     fn config(&self) -> EngineConfig {
-        match self.exec {
-            0 => EngineConfig::inline(),
-            1 => EngineConfig::background(ThreadPool::new(ParallelConfig::new(1, 2).unwrap())),
-            shards => {
-                let extents = Extents::new(16, 1, 1).unwrap();
-                EngineConfig::sharded(
-                    BlockDecomposition::new(extents, shards).unwrap(),
-                    ThreadPool::serial(),
-                )
-            }
+        if self.background {
+            EngineConfig::background(ThreadPool::new(ParallelConfig::new(1, 2).unwrap()))
+        } else {
+            EngineConfig::inline()
         }
     }
 
@@ -153,6 +142,40 @@ impl Pulse {
     }
 }
 
+/// FNV-1a 64, the snapshot container's section checksum.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Rewrites the store tag byte of the `velocity` analysis record and
+/// re-checksums its region section, so the container itself stays valid.
+fn with_store_tag(blob: &[u8], tag: u8) -> Vec<u8> {
+    const HEADER: usize = 16; // magic, version, section count
+    let record: Vec<u8> = [&8u64.to_le_bytes()[..], b"velocity"].concat();
+    let mut out = blob.to_vec();
+    let mut at = HEADER;
+    while at < out.len() {
+        let id = u16::from_le_bytes(out[at..at + 2].try_into().unwrap());
+        let len = u64::from_le_bytes(out[at + 2..at + 10].try_into().unwrap()) as usize;
+        let payload = at + 18..at + 18 + len;
+        if id == 2 {
+            // The analysis record follows the region status, whose feature
+            // list may repeat the name: the last match is the record.
+            let name = out[payload.clone()]
+                .windows(record.len())
+                .rposition(|w| w == record)
+                .expect("the region section holds the analysis record");
+            out[payload.start + name + record.len()] = tag;
+            let checksum = fnv1a64(&out[payload.clone()]);
+            out[at + 10..at + 18].copy_from_slice(&checksum.to_le_bytes());
+        }
+        at = payload.end;
+    }
+    out
+}
+
 fn drive(engine: &mut Engine<Pulse>, range: std::ops::Range<u64>) {
     let mut domain = Pulse::new();
     for it in range {
@@ -188,8 +211,8 @@ fn snapshots_continue_bit_identically_across_random_shapes() {
         let got = after.status(region).unwrap();
         assert_eq!(
             got, expected,
-            "seed {seed}: restored run diverged (split {} of {}, exec {})",
-            case.split, case.total, case.exec
+            "seed {seed}: restored run diverged (split {} of {}, background {})",
+            case.split, case.total, case.background
         );
         assert!(
             got.batches_trained > 0,
@@ -256,6 +279,14 @@ fn damaged_snapshots_fail_closed_with_typed_errors() {
     // Degenerate inputs.
     reject(&[], "empty file", &mut target);
     reject(b"ISNPSHT\0", "magic only", &mut target);
+    // Store tag 0 is the only backend; tag 1, the retired sharded store,
+    // is a configuration mismatch rather than corruption.
+    assert_eq!(with_store_tag(&blob, 0), blob, "the store tag is 0");
+    match target.restore(&with_store_tag(&blob, 1)) {
+        Err(Error::SnapshotMismatch { .. }) => {}
+        other => panic!("sharded store tag: expected SnapshotMismatch, got {other:?}"),
+    }
+    assert_eq!(target.status(region).unwrap(), &untouched);
 
     // After surviving all of that, the engine still works: the pristine
     // blob restores and the run completes.

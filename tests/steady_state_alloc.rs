@@ -31,8 +31,6 @@ use insitu::region::AnalysisSpec;
 use insitu::telemetry::StepBudget;
 use insitu::IterParam;
 use parsim::{ParallelConfig, ThreadPool};
-use simkit::decomposition::BlockDecomposition;
-use simkit::index::Extents;
 
 struct CountingAllocator;
 
@@ -79,27 +77,17 @@ const WINDOW_STEPS: u64 = 100;
 /// Runs warm-up, then measures the allocations of a `WINDOW_STEPS`-step
 /// steady-state window. `locations` controls the row rate; the batch
 /// capacity scales with it so every configuration trains the same number
-/// of batches per window. With `shards > 0` collection runs through a
-/// `ShardedCollector` split over that many ownership shards (on a serial
-/// pool, so the per-shard record/assemble/merge machinery is exercised
-/// without the constant-per-step job-dispatch allocations of the fan-out).
-/// With `telemetry` the stage-event recorder is armed AND a 1 ns
+/// of batches per window. With `telemetry` the stage-event recorder is armed AND a 1 ns
 /// `DeferExtraction` budget keeps the engine permanently overloaded, so
 /// every window step records stage events *and* a shed decision — all of
 /// which must stay allocation-free.
-fn window_allocations(locations: u64, mode: TrainingMode, shards: usize, telemetry: bool) -> u64 {
+fn window_allocations(locations: u64, mode: TrainingMode, telemetry: bool) -> u64 {
     let rows_per_iteration = (locations as usize) - ORDER;
     let pool = ThreadPool::new(ParallelConfig::new(2, 2).unwrap());
     let mut config = match mode {
         TrainingMode::Inline => EngineConfig::inline(),
         TrainingMode::Background => EngineConfig::background(pool),
     };
-    if shards > 0 {
-        config.sharding = Some(
-            BlockDecomposition::new(Extents::new(locations as usize + 8, 1, 1).unwrap(), shards)
-                .unwrap(),
-        );
-    }
     if telemetry {
         config.telemetry.enabled = Some(true);
         config.budget = Some(StepBudget::new(std::time::Duration::from_nanos(1)));
@@ -191,69 +179,45 @@ fn steady_state_allocations_do_not_scale_with_rows() {
     // 8 rows/iteration vs 64 rows/iteration — an 8× difference in the
     // per-row work (800 vs 6400 rows per window). If any stage allocated
     // per row, the large window would allocate thousands more times than
-    // the small one. `shards == 0` is the global collector; `shards == 4`
-    // runs the whole pipeline through a 4-shard `ShardedCollector`
-    // (record, staging, k-way row merge, k-way profile merge at the
-    // per-step extraction) — the zero-per-row invariant must hold per
-    // shard too.
-    for shards in [0usize, 4] {
-        for mode in [TrainingMode::Inline, TrainingMode::Background] {
-            let small = window_allocations(8 + ORDER as u64, mode, shards, false);
-            let large = window_allocations(64 + ORDER as u64, mode, shards, false);
-            if mode == TrainingMode::Inline {
-                // Single-threaded and fully deterministic: the counts must
-                // be *identical* despite the 8× row-rate difference.
-                assert_eq!(
-                    small, large,
-                    "Inline/{shards} shards: steady-state allocations scale \
-                     with the row count ({small} for 8 rows/step vs {large} \
-                     for 64 rows/step over {WINDOW_STEPS} steps) — a \
-                     per-row allocation crept back into the pipeline"
-                );
-            } else {
-                // Background workers reclaim jobs at timing-dependent
-                // moments, and the job channel allocates its message blocks
-                // on a timing-dependent schedule, so the counts jitter by a
-                // few tens of allocations per window (in either direction).
-                // What must NOT happen is row scaling: the large window
-                // pushes 5600 more rows through the pipeline than the small
-                // one, so even one allocation per row would add ≥ 5600.
-                // Allow less than 2 % of that as jitter headroom — a little
-                // more when sharded, because the shard fan-out jobs and the
-                // training jobs then share one worker set and their
-                // interleaving (queue depths, buffer-pool misses) shifts a
-                // few dispatch allocations per step between configurations.
-                let jitter = if shards > 0 {
-                    5 * WINDOW_STEPS
-                } else {
-                    WINDOW_STEPS
-                };
-                assert!(
-                    large <= small + jitter,
-                    "Background/{shards} shards: steady-state allocations \
-                     scale with the row count ({small} for 8 rows/step vs \
-                     {large} for 64 rows/step over {WINDOW_STEPS} steps)"
-                );
-            }
-            // And the constant itself stays a small per-step/per-batch cost
-            // (step report + the extracted-feature status entries the
-            // per-step extract_now rebuilds + job plumbing), nowhere near
-            // one allocation per row (6400 rows flow through the large
-            // window). The sharded background run additionally pays a
-            // fixed per-shard job-dispatch cost each step (box + handle +
-            // channel node per shard — the fan-out), so its per-step
-            // constant is proportionally larger but still row-independent.
-            let per_step_budget = if mode == TrainingMode::Background && shards > 0 {
-                10 + 8 * shards as u64
-            } else {
-                10
-            };
+    // the small one.
+    for mode in [TrainingMode::Inline, TrainingMode::Background] {
+        let small = window_allocations(8 + ORDER as u64, mode, false);
+        let large = window_allocations(64 + ORDER as u64, mode, false);
+        if mode == TrainingMode::Inline {
+            // Single-threaded and fully deterministic: the counts must be
+            // *identical* despite the 8× row-rate difference.
+            assert_eq!(
+                small, large,
+                "Inline: steady-state allocations scale with the row count \
+                 ({small} for 8 rows/step vs {large} for 64 rows/step over \
+                 {WINDOW_STEPS} steps) — a per-row allocation crept back \
+                 into the pipeline"
+            );
+        } else {
+            // Background workers reclaim jobs at timing-dependent moments,
+            // and the job channel allocates its message blocks on a
+            // timing-dependent schedule, so the counts jitter by a few tens
+            // of allocations per window (in either direction). What must
+            // NOT happen is row scaling: the large window pushes 5600 more
+            // rows through the pipeline than the small one, so even one
+            // allocation per row would add ≥ 5600. Allow less than 2 % of
+            // that as jitter headroom.
             assert!(
-                small <= per_step_budget * WINDOW_STEPS,
-                "{mode:?}/{shards} shards: {small} allocations over \
-                 {WINDOW_STEPS} steps is more than a small per-step constant"
+                large <= small + WINDOW_STEPS,
+                "Background: steady-state allocations scale with the row \
+                 count ({small} for 8 rows/step vs {large} for 64 rows/step \
+                 over {WINDOW_STEPS} steps)"
             );
         }
+        // And the constant itself stays a small per-step/per-batch cost
+        // (step report + the extracted-feature status entries the per-step
+        // extract_now rebuilds + job plumbing), nowhere near one allocation
+        // per row (6400 rows flow through the large window).
+        assert!(
+            small <= 10 * WINDOW_STEPS,
+            "{mode:?}: {small} allocations over {WINDOW_STEPS} steps is more \
+             than a small per-step constant"
+        );
     }
 
     // Telemetry legs: the recorder is armed (256-event ring, stage
@@ -261,36 +225,31 @@ fn steady_state_allocations_do_not_scale_with_rows() {
     // each window step records sample/assemble/train events plus a shed
     // event. Recording must be exactly as allocation-free as not
     // recording: the Inline counts stay *identical* across the 8× row-rate
-    // difference, and Background/4-shard stays within the same jitter
-    // headroom as its untimed counterpart.
-    for (mode, shards) in [
-        (TrainingMode::Inline, 0usize),
-        (TrainingMode::Background, 0),
-        (TrainingMode::Inline, 4),
-    ] {
-        let small = window_allocations(8 + ORDER as u64, mode, shards, true);
-        let large = window_allocations(64 + ORDER as u64, mode, shards, true);
+    // difference, and Background stays within the same jitter headroom as
+    // its untimed counterpart.
+    for mode in [TrainingMode::Inline, TrainingMode::Background] {
+        let small = window_allocations(8 + ORDER as u64, mode, true);
+        let large = window_allocations(64 + ORDER as u64, mode, true);
         if mode == TrainingMode::Inline {
             assert_eq!(
                 small, large,
-                "telemetry {mode:?}/{shards} shards: steady-state allocations \
-                 scale with the row count with the recorder armed ({small} \
-                 for 8 rows/step vs {large} for 64 rows/step over \
-                 {WINDOW_STEPS} steps)"
+                "telemetry {mode:?}: steady-state allocations scale with the \
+                 row count with the recorder armed ({small} for 8 rows/step \
+                 vs {large} for 64 rows/step over {WINDOW_STEPS} steps)"
             );
         } else {
             assert!(
                 large <= small + WINDOW_STEPS,
-                "telemetry {mode:?}/{shards} shards: steady-state allocations \
-                 scale with the row count with the recorder armed ({small} vs \
-                 {large} over {WINDOW_STEPS} steps)"
+                "telemetry {mode:?}: steady-state allocations scale with the \
+                 row count with the recorder armed ({small} vs {large} over \
+                 {WINDOW_STEPS} steps)"
             );
         }
         assert!(
             small <= 10 * WINDOW_STEPS,
-            "telemetry {mode:?}/{shards} shards: {small} allocations over \
-             {WINDOW_STEPS} steps is more than a small per-step constant — \
-             telemetry recording must not allocate"
+            "telemetry {mode:?}: {small} allocations over {WINDOW_STEPS} \
+             steps is more than a small per-step constant — telemetry \
+             recording must not allocate"
         );
     }
 }
