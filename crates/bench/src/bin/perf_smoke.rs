@@ -10,6 +10,9 @@
 //! * `BENCH_service.json` — wire-served session throughput (steps/sec),
 //! * `BENCH_snapshot.json` — checkpoint serialize/restore throughput (MB/s).
 //!
+//! Two absolute ceilings ride along: telemetry-on at most 1.05× telemetry-off,
+//! and background training at most 1.25× inline, on the same pulse engine.
+//!
 //! Kernel floors are only enforced when this host's dispatch matches the
 //! recorded `"kernels"` string — a scalar or NEON host cannot be held to
 //! an AVX2 recording (same skip idiom as the core-count guards below).
@@ -26,6 +29,8 @@
 //! ```
 
 use bench::{histref, kernelbench, median_ns, rowref, service, snapbench};
+use insitu::engine::EngineConfig;
+use parsim::ThreadPool;
 
 /// Fraction of the committed speedup a reduced-size re-measurement must
 /// retain.
@@ -172,12 +177,21 @@ fn measure_columnar() -> f64 {
 /// the contract is "telemetry on ≈ telemetry off" on every host.
 const TELEMETRY_CEILING: f64 = 1.05;
 
-/// Drives the tightest loop telemetry touches — a pure in-process inline
-/// engine, 256 locations × 200 iterations — with the stage clocks on or
-/// off, returning the terminal features so the caller can verify the two
-/// legs bit-identical before timing either.
-fn run_telemetry_leg(timed: bool) -> Vec<(String, insitu::region::FeatureValue)> {
-    use insitu::engine::{Engine, EngineConfig};
+/// Background training must not cost more wall time than inline: it may
+/// hand a batch to a worker only when that is cheaper than training it in
+/// place, so on the same pulse engine the background leg stays within 25 %
+/// of the inline one. Absolute, like the telemetry ceiling.
+const BACKGROUND_CEILING: f64 = 1.25;
+
+/// Drives the tightest loop telemetry touches — a pure in-process engine,
+/// 256 locations × 200 iterations — under `config` (with the stage clocks
+/// pinned on or off by `timed`), returning the terminal features so the
+/// caller can verify two legs bit-identical before timing either.
+fn run_pulse_leg(
+    mut config: EngineConfig,
+    timed: bool,
+) -> Vec<(String, insitu::region::FeatureValue)> {
+    use insitu::engine::Engine;
     use insitu::extract::FeatureKind;
     use insitu::model::{ConvergenceCriteria, OptimizerKind, TrainerConfig};
     use insitu::region::AnalysisSpec;
@@ -204,7 +218,6 @@ fn run_telemetry_leg(timed: bool) -> Vec<(String, insitu::region::FeatureValue)>
         .build()
         .expect("valid spec");
 
-    let mut config = EngineConfig::default();
     config.telemetry.enabled = Some(timed);
     let mut engine: Engine<Vec<f64>> = Engine::with_config(config);
     let region = engine.add_region("pulse").expect("region");
@@ -225,21 +238,57 @@ fn run_telemetry_leg(timed: bool) -> Vec<(String, insitu::region::FeatureValue)>
     engine.status(region).expect("status").features.clone()
 }
 
+/// Interleaved pairs behind the two absolute ceilings.
+const PAIRS: usize = 21;
+
+/// Wall-clock ratio `candidate / base`: the median of per-pair ratios over
+/// interleaved pairs, so host drift between the legs cancels. The order
+/// alternates, so neither leg always inherits the other's warm caches.
+fn paired_ratio<T>(base: impl Fn() -> T, candidate: impl Fn() -> T) -> f64 {
+    let wall_ns = |leg: &dyn Fn() -> T| {
+        let start = std::time::Instant::now();
+        leg();
+        start.elapsed().as_nanos() as f64
+    };
+    let mut ratios: Vec<f64> = (0..PAIRS)
+        .map(|pair| {
+            if pair % 2 == 0 {
+                let base_ns = wall_ns(&base);
+                wall_ns(&candidate) / base_ns
+            } else {
+                let candidate_ns = wall_ns(&candidate);
+                candidate_ns / wall_ns(&base)
+            }
+        })
+        .collect();
+    ratios.sort_by(|a, b| a.partial_cmp(b).expect("ratios are finite"));
+    ratios[PAIRS / 2]
+}
+
 /// Telemetry-on vs telemetry-off wall-clock ratio (on/off; 1.0 = free).
 fn measure_telemetry_ratio() -> f64 {
-    let off = run_telemetry_leg(false);
-    let on = run_telemetry_leg(true);
+    let leg = |timed| run_pulse_leg(EngineConfig::inline(), timed);
     assert_eq!(
-        off, on,
+        leg(false),
+        leg(true),
         "the stage clocks must not change what the pipeline computes"
     );
-    let off_ns = median_ns(RUNS, || {
-        run_telemetry_leg(false);
-    });
-    let on_ns = median_ns(RUNS, || {
-        run_telemetry_leg(true);
-    });
-    on_ns / off_ns
+    paired_ratio(|| leg(false), || leg(true))
+}
+
+/// Background vs inline wall-clock ratio on the untimed pulse engine
+/// (background/inline; 1.0 = same cost). Both legs include the final
+/// drain, so work left on the worker is paid for.
+fn measure_background_ratio() -> f64 {
+    let pool = ThreadPool::serial();
+    let inline = || run_pulse_leg(EngineConfig::inline(), false);
+    let background = || run_pulse_leg(EngineConfig::background(pool.clone()), false);
+    assert_eq!(
+        inline(),
+        background(),
+        "background training must compute what inline training computes"
+    );
+    paired_ratio(inline, background)
 }
 
 fn main() {
@@ -354,10 +403,12 @@ fn main() {
         );
     }
 
-    // Telemetry overhead: an absolute ceiling, not a committed floor — the
-    // recorder's contract ("arming the stage clocks is free within noise")
-    // holds on every host, so there is nothing machine-specific to skip on.
+    // Telemetry overhead and background placement: absolute ceilings, not
+    // committed floors — "arming the stage clocks is free within noise" and
+    // "background training never costs more than inline" hold on every
+    // host, so there is nothing machine-specific to skip on.
     let telemetry_ratio = measure_telemetry_ratio();
+    let background_ratio = measure_background_ratio();
 
     let mut failed = false;
     for check in &checks {
@@ -386,6 +437,20 @@ fn main() {
         );
     }
     failed |= !telemetry_ok;
+    let background_ok = background_ratio <= BACKGROUND_CEILING;
+    println!(
+        "{:<32} ceiling   {BACKGROUND_CEILING:>9.3}x  measured {background_ratio:>9.3}x  {}",
+        "background vs inline training",
+        if background_ok { "ok" } else { "REGRESSED" },
+    );
+    if !background_ok {
+        eprintln!(
+            "perf-smoke: background training cost {background_ratio:.3}x inline \
+             (ceiling {BACKGROUND_CEILING}x) — batches are handed off when \
+             training them in place is cheaper"
+        );
+    }
+    failed |= !background_ok;
     if failed {
         eprintln!(
             "perf-smoke: a measured value fell below {}x of its committed \

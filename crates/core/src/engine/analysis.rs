@@ -1,6 +1,6 @@
 //! One armed analysis: specification plus live pipeline state.
 
-use std::collections::VecDeque;
+use std::time::Instant;
 
 use parsim::ThreadPool;
 
@@ -14,7 +14,8 @@ use crate::region::{AnalysisMethod, AnalysisSpec, FeatureValue};
 use crate::snapshot::{corrupt, Dec, Enc};
 use crate::telemetry::Recorder;
 
-use super::background::TrainerSlot;
+use super::background::{Trained, TrainerSlot};
+use super::{ewma, nanos_since};
 
 /// Encodes one extracted [`FeatureValue`] into a snapshot payload (tag +
 /// fields, matching the serve crate's wire tags for the same enum).
@@ -85,16 +86,12 @@ pub(crate) fn take_feature(dec: &mut Dec<'_>) -> crate::error::Result<FeatureVal
 /// extract** stages by the engine.
 ///
 /// Columnar [`MiniBatch`] buffers flow through the analysis by value —
-/// collector → (pending queue →) trainer → back into the collector's pool —
-/// so the steady state reuses a fixed set of allocations.
+/// collector → trainer (here or on a worker) → back into the collector's
+/// pool — so the steady state reuses a fixed set of allocations.
 pub(crate) struct Analysis<D: ?Sized> {
     pub(crate) spec: AnalysisSpec<D>,
     pub(crate) store: Collector,
     slot: TrainerSlot,
-    /// Batches waiting for the background trainer, oldest first. Training
-    /// order is preserved, which is what makes background results
-    /// bit-identical to inline ones once drained.
-    pending: VecDeque<MiniBatch>,
     feature: Option<FeatureValue>,
     /// Cached representative location (the one with the longest series),
     /// recomputed only when the history grows instead of on every status
@@ -107,6 +104,12 @@ pub(crate) struct Analysis<D: ?Sized> {
     /// Batches trained so far (kept here because the trainer itself may be
     /// in flight on a worker thread).
     pub(crate) batches_trained: usize,
+    /// EWMA (α = 1/8) of the ns one batch takes to train, wherever it
+    /// trained; 0 until measured. Background mode only.
+    train_ewma_ns: u64,
+    /// EWMA (α = 1/8) of the ns from launching a job to a worker starting
+    /// it; 0 until measured. Background mode only.
+    handoff_ewma_ns: u64,
     /// Per-analysis stage-timing recorder (zero-capacity ring when the
     /// engine's telemetry is off). Written by the engine's pipeline; not
     /// serialized into snapshots — telemetry is diagnostics, not state.
@@ -132,12 +135,13 @@ impl<D: ?Sized> Analysis<D> {
             spec,
             store,
             slot: TrainerSlot::Idle(Box::new(trainer)),
-            pending: VecDeque::new(),
             feature: None,
             representative: None,
             representative_len: 0,
             predictor_scratch: vec![0.0; order],
             batches_trained: 0,
+            train_ewma_ns: 0,
+            handoff_ewma_ns: 0,
             telemetry: Recorder::with_capacity(telemetry_capacity),
         }
     }
@@ -189,66 +193,70 @@ impl<D: ?Sized> Analysis<D> {
         self.record_batch_outcome(loss)
     }
 
-    /// Stage 3 (background) — queue the batch and keep the worker fed.
-    /// Returns the loss of a batch reclaimed from the worker, if any
-    /// finished in the meantime.
-    pub(crate) fn queue_batch(&mut self, batch: MiniBatch, pool: &ThreadPool) -> Option<f64> {
-        self.pending.push_back(batch);
-        self.pump(pool)
-    }
-
-    /// Non-blocking progress: reclaims a finished training job (recycling
-    /// its batch) and launches the next queued batch, preserving batch
-    /// order. Returns the reclaimed batch's loss, if a job finished since
-    /// the last call.
-    pub(crate) fn pump(&mut self, pool: &ThreadPool) -> Option<f64> {
-        let loss = self.slot.reclaim_if_finished().and_then(|(batch, loss)| {
-            self.store.recycle(batch);
-            self.record_batch_outcome(loss)
-        });
-        if self.slot.is_idle() {
-            if let Some(batch) = self.pending.pop_front() {
-                self.slot.launch(batch, pool);
-            }
+    /// Stage 3 (background) — place the batch where it costs the
+    /// simulation thread least. After reclaiming a finished job, the batch
+    /// goes to a worker when the worker is free and training is not
+    /// measured to be cheaper than a hand-off; with no hand-off measured
+    /// yet, the first batch always goes, so both estimates exist. Otherwise
+    /// it trains here: when training is the cheaper of the two, and when
+    /// the previous batch is still on the worker — the worker is not
+    /// keeping up, so the simulation thread waits for it and trains this
+    /// batch itself rather than queueing a backlog. Batches train one at a
+    /// time in fill order either way, which is what keeps background
+    /// results bit-identical to inline ones. Returns the loss of the latest
+    /// batch that finished during the call, if any.
+    pub(crate) fn place_batch(&mut self, batch: MiniBatch, pool: &ThreadPool) -> Option<f64> {
+        let mut loss = self.reclaim();
+        let cheaper_here = self.handoff_ewma_ns > 0 && self.train_ewma_ns < self.handoff_ewma_ns;
+        if self.slot.is_idle() && !cheaper_here {
+            self.slot.launch(batch, pool);
+            return loss;
         }
+        if let Some(trained) = self.slot.join_if_busy() {
+            loss = self.finish_job(trained).or(loss);
+        }
+        if !self.slot.is_idle() {
+            // Poisoned by a panicked job: the trainer is gone.
+            self.store.recycle(batch);
+            return loss;
+        }
+        let clock = Instant::now();
+        loss = self.train_inline(batch).or(loss);
+        self.train_ewma_ns = ewma(self.train_ewma_ns, nanos_since(clock));
         loss
     }
 
-    /// Blocks until every queued batch has been trained and the trainer is
-    /// resident again. Returns the loss of the last batch trained during
-    /// the drain, if any.
-    pub(crate) fn drain(&mut self, pool: &ThreadPool) -> Option<f64> {
-        let mut last = None;
-        loop {
-            if let Some((batch, loss)) = self.slot.join_if_busy() {
-                self.store.recycle(batch);
-                if let Some(loss) = self.record_batch_outcome(loss) {
-                    last = Some(loss);
-                }
-            }
-            match self.pending.pop_front() {
-                Some(batch) => self.slot.launch(batch, pool),
-                None => break,
-            }
-        }
-        last
+    /// Non-blocking progress: if the in-flight training job has finished,
+    /// restores the trainer and recycles the batch. Returns the job's loss.
+    pub(crate) fn reclaim(&mut self) -> Option<f64> {
+        let trained = self.slot.reclaim_if_finished()?;
+        self.finish_job(trained)
     }
 
-    /// Winds the analysis down without training the backlog: joins the
-    /// in-flight background job, if any (its loss is recorded — the batch
-    /// was already being consumed), then recycles every still-queued batch
-    /// **untrained** into the collector's buffer pool. After this call the
-    /// trainer is resident, no pool job references this analysis, and no
-    /// batch buffer has been leaked. Returns the joined job's loss.
+    /// Blocks until the in-flight training job, if any, has finished and
+    /// the trainer is resident again. Returns that job's loss.
+    pub(crate) fn drain(&mut self) -> Option<f64> {
+        let trained = self.slot.join_if_busy()?;
+        self.finish_job(trained)
+    }
+
+    /// Winds the analysis down: joins the in-flight background job, if any
+    /// (its loss is recorded — the batch was already being consumed). After
+    /// this call no pool job references this analysis and no batch buffer
+    /// has been leaked; the trainer is resident unless the job panicked.
+    /// Returns the joined job's loss.
     pub(crate) fn shutdown(&mut self) -> Option<f64> {
-        let loss = self.slot.join_for_shutdown().and_then(|(batch, loss)| {
-            self.store.recycle(batch);
-            self.record_batch_outcome(loss)
-        });
-        while let Some(batch) = self.pending.pop_front() {
-            self.store.recycle(batch);
-        }
-        loss
+        let trained = self.slot.join_for_shutdown()?;
+        self.finish_job(trained)
+    }
+
+    /// Books a job that came back from a worker: recycles its batch, folds
+    /// its timings into the placement estimates and counts its outcome.
+    fn finish_job(&mut self, trained: Trained) -> Option<f64> {
+        self.store.recycle(trained.batch);
+        self.train_ewma_ns = ewma(self.train_ewma_ns, trained.train_ns);
+        self.handoff_ewma_ns = ewma(self.handoff_ewma_ns, trained.handoff_ns);
+        self.record_batch_outcome(trained.loss)
     }
 
     fn record_batch_outcome(&mut self, loss: Option<f64>) -> Option<f64> {
@@ -256,11 +264,6 @@ impl<D: ?Sized> Analysis<D> {
             self.batches_trained += 1;
         }
         loss
-    }
-
-    /// Number of batches queued but not yet picked up by a worker.
-    pub(crate) fn queued_batches(&self) -> usize {
-        self.pending.len()
     }
 
     /// Whether a training job is currently in flight.
@@ -370,9 +373,7 @@ impl<D: ?Sized> Analysis<D> {
                     .slot
                     .trainer()
                     .is_some_and(IncrementalTrainer::is_converged);
-                (converged || self.store.finished(iteration))
-                    && !self.training_in_flight()
-                    && self.pending.is_empty()
+                (converged || self.store.finished(iteration)) && !self.training_in_flight()
             }
             AnalysisMethod::ThresholdOnly => self.store.finished(iteration),
         }
@@ -388,13 +389,9 @@ impl<D: ?Sized> Analysis<D> {
     /// # Panics
     ///
     /// Panics if the trainer is off on a worker — the engine drains before
-    /// snapshotting, so at a snapshot point the slot is always idle and the
-    /// pending queue empty (which is also why neither is serialized).
+    /// snapshotting, so at a snapshot point the slot is always idle (which
+    /// is also why it is not serialized).
     pub(crate) fn snapshot_encode(&self, enc: &mut Enc) {
-        debug_assert!(
-            self.pending.is_empty(),
-            "snapshot requires a drained engine"
-        );
         // Store tag 0 is the collector; `snapshot_decode` rejects tag 1,
         // the retired sharded store.
         enc.put_u8(0);
@@ -447,18 +444,15 @@ impl<D: ?Sized> Analysis<D> {
         })
     }
 
-    /// Commits a decoded state: quiesces any in-flight/queued training
-    /// (joining the worker, recycling buffers), then overwrites the live
+    /// Commits a decoded state: quiesces any in-flight training (joining
+    /// the worker, recycling its buffer), then overwrites the live
     /// pipeline state. Infallible — everything was validated by
     /// [`Analysis::snapshot_decode`].
     pub(crate) fn snapshot_apply(&mut self, state: AnalysisState) {
         // Quiesce first so no worker job references the store being
         // replaced and no batch buffer leaks.
-        if let Some((batch, _)) = self.slot.join_if_busy() {
-            self.store.recycle(batch);
-        }
-        while let Some(batch) = self.pending.pop_front() {
-            self.store.recycle(batch);
+        if let Some(trained) = self.slot.join_if_busy() {
+            self.store.recycle(trained.batch);
         }
         self.store.snapshot_apply(state.store);
         self.slot = TrainerSlot::Idle(Box::new(state.trainer));
@@ -466,6 +460,10 @@ impl<D: ?Sized> Analysis<D> {
         self.representative = state.representative;
         self.representative_len = state.representative_len;
         self.batches_trained = state.batches_trained;
+        // The placement estimates are diagnostics, not state: they restart
+        // empty, like telemetry.
+        self.train_ewma_ns = 0;
+        self.handoff_ewma_ns = 0;
     }
 }
 

@@ -16,8 +16,9 @@
 //!    state allocates nothing per row),
 //! 3. **train** — run gradient descent on full batches, either
 //!    [`TrainingMode::Inline`] on the simulation thread, right where the
-//!    batch was assembled, or [`TrainingMode::Background`] on a `parsim`
-//!    worker,
+//!    batch was assembled, or [`TrainingMode::Background`], which hands a
+//!    batch to a `parsim` worker only when training it costs more than the
+//!    hand-off,
 //! 4. **extract** — derive the requested features once an analysis is done.
 //!
 //! The paired `begin`/`end` calls of the paper's API are replaced by the
@@ -96,9 +97,24 @@ fn stage_clock(timed: bool) -> Option<std::time::Instant> {
 /// Elapsed nanoseconds since [`stage_clock`], saturating to `u64`.
 #[inline]
 fn stage_elapsed(clock: Option<std::time::Instant>) -> u64 {
-    clock.map_or(0, |t| {
-        u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    })
+    clock.map_or(0, nanos_since)
+}
+
+/// Nanoseconds elapsed since `start`, saturating to `u64`.
+#[inline]
+fn nanos_since(start: std::time::Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Folds `sample` into an EWMA with α = 1/8, the constant the budget and
+/// the serve crate's service time use. An EWMA of 0 means "nothing
+/// measured yet": the first sample seeds it, and the result is never 0.
+fn ewma(current_ns: u64, sample_ns: u64) -> u64 {
+    if current_ns == 0 {
+        sample_ns.max(1)
+    } else {
+        (current_ns - current_ns / 8 + sample_ns / 8).max(1)
+    }
 }
 
 /// Where the gradient-descent training of full mini-batches runs.
@@ -112,11 +128,20 @@ pub enum TrainingMode {
     /// would only add cost.
     #[default]
     Inline,
-    /// Move the trainer onto a `parsim` worker whenever a batch fills, so
-    /// the simulation thread only pays for sampling and assembly. Poll with
+    /// Move the trainer onto a `parsim` worker when a batch fills and
+    /// training it costs more than handing it off, so the simulation thread
+    /// pays for sampling, assembly and the cheaper of the two. Each
+    /// analysis keeps measuring both costs (train time per batch, and the
+    /// wait from launch to a worker starting the job). A batch goes to the
+    /// worker when the worker is free and its measured train time is not
+    /// below the measured hand-off; the first batch always goes, so both
+    /// costs get measured. Otherwise it trains on the simulation thread —
+    /// also when the previous batch is still on the worker, which then
+    /// cannot keep up: the step waits for that job instead of queueing a
+    /// backlog, so at most one batch is ever in flight. Poll with
     /// [`Engine::poll`]; [`Engine::drain`] blocks until the background work
     /// has caught up, after which results are bit-identical to inline mode
-    /// (same batches, same order).
+    /// (same batches, same order, wherever each one trained).
     Background,
 }
 
@@ -232,7 +257,9 @@ impl AnalysisId {
 pub struct TrainingProgress {
     /// Training jobs currently running on workers.
     pub in_flight: usize,
-    /// Full batches queued behind an in-flight job.
+    /// Full batches queued behind an in-flight job. Always 0: a batch that
+    /// fills while a job is in flight trains after it on the simulation
+    /// thread instead of queueing.
     pub queued: usize,
 }
 
@@ -296,9 +323,7 @@ impl<D: ?Sized> Default for Engine<D> {
 
 impl<D: ?Sized> Drop for Engine<D> {
     /// Joins in-flight background training jobs so a dropped engine never
-    /// leaves a pool worker running against freed analysis state. Queued
-    /// batches are discarded untrained — use [`Engine::drain`] first when
-    /// the remaining results matter.
+    /// leaves a pool worker running against freed analysis state.
     fn drop(&mut self) {
         self.shutdown();
     }
@@ -535,8 +560,8 @@ impl<D: ?Sized> Engine<D> {
             .trainer()
     }
 
-    /// Non-blocking background-training progress: reclaims finished jobs,
-    /// launches queued batches, and reports what is still outstanding. Any
+    /// Non-blocking background-training progress: reclaims finished jobs
+    /// and reports what is still outstanding. Any
     /// region whose training advanced gets its status fully refreshed
     /// (extraction included) and broadcast, so polling to idle leaves the
     /// same coherent terminal state as [`Engine::drain`]. Always idle in
@@ -547,14 +572,13 @@ impl<D: ?Sized> Engine<D> {
             let iteration = region.status.iteration;
             let mut advanced = false;
             for analysis in &mut region.analyses {
-                if let Some(loss) = analysis.pump(&self.config.pool) {
+                if let Some(loss) = analysis.reclaim() {
                     region.status.last_loss = Some(loss);
                     advanced = true;
                 }
                 if analysis.training_in_flight() {
                     progress.in_flight += 1;
                 }
-                progress.queued += analysis.queued_batches();
             }
             if advanced {
                 for analysis in &mut region.analyses {
@@ -569,7 +593,7 @@ impl<D: ?Sized> Engine<D> {
         progress
     }
 
-    /// Blocks until every queued mini-batch has been trained, then re-runs
+    /// Blocks until every in-flight mini-batch has been trained, then re-runs
     /// extraction, refreshes every region's status and broadcasts it (so
     /// rank-notification broadcasters observe the terminal status even when
     /// the deciding batch finished inside the drain). After `drain`,
@@ -580,7 +604,7 @@ impl<D: ?Sized> Engine<D> {
         for region in &mut self.regions {
             let iteration = region.status.iteration;
             for analysis in &mut region.analyses {
-                if let Some(loss) = analysis.drain(&self.config.pool) {
+                if let Some(loss) = analysis.drain() {
                     region.status.last_loss = Some(loss);
                 }
                 if analysis.is_done(iteration) || analysis.store.finished(iteration) {
@@ -592,16 +616,14 @@ impl<D: ?Sized> Engine<D> {
         }
     }
 
-    /// Winds the engine down **without** training the backlog: joins every
-    /// in-flight background `TrainJob` (a job that
-    /// has already left for a worker cannot be cancelled, so its loss is
-    /// recorded) and recycles every still-queued batch untrained.
+    /// Winds the engine down: joins every in-flight background `TrainJob`
+    /// (a job that has already left for a worker cannot be cancelled, so
+    /// its loss is recorded).
     ///
     /// This is the session-eviction half of the lifecycle: where
-    /// [`Engine::drain`] finishes the work (bit-identical to inline),
-    /// `shutdown` finishes only what is unavoidable and discards the rest —
-    /// but never orphans a pool job and never leaks a recycled batch
-    /// buffer. Dropping an engine calls `shutdown` implicitly, so evicting
+    /// [`Engine::drain`] refreshes and broadcasts the terminal status,
+    /// `shutdown` finishes only what is unavoidable — but never orphans a
+    /// pool job and never leaks a recycled batch buffer. Dropping an engine calls `shutdown` implicitly, so evicting
     /// a long-running session mid-run (the `serve` crate's `CloseSession`)
     /// is safe by construction. Idempotent (a second call is a clean
     /// no-op) and panic-safe: if a background training job panicked on its
@@ -623,8 +645,8 @@ impl<D: ?Sized> Engine<D> {
     /// binary snapshot (see [`crate::snapshot`] for the container format).
     ///
     /// The engine is [drained](Engine::drain) first, so the snapshot is
-    /// taken at a quiescent point — no in-flight training job or queued
-    /// batch ever needs serializing, and because draining is bit-identical
+    /// taken at a quiescent point — no in-flight training job ever needs
+    /// serializing, and because draining is bit-identical
     /// to having trained inline, the snapshot is independent of *when*
     /// background work happened to be scheduled.
     ///
@@ -810,7 +832,8 @@ impl<D: ?Sized> Engine<D> {
     ///
     /// 1. **sample** + **assemble** each analysis on the simulation thread;
     /// 2. **train** a batch the moment it fills — on the simulation thread
-    ///    inline, or queued to the worker in background mode;
+    ///    inline; in background mode, on the worker when it is free and the
+    ///    measured train time is not below a hand-off, in place otherwise;
     /// 3. **extract**, refresh and broadcast each region's status.
     ///
     /// Spent batches return to their collectors' buffer pools, so the
@@ -850,13 +873,13 @@ impl<D: ?Sized> Engine<D> {
                     let clock = stage_clock(timed && (background || assembled.is_some()));
                     let (trained, loss) = match assembled {
                         Some(batch) if background => {
-                            (true, analysis.queue_batch(batch, &self.config.pool))
+                            (true, analysis.place_batch(batch, &self.config.pool))
                         }
                         Some(batch) => (true, analysis.train_inline(batch)),
                         // Keep reclaiming finished jobs even on iterations
                         // that produced no batch.
                         None if background => {
-                            let loss = analysis.pump(&self.config.pool);
+                            let loss = analysis.reclaim();
                             (loss.is_some(), loss)
                         }
                         None => (false, None),
@@ -929,11 +952,7 @@ impl<D: ?Sized> Engine<D> {
             + stage_ns[Stage::Extract as usize];
         self.total_cost_ns += step_cost;
         if let Some(budget) = &mut self.budget {
-            budget.ewma_ns = if budget.ewma_ns == 0 {
-                step_cost.max(1)
-            } else {
-                (budget.ewma_ns - budget.ewma_ns / 8 + step_cost / 8).max(1)
-            };
+            budget.ewma_ns = ewma(budget.ewma_ns, step_cost);
         }
         StepReport {
             statuses,
@@ -1196,7 +1215,7 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_joins_in_flight_jobs_and_discards_the_queue() {
+    fn shutdown_joins_in_flight_jobs() {
         let pool = ThreadPool::new(ParallelConfig::new(1, 2).unwrap());
         let mut engine: Engine<Pulse> = Engine::with_config(EngineConfig::background(pool));
         let region = engine.add_region("pulse").unwrap();
@@ -1207,17 +1226,16 @@ mod tests {
             domain.advance(it);
             step.complete(&domain);
         }
-        // Shut down mid-run: whatever was in flight joins, the queue is
-        // discarded, and the engine is left fully idle with the trainer
-        // resident again.
+        // Shut down mid-run: whatever was in flight joins, and the engine is
+        // left fully idle with the trainer resident again.
         engine.shutdown();
         assert!(engine.poll().is_idle());
         let analysis = engine.analysis_id(region, 0).unwrap();
         assert!(engine.trainer(analysis).is_some(), "trainer is resident");
         // Every batch the trainer consumed is accounted in the status (the
-        // deciding property: no in-flight job was orphaned mid-count). The
-        // queue was discarded, so the follow-up drain has nothing to train
-        // and the two counts agree exactly.
+        // deciding property: no in-flight job was orphaned mid-count), so
+        // the follow-up drain has nothing to train and the two counts agree
+        // exactly.
         engine.drain();
         assert_eq!(
             engine.status(region).unwrap().batches_trained,
@@ -1229,16 +1247,13 @@ mod tests {
         assert_eq!(&before, engine.status(region).unwrap());
     }
 
+    /// Background mode never queues a batch behind an in-flight job, so
+    /// shutting down mid-run loses none: the job in flight joins and every
+    /// filled batch is counted, exactly as the inline run counts them.
     #[test]
-    fn shutdown_discards_queued_batches_untrained() {
-        // A serial 1-worker pool with many same-cadence steps guarantees a
-        // backlog: at most one job runs while the rest queue.
+    fn shutdown_loses_no_filled_batch() {
+        let (reference, reference_region) = run_engine(Engine::new(), 301);
         let pool = ThreadPool::new(ParallelConfig::new(1, 2).unwrap());
-        let inline_reference = {
-            let (engine, region) = run_engine(Engine::new(), 301);
-            let status = engine.status(region).unwrap().clone();
-            status
-        };
         let mut engine: Engine<Pulse> = Engine::with_config(EngineConfig::background(pool));
         let region = engine.add_region("pulse").unwrap();
         engine.add_analysis(region, pulse_spec("velocity")).unwrap();
@@ -1248,16 +1263,14 @@ mod tests {
             domain.advance(it);
             step.complete(&domain);
         }
-        let backlog = engine.poll().queued;
+        assert_eq!(engine.poll().queued, 0);
         engine.shutdown();
-        let trained = engine.status(region).unwrap().batches_trained;
-        // Shutdown never trains the backlog; with a queued backlog at the
-        // moment of shutdown, strictly fewer batches were consumed than the
-        // inline reference trained.
-        assert!(trained <= inline_reference.batches_trained);
-        if backlog > 0 {
-            assert!(trained < inline_reference.batches_trained);
-        }
+        // Drain only refreshes the status here: nothing is left to train.
+        engine.drain();
+        assert_eq!(
+            engine.status(region).unwrap().batches_trained,
+            reference.status(reference_region).unwrap().batches_trained
+        );
     }
 
     #[test]
@@ -1553,7 +1566,7 @@ mod tests {
                 .unwrap()
                 .loss_history()
         );
-        // The queue was discarded; draining afterwards has nothing to do.
+        // Nothing is left in flight; draining afterwards has nothing to do.
         engine.drain();
         assert_eq!(
             losses,
@@ -1561,6 +1574,135 @@ mod tests {
                 .trainer(engine.analysis_id(region, 0).unwrap())
                 .unwrap()
                 .loss_history()
+        );
+    }
+
+    /// A pulse analysis sampling locations `1..=locations` into
+    /// `batch_capacity`-row batches for an AR model of `order`, each batch
+    /// trained for `epochs` epochs. Locations past the first `order` yield
+    /// a row each step.
+    fn sized_pulse_spec(
+        locations: u64,
+        order: usize,
+        batch_capacity: usize,
+        epochs: usize,
+    ) -> AnalysisSpec<Pulse> {
+        AnalysisSpec::builder()
+            .name("velocity")
+            .provider(|d: &Pulse, loc: usize| d.values.get(loc).copied().unwrap_or(0.0))
+            .spatial(IterParam::new(1, locations, 1).unwrap())
+            .temporal(IterParam::new(0, 300, 1).unwrap())
+            .feature(FeatureKind::Breakpoint { threshold: 0.05 })
+            .lag(5)
+            .batch_capacity(batch_capacity)
+            .trainer(TrainerConfig {
+                order,
+                optimizer: OptimizerKind::Sgd { learning_rate: 0.1 },
+                epochs_per_batch: epochs,
+                convergence: ConvergenceCriteria::default(),
+            })
+            .build()
+            .unwrap()
+    }
+
+    fn engine_with(config: EngineConfig, spec: AnalysisSpec<Pulse>) -> (Engine<Pulse>, RegionId) {
+        let mut engine = Engine::with_config(config);
+        let region = engine.add_region("pulse").unwrap();
+        engine.add_analysis(region, spec).unwrap();
+        (engine, region)
+    }
+
+    /// Runs `spec` for 301 steps inline and in background mode. After each
+    /// background step the test waits `solver` — a stand-in for a solver
+    /// step, longer than a hand-off — without polling, so a finished
+    /// job is reclaimed by the next step, in the same call that may train
+    /// that step's batch in place. Whenever the trainer is resident after a
+    /// step, every batch so far has trained, so the last loss must match
+    /// the inline run's. Returns, for each step from the 100th on, whether
+    /// it filled a batch (per the inline run) and whether the trainer was
+    /// off on a worker right after it — having checked that both runs end
+    /// bit-identical. Residency right after the step is the exact placement
+    /// observation: a later `poll` can find an offloaded job already done.
+    fn placements_after_warmup(
+        spec: fn() -> AnalysisSpec<Pulse>,
+        solver: std::time::Duration,
+    ) -> Vec<(bool, bool)> {
+        const WARMUP: u64 = 100;
+        let (mut reference, reference_region) = engine_with(EngineConfig::inline(), spec());
+        let pool = ThreadPool::new(ParallelConfig::new(1, 2).unwrap());
+        // A pool already in use: its worker thread is running.
+        pool.spawn_job(|| ()).join();
+        let (mut engine, region) = engine_with(EngineConfig::background(pool), spec());
+        let (mut reference_domain, mut domain) = (Pulse::new(), Pulse::new());
+        let mut placements = Vec::new();
+        for it in 0..301u64 {
+            let trained = reference.status(reference_region).unwrap().batches_trained;
+            drive(&mut reference, &mut reference_domain, it..it + 1);
+            let filled = reference.status(reference_region).unwrap().batches_trained > trained;
+            drive(&mut engine, &mut domain, it..it + 1);
+            let analysis = engine.analysis_id(region, 0).unwrap();
+            let offloaded = engine.trainer(analysis).is_none();
+            if !offloaded {
+                assert_eq!(
+                    engine.status(region).unwrap().last_loss,
+                    reference.status(reference_region).unwrap().last_loss,
+                    "iteration {it}: the last loss is not the latest batch's"
+                );
+            }
+            let started = std::time::Instant::now();
+            while started.elapsed() < solver {
+                // Yield rather than spin, so a loaded host still schedules
+                // the worker.
+                std::thread::yield_now();
+            }
+            if it >= WARMUP {
+                placements.push((filled, offloaded));
+            }
+        }
+        reference.drain();
+        engine.drain();
+        assert_same_terminal_state(&engine, region, &reference, reference_region);
+        placements
+    }
+
+    /// Background placement follows measured cost: once both costs are
+    /// measured, a cheap batch trains on the simulation thread and a heavy
+    /// one keeps going to the worker, and both end bit-identical to inline.
+    #[test]
+    fn background_placement_follows_cost() {
+        // Cheap: one row a step into one-row batches, one epoch each — under
+        // a hand-off even unoptimised.
+        let cheap = placements_after_warmup(
+            || sized_pulse_spec(2, 1, 1, 1),
+            std::time::Duration::from_micros(200),
+        );
+        let left = cheap.iter().filter(|(_, offloaded)| *offloaded).count();
+        assert!(
+            left * 10 <= cheap.len(),
+            "cheap batches left the simulation thread after {left} of {} steps",
+            cheap.len()
+        );
+
+        // Heavy: 33 rows a step into 1024-row batches of 400 epochs, about
+        // 2 ms each (unoptimised builds train ~50× slower, so 20 epochs do
+        // there), far above a hand-off. With 1 ms solver steps a batch fills
+        // every ~31 ms, so the worker keeps up and each batch goes to it. A
+        // loaded host can still delay a hand-off past a batch's train time
+        // now and then, so most rather than all must leave.
+        const HEAVY_EPOCHS: usize = if cfg!(debug_assertions) { 20 } else { 400 };
+        let heavy = placements_after_warmup(
+            || sized_pulse_spec(36, 3, 1024, HEAVY_EPOCHS),
+            std::time::Duration::from_millis(1),
+        );
+        let offloaded: Vec<bool> = heavy
+            .iter()
+            .filter(|(filled, _)| *filled)
+            .map(|&(_, offloaded)| offloaded)
+            .collect();
+        assert!(offloaded.len() >= 5, "the heavy scenario must fill batches");
+        assert!(
+            offloaded.iter().filter(|&&offloaded| offloaded).count() * 4 >= offloaded.len() * 3,
+            "heavy batches trained in place: {offloaded:?}"
         );
     }
 

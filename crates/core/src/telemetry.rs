@@ -22,9 +22,10 @@
 //!
 //! What the clocks measure is **simulation-thread time**: the cost the
 //! in-situ layer charges to the solver step. Background training that
-//! runs on a pool worker only shows up as the (cheap) queue/reclaim time
-//! the step itself spent — exactly the number the paper's overhead
-//! argument is about.
+//! runs on a pool worker only shows up as the (cheap) hand-off/reclaim time
+//! the step itself spent, while a batch the engine chose to train in place
+//! shows up in full — exactly the number the paper's overhead argument is
+//! about.
 //!
 //! # Example
 //!
@@ -66,7 +67,7 @@ pub enum Stage {
     /// Columnar mini-batch assembly from freshly recorded samples.
     Assemble = 1,
     /// Gradient-descent training — simulation-thread time only (inline
-    /// training, or background queue/reclaim).
+    /// training, or background hand-off/reclaim).
     Train = 2,
     /// Feature extraction from the history/model state.
     Extract = 3,
@@ -187,22 +188,31 @@ impl Histogram {
         }
     }
 
-    /// The bucket upper bound at or above quantile `q` (0.0..=1.0) — a
-    /// conservative (rounded-up-to-bucket) latency quantile. 0 when empty.
+    /// The latency at or above quantile `q` (0.0..=1.0): the upper bound
+    /// of the bucket holding that rank, clamped to the largest recorded
+    /// value. Conservative (rounded up to a bucket bound) but never above
+    /// the max. 0 when empty.
     pub fn quantile_ns(&self, q: f64) -> u64 {
-        let count = self.count();
+        Histogram::quantile_of_buckets(&self.counts, self.max_ns, q)
+    }
+
+    /// [`Histogram::quantile_ns`] over bucket counts in this histogram's
+    /// layout and their recorded max, for consumers that hold the two
+    /// separately (the serve crate's wire-decoded stage statistics).
+    pub fn quantile_of_buckets(buckets: &[u64], max_ns: u64, q: f64) -> u64 {
+        let count: u64 = buckets.iter().sum();
         if count == 0 {
             return 0;
         }
         let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
         let mut seen = 0;
-        for (index, &c) in self.counts.iter().enumerate() {
+        for (index, &c) in buckets.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return Histogram::bucket_upper_bound_ns(index);
+                return Histogram::bucket_upper_bound_ns(index).min(max_ns);
             }
         }
-        Histogram::bucket_upper_bound_ns(Histogram::BUCKETS - 1)
+        max_ns
     }
 
     /// Folds another histogram into this one (used by fleet-wide
@@ -445,12 +455,29 @@ mod tests {
         for _ in 0..99 {
             h.add(100); // bucket (64, 128]
         }
-        h.add(1_000_000); // one outlier
+        h.add(1_000_000); // one outlier, in bucket (2^19, 2^20]
         assert_eq!(h.quantile_ns(0.5), 128);
         assert_eq!(h.quantile_ns(0.99), 128);
-        assert_eq!(h.quantile_ns(1.0), 1 << 20);
+        // The outlier's bucket bound (2^20) is clamped to the recorded max.
+        assert_eq!(h.quantile_ns(1.0), 1_000_000);
         let mean = h.mean_ns();
         assert!(mean > 100.0 && mean < 11_000.0);
+
+        // When the max sits inside the p99 bucket, p99 reads the max, not
+        // the bucket bound: 19.7 µs lands in (16.4 µs, 32.8 µs].
+        let mut h = Histogram::default();
+        for _ in 0..99 {
+            h.add(5_000);
+        }
+        h.add(19_700);
+        assert_eq!(h.quantile_ns(0.5), 8_192);
+        assert_eq!(h.quantile_ns(0.99), 8_192);
+        assert_eq!(h.quantile_ns(0.999), 19_700, "bound 32 768 exceeds the max");
+        assert!(h.quantile_ns(1.0) <= h.max_ns());
+        assert_eq!(
+            Histogram::quantile_of_buckets(h.buckets(), h.max_ns(), 0.999),
+            19_700
+        );
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //! with background training and break-point extraction — the
 //! engine-native version of the paper's Fig. 2 integration.
 //!
-//! [`EngineConfig::background`] moves gradient descent onto a pool
-//! worker, so the solver thread only samples and assembles. Results are
-//! bit-identical to inline training once the engine is drained.
+//! [`EngineConfig::background`] moves gradient descent onto a pool worker
+//! only when a batch costs more to train than to hand off. A LULESH batch
+//! trains in a few microseconds, less than one worker hand-off, so after
+//! the first (measured) hand-off this run trains in place on the solver
+//! thread. Results are bit-identical to inline training once the engine is
+//! drained.
 //!
 //! Run with `cargo run --release -p lulesh --example lulesh_insitu_engine`.
 
@@ -20,7 +23,7 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     let size = 30;
     let mut sim = LuleshSim::new(LuleshConfig::with_edge_elems(size));
 
-    // Training runs on a worker thread, so the solver thread only samples.
+    // Training may run on a worker thread; the engine decides per batch.
     let pool = ThreadPool::new(ParallelConfig::new(1, 2)?);
     let mut config = EngineConfig::background(pool);
     // Arm the stage clocks so the run ends with a per-stage latency

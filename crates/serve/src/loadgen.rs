@@ -22,6 +22,7 @@ use std::time::{Duration, Instant};
 
 use insitu::collect::Retention;
 use insitu::region::FeatureValue;
+use insitu::telemetry::Histogram;
 use insitu::IterParam;
 
 use crate::client::Client;
@@ -201,25 +202,6 @@ impl FleetStats {
         }
     }
 
-    /// The conservative `q`-quantile of a stage's merged histogram: the
-    /// upper bound (ns) of the first bucket at which the cumulative count
-    /// reaches `q * total` — same rounding as
-    /// [`Histogram::quantile_ns`](insitu::telemetry::Histogram::quantile_ns).
-    fn quantile_ns(stage: &StageStats, q: f64) -> u64 {
-        if stage.count == 0 {
-            return 0;
-        }
-        let rank = ((q * stage.count as f64).ceil() as u64).clamp(1, stage.count);
-        let mut seen = 0u64;
-        for (i, &bucket) in stage.buckets.iter().enumerate() {
-            seen += bucket;
-            if seen >= rank {
-                return 1u64 << i;
-            }
-        }
-        stage.max_ns
-    }
-
     /// Renders the fleet stage-latency table the `--stats` smoke prints.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
@@ -233,6 +215,11 @@ impl FleetStats {
             "{:<10} {:>10} {:>12} {:>12} {:>12} {:>12}\n",
             "stage", "events", "mean us", "p50 us", "p99 us", "max us"
         ));
+        // Quantiles follow `Histogram::quantile_ns`: a bucket bound, clamped
+        // to the stage's max.
+        let quantile_us = |stage: &StageStats, q: f64| {
+            Histogram::quantile_of_buckets(&stage.buckets, stage.max_ns, q) as f64 / 1e3
+        };
         for stage in &self.stages {
             let name =
                 insitu::telemetry::Stage::from_u8(stage.stage).map_or("unknown", |s| s.name());
@@ -246,8 +233,8 @@ impl FleetStats {
                 name,
                 stage.count,
                 mean_us,
-                Self::quantile_ns(stage, 0.50) as f64 / 1e3,
-                Self::quantile_ns(stage, 0.99) as f64 / 1e3,
+                quantile_us(stage, 0.50),
+                quantile_us(stage, 0.99),
                 stage.max_ns as f64 / 1e3,
             ));
         }

@@ -1,6 +1,7 @@
 //! The engine-centric API end-to-end: one engine, two regions with their
-//! own analyses, batch sampling through `SliceProvider`, and training moved
-//! off the simulation thread (`TrainingMode::Background`) with non-blocking
+//! own analyses, batch sampling through `SliceProvider`, and background
+//! training (`TrainingMode::Background`: a batch leaves the simulation thread
+//! only when it costs more to train than to hand off) with non-blocking
 //! progress polling — the pipeline the paper's `td_*` API grows into.
 //!
 //! Run with `cargo run --release --example engine_pipeline`.
@@ -68,10 +69,9 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
         if iteration % 100 == 0 {
             let progress = engine.poll(); // non-blocking
             println!(
-                "iter {iteration:>3}: near samples {:>5}, training in flight {} / queued {}",
+                "iter {iteration:>3}: near samples {:>5}, training jobs in flight {}",
                 report.region(near).map_or(0, |s| s.samples_collected),
                 progress.in_flight,
-                progress.queued,
             );
         }
         if report.should_terminate() {
@@ -79,7 +79,7 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Block until the background trainer has consumed every queued batch —
+    // Block until the background trainer has finished its batch in flight —
     // from here on results are bit-identical to an inline run.
     engine.drain();
     engine.extract_now(near)?;

@@ -162,8 +162,14 @@ fn engine_early_termination_matches_region_early_termination() {
 type Fingerprint = (Vec<u64>, Vec<u64>, Vec<(String, u64)>, usize, usize);
 
 /// Runs a 400-iteration LULESH scenario; `drain_period` forces a mid-run
-/// `drain()` every that many iterations and a `poll()` every 11.
-fn run_with_drains(config: EngineConfig, drain_period: Option<u64>) -> Fingerprint {
+/// `drain()` every that many iterations and a `poll()` every 11. Returns
+/// the fingerprint and how many of those polls found a job in flight.
+///
+/// The trainer is heavy (96-row batches, 256 epochs, hundreds of
+/// microseconds per batch), so background mode keeps handing batches to
+/// the worker instead of training them in place, and the drains and polls
+/// race real in-flight jobs.
+fn run_with_drains(config: EngineConfig, drain_period: Option<u64>) -> (Fingerprint, usize) {
     const ITERATIONS: u64 = 400;
     let spec = AnalysisSpec::builder()
         .name("velocity")
@@ -172,18 +178,23 @@ fn run_with_drains(config: EngineConfig, drain_period: Option<u64>) -> Fingerpri
         .temporal(IterParam::new(1, ITERATIONS, 1).unwrap())
         .feature(FeatureKind::Breakpoint { threshold: 0.05 })
         .lag(5)
-        .batch_capacity(16)
+        .batch_capacity(96)
+        .trainer(TrainerConfig {
+            epochs_per_batch: 256,
+            ..TrainerConfig::default()
+        })
         .build()
         .unwrap();
     let mut sim = LuleshSim::new(LuleshConfig::with_edge_elems(EDGE_ELEMS));
     let mut engine: Engine<LuleshSim> = Engine::with_config(config);
     let region = engine.add_region("drains").unwrap();
     let analysis = engine.add_analysis(region, spec).unwrap();
+    let mut raced = 0;
     sim.run_with(|s, it| {
         engine.step(it).complete(s);
         if let Some(period) = drain_period {
             if it % 11 == 0 {
-                engine.poll();
+                raced += engine.poll().in_flight;
             }
             if it > 0 && it.is_multiple_of(period) {
                 engine.drain();
@@ -200,7 +211,7 @@ fn run_with_drains(config: EngineConfig, drain_period: Option<u64>) -> Fingerpri
         .expect("trainer resident after drain");
     let mut model = vec![trainer.model().intercept().to_bits()];
     model.extend(trainer.model().coefficients().iter().map(|c| c.to_bits()));
-    (
+    let fingerprint = (
         trainer.loss_history().iter().map(|l| l.to_bits()).collect(),
         model,
         status
@@ -210,7 +221,8 @@ fn run_with_drains(config: EngineConfig, drain_period: Option<u64>) -> Fingerpri
             .collect(),
         status.samples_collected,
         status.batches_trained,
-    )
+    );
+    (fingerprint, raced)
 }
 
 /// Mid-run drains join background training at arbitrary points between
@@ -218,15 +230,16 @@ fn run_with_drains(config: EngineConfig, drain_period: Option<u64>) -> Fingerpri
 /// the outcome relative to inline training.
 #[test]
 fn drain_racing_background_steps_is_bit_identical() {
-    let expected = run_with_drains(EngineConfig::inline(), None);
+    let (expected, _) = run_with_drains(EngineConfig::inline(), None);
     assert!(!expected.0.is_empty(), "scenario must train batches");
     assert!(!expected.2.is_empty(), "scenario must extract a feature");
     for drain_period in [37u64, 113] {
         let pool = ThreadPool::new(ParallelConfig::new(2, 2).unwrap());
+        let (got, raced) = run_with_drains(EngineConfig::background(pool), Some(drain_period));
         assert_eq!(
-            expected,
-            run_with_drains(EngineConfig::background(pool), Some(drain_period)),
+            expected, got,
             "drain every {drain_period} steps changed the outcome"
         );
+        assert!(raced > 0, "no poll found a training job in flight");
     }
 }

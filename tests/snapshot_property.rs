@@ -85,6 +85,17 @@ impl Case {
         }
     }
 
+    /// Background cases train heavy batches (tens of microseconds each),
+    /// so the engine keeps handing them to the worker instead of training
+    /// them in place, and the snapshot drains race real in-flight jobs.
+    fn epochs_per_batch(&self) -> usize {
+        if self.background {
+            256
+        } else {
+            4
+        }
+    }
+
     fn fresh_engine(&self) -> (Engine<Pulse>, RegionId) {
         let mut engine = Engine::with_config(self.config());
         let region = engine.add_region("pulse").unwrap();
@@ -106,7 +117,7 @@ impl Case {
                     .trainer(TrainerConfig {
                         order: self.order,
                         optimizer: OptimizerKind::Sgd { learning_rate: 0.1 },
-                        epochs_per_batch: 4,
+                        epochs_per_batch: self.epochs_per_batch(),
                         convergence: ConvergenceCriteria {
                             loss_threshold: 1e-2,
                             patience: 3,
