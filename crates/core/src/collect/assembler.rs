@@ -17,7 +17,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use super::history::SampleHistory;
+use super::history::{SampleHistory, SlotId};
 use super::minibatch::MiniBatch;
 use crate::params::IterParam;
 
@@ -126,15 +126,134 @@ impl BatchAssembler {
         Some(begin + ((lagged - begin) / step) * step)
     }
 
+    /// Resolves where the predictors of every row targeting `iteration` are
+    /// read, once per target iteration rather than once per row. `None`
+    /// when no row of that iteration can be formed.
+    fn reads_for(&self, iteration: u64) -> Option<Reads> {
+        let step = self.temporal.step();
+        match self.layout {
+            PredictorLayout::SpatioTemporal => {
+                let lagged = self.lagged_iteration(iteration)?;
+                Some(Reads::Across {
+                    iteration: lagged,
+                    back: ((iteration - lagged) / step) as usize,
+                })
+            }
+            PredictorLayout::Spatial => Some(Reads::Across { iteration, back: 0 }),
+            PredictorLayout::Temporal => Some(Reads::Along {
+                it_index: self.temporal.index_of(iteration)?,
+                lag_steps: (self.lag / step).max(1) as usize,
+            }),
+        }
+    }
+
+    /// The one row routine: writes the predictors of the target at spatial
+    /// index `index` (whose own slot is `own`) into `out`, reading every
+    /// value through [`SampleHistory::probe`]. `slot_at(k)` is the slot of
+    /// the `k`-th location of the spatial characteristic.
+    fn write_row<S>(
+        &self,
+        history: &SampleHistory,
+        reads: Reads,
+        own: Option<SlotId>,
+        index: Option<usize>,
+        slot_at: &S,
+        out: &mut [f64],
+    ) -> Option<()>
+    where
+        S: Fn(usize) -> Option<SlotId>,
+    {
+        match reads {
+            Reads::Across { iteration, back } => {
+                let index = index?;
+                for (i, slot) in out.iter_mut().enumerate() {
+                    let prev = slot_at(index.checked_sub(i + 1)?)?;
+                    *slot = history.probe(prev, back, iteration)?;
+                }
+            }
+            Reads::Along {
+                it_index,
+                lag_steps,
+            } => {
+                let own = own?;
+                for (i, slot) in out.iter_mut().enumerate() {
+                    let back = (i + 1) * lag_steps;
+                    let prev_it = self.temporal.nth(it_index.checked_sub(back)?)?;
+                    *slot = history.probe(own, back, prev_it)?;
+                }
+            }
+        }
+        Some(())
+    }
+
+    /// Appends every row that can be formed for `iteration` across the
+    /// spatial characteristic, resolving slots through `slot_at`. Rows of
+    /// the layouts that read preceding locations at one iteration overlap:
+    /// a row whose neighbour was just appended copies all but its nearest
+    /// predictor from it, so each lagged value is probed once per call.
+    /// The copied values are the very ones `write_row` would read.
+    fn append_rows<S>(
+        &self,
+        history: &SampleHistory,
+        iteration: u64,
+        batch: &mut MiniBatch,
+        slot_at: S,
+    ) -> usize
+    where
+        S: Fn(usize) -> Option<SlotId>,
+    {
+        debug_assert_eq!(
+            batch.order(),
+            self.order,
+            "batch stride must match the assembler order"
+        );
+        let Some(reads) = self.reads_for(iteration) else {
+            return 0;
+        };
+        let mut appended = 0;
+        // Whether the batch's last row is the row of the previous index.
+        let mut carried = false;
+        for index in 0..self.spatial.len() {
+            // The target is the newest sample when the iteration was just
+            // recorded.
+            let target =
+                slot_at(index).and_then(|own| Some((own, history.probe(own, 0, iteration)?)));
+            let Some((own, target)) = target else {
+                carried = false;
+                continue;
+            };
+            carried = batch.push_after(target, |last, out| match reads {
+                // Preceding locations at one iteration: this row reads
+                // location `index - 1` and then exactly what the previous
+                // row read, minus its farthest location.
+                Reads::Across { iteration, back } if carried => {
+                    let (nearest, rest) = out.split_first_mut()?;
+                    *nearest = history.probe(slot_at(index - 1)?, back, iteration)?;
+                    rest.copy_from_slice(&last[..rest.len()]);
+                    Some(())
+                }
+                _ => self.write_row(history, reads, Some(own), Some(index), &slot_at, out),
+            });
+            appended += usize::from(carried);
+        }
+        appended
+    }
+
+    /// The slot of the `index`-th location of the spatial characteristic,
+    /// looked up by location (the wrappers' resolver).
+    fn slot_by_location(&self, history: &SampleHistory, index: usize) -> Option<SlotId> {
+        history.slot_id(self.spatial.nth(index)? as usize)
+    }
+
     /// Writes the predictor values that would be used to *predict*
     /// `V(location, iteration)` into `out` (which must hold exactly `order`
     /// elements). Returns `None` — leaving `out` in an unspecified state —
     /// when the history does not yet contain every value the row needs
     /// (early in the run, or at the low edge of the spatial range).
     ///
-    /// This is the allocation-free kernel behind both batch assembly
-    /// ([`BatchAssembler::append_rows_for_iteration`]) and forecasting
-    /// ([`BatchAssembler::predictors_for`]).
+    /// Location-keyed wrapper over the same allocation-free row routine the
+    /// slot-addressed collector path uses; see also
+    /// [`BatchAssembler::predictors_for`].
     pub fn write_predictors_for(
         &self,
         history: &SampleHistory,
@@ -142,36 +261,41 @@ impl BatchAssembler {
         iteration: u64,
         out: &mut [f64],
     ) -> Option<()> {
+        self.write_predictors(history, location, iteration, out, |k| {
+            self.slot_by_location(history, k)
+        })
+    }
+
+    /// [`BatchAssembler::write_predictors_for`] over pre-resolved slots:
+    /// `slots[k]` is the slot of the `k`-th location of the spatial
+    /// characteristic.
+    pub(crate) fn write_predictors_in_slots(
+        &self,
+        history: &SampleHistory,
+        slots: &[SlotId],
+        location: usize,
+        iteration: u64,
+        out: &mut [f64],
+    ) -> Option<()> {
+        self.write_predictors(history, location, iteration, out, |k| slots.get(k).copied())
+    }
+
+    fn write_predictors<S>(
+        &self,
+        history: &SampleHistory,
+        location: usize,
+        iteration: u64,
+        out: &mut [f64],
+        slot_at: S,
+    ) -> Option<()>
+    where
+        S: Fn(usize) -> Option<SlotId>,
+    {
         debug_assert_eq!(out.len(), self.order, "predictor buffer must match order");
-        match self.layout {
-            PredictorLayout::SpatioTemporal => {
-                let lagged = self.lagged_iteration(iteration)?;
-                let loc_index = self.spatial.index_of(location as u64)?;
-                for (i, slot) in out.iter_mut().enumerate() {
-                    let prev_index = loc_index.checked_sub(i + 1)?;
-                    let prev_loc = self.spatial.nth(prev_index)? as usize;
-                    *slot = history.value_at(prev_loc, lagged)?;
-                }
-            }
-            PredictorLayout::Temporal => {
-                let it_index = self.temporal.index_of(iteration)?;
-                let lag_steps = (self.lag / self.temporal.step()).max(1) as usize;
-                for (i, slot) in out.iter_mut().enumerate() {
-                    let prev_index = it_index.checked_sub((i + 1) * lag_steps)?;
-                    let prev_it = self.temporal.nth(prev_index)?;
-                    *slot = history.value_at(location, prev_it)?;
-                }
-            }
-            PredictorLayout::Spatial => {
-                let loc_index = self.spatial.index_of(location as u64)?;
-                for (i, slot) in out.iter_mut().enumerate() {
-                    let prev_index = loc_index.checked_sub(i + 1)?;
-                    let prev_loc = self.spatial.nth(prev_index)? as usize;
-                    *slot = history.value_at(prev_loc, iteration)?;
-                }
-            }
-        }
-        Some(())
+        let reads = self.reads_for(iteration)?;
+        let own = history.slot_id(location);
+        let index = self.spatial.index_of(location as u64);
+        self.write_row(history, reads, own, index, &slot_at, out)
     }
 
     /// The predictor vector that would be used to *predict*
@@ -196,9 +320,11 @@ impl BatchAssembler {
 
     /// Appends every row that can be formed for a given iteration across
     /// the spatial characteristic directly into `batch` (predictors are
-    /// written in place — zero per-row allocations). This is what the
-    /// collector calls after recording an iteration's samples. Returns the
-    /// number of rows appended.
+    /// written in place — zero per-row allocations). Returns the number of
+    /// rows appended.
+    ///
+    /// Location-keyed wrapper over the row routine the collector drives
+    /// with its pre-resolved slots.
     ///
     /// # Panics
     ///
@@ -210,25 +336,38 @@ impl BatchAssembler {
         iteration: u64,
         batch: &mut MiniBatch,
     ) -> usize {
-        debug_assert_eq!(
-            batch.order(),
-            self.order,
-            "batch stride must match the assembler order"
-        );
-        let mut appended = 0;
-        for loc in self.spatial.iter() {
-            let location = loc as usize;
-            let Some(target) = history.value_at(location, iteration) else {
-                continue;
-            };
-            if batch.push_with(target, |out| {
-                self.write_predictors_for(history, location, iteration, out)
-            }) {
-                appended += 1;
-            }
-        }
-        appended
+        self.append_rows(history, iteration, batch, |k| {
+            self.slot_by_location(history, k)
+        })
     }
+
+    /// [`BatchAssembler::append_rows_for_iteration`] over pre-resolved
+    /// slots: `slots[k]` is the slot of the `k`-th location of the spatial
+    /// characteristic. What the collector calls after recording an
+    /// iteration's samples.
+    pub(crate) fn append_rows_in_slots(
+        &self,
+        history: &SampleHistory,
+        slots: &[SlotId],
+        iteration: u64,
+        batch: &mut MiniBatch,
+    ) -> usize {
+        self.append_rows(history, iteration, batch, |k| slots.get(k).copied())
+    }
+}
+
+/// Where the predictors of one target iteration are read, resolved once
+/// per call by `BatchAssembler::reads_for`. `back` distances count samples
+/// before the target's newest sample on an unbroken cadence; they only
+/// steer [`SampleHistory::probe`] to the right sample, which verifies the
+/// iteration and falls back to a lookup when the cadence had gaps.
+#[derive(Debug, Clone, Copy)]
+enum Reads {
+    /// Preceding locations, all at `iteration`.
+    Across { iteration: u64, back: usize },
+    /// The target's own location, `lag_steps`, `2·lag_steps`, … sampled
+    /// iterations before the target's index `it_index`.
+    Along { it_index: usize, lag_steps: usize },
 }
 
 #[cfg(test)]

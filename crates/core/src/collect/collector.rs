@@ -241,8 +241,12 @@ impl Collector {
     /// recycled buffer and returns it. Must be called after
     /// [`Collector::sample`] for the same iteration.
     pub fn assemble(&mut self, iteration: u64) -> Option<MiniBatch> {
-        self.assembler
-            .append_rows_for_iteration(&self.history, iteration, &mut self.batch);
+        self.assembler.append_rows_in_slots(
+            &self.history,
+            &self.slot_ids,
+            iteration,
+            &mut self.batch,
+        );
         if self.batch.is_full() {
             let fresh = self.pool.acquire();
             Some(std::mem::replace(&mut self.batch, fresh))
@@ -301,8 +305,13 @@ impl Collector {
         iteration: u64,
         out: &mut [f64],
     ) -> Option<()> {
-        self.assembler
-            .write_predictors_for(&self.history, location, iteration, out)
+        self.assembler.write_predictors_in_slots(
+            &self.history,
+            &self.slot_ids,
+            location,
+            iteration,
+            out,
+        )
     }
 
     /// Appends the collector's mutable state — history, collected-iteration
@@ -529,6 +538,51 @@ mod tests {
         let mut buf = [0.0; 2];
         c.write_predictors_for(6, 100, &mut buf).unwrap();
         assert_eq!(buf, [5.0, 4.0]);
+    }
+
+    #[test]
+    fn restored_foreign_location_keeps_the_representative_exact() {
+        use crate::collect::Sample;
+        use crate::snapshot::{Dec, Enc};
+
+        // A snapshot whose history holds location 40, which this collector
+        // (locations 1..=6) never samples, with more samples than any of
+        // its own locations.
+        let mut foreign = SampleHistory::new();
+        for it in (0..=80u64).step_by(10) {
+            foreign.record(Sample::new(it, 40, 1.0));
+        }
+        for it in (0..=30u64).step_by(10) {
+            for loc in 1..=6 {
+                foreign.record(Sample::new(it, loc, loc as f64));
+            }
+        }
+        let mut enc = Enc::default();
+        foreign.snapshot_encode(&mut enc);
+        enc.put_u64(4);
+        enc.put_f64_slice(&[]);
+        enc.put_f64_slice(&[]);
+        let mut c = collector();
+        let state = c.snapshot_decode(&mut Dec::new(&enc.buf)).unwrap();
+        c.snapshot_apply(state);
+
+        let provider = |_d: &(), loc: usize| loc as f64;
+        let mut iteration = 40;
+        loop {
+            let h = c.history();
+            let scanned = h.iter_locations().max_by_key(|&loc| h.recorded_of(loc));
+            assert_eq!(h.representative(), scanned, "at iteration {iteration}");
+            if iteration > 100 {
+                break;
+            }
+            c.observe(iteration, &(), &provider);
+            iteration += 10;
+        }
+        // The foreign location led until the collector's own locations
+        // tied it (the largest id won) and then passed it.
+        assert_eq!(c.history().recorded_of(40), 9);
+        assert_eq!(c.history().recorded_of(6), 11);
+        assert_eq!(c.history().representative(), Some(6));
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //!   location and updated in place as samples arrive;
 //! * [`SampleHistory::latest_of`] / [`SampleHistory::iter_latest`] — the
 //!   most recent value per location (the per-step "wave front" scan);
-//! * per-slot sample counts and last iterations.
+//! * per-slot sample counts and last iterations;
+//! * [`SampleHistory::representative`] — the location with the most
+//!   recorded samples, kept current as samples are appended.
 //!
 //! # Retention
 //!
@@ -199,9 +201,32 @@ impl Slot {
         }
     }
 
-    /// Appends a sample, evicting past the retention window. Returns `true`
-    /// when a new sample was appended (`false` for a same-iteration
-    /// overwrite) and whether the shared peak profile entry must change.
+    /// The value `back` samples before the newest, if that sample was
+    /// recorded at `iteration`; otherwise whatever [`Slot::value_at`] finds.
+    /// On a regular series a sample's position fixes its iteration
+    /// (`first_iteration + stride · position`, the progression the record
+    /// path checks every append against), so the match is decided without
+    /// reading the iteration column and is exactly the sample `value_at`
+    /// would return.
+    #[inline]
+    fn probe(&self, back: usize, iteration: u64) -> Option<f64> {
+        if self.regular && back < self.visible_len() {
+            let position = (self.logical_len() - 1 - back) as u64;
+            if self
+                .first_iteration
+                .wrapping_add(self.stride.wrapping_mul(position))
+                == iteration
+            {
+                return Some(self.values[self.values.len() - 1 - back]);
+            }
+        }
+        self.value_at(iteration)
+    }
+
+    /// Appends a sample, evicting past the retention window. Returns the
+    /// slot's new ever-recorded count when a sample was appended (`None`
+    /// for a same-iteration overwrite) and whether the shared peak profile
+    /// entry must change.
     fn record(&mut self, iteration: u64, value: f64, window: Option<usize>) -> RecordOutcome {
         if let Some(&last_it) = self.iterations.last() {
             if last_it == iteration {
@@ -228,7 +253,7 @@ impl Slot {
                     false
                 };
                 return RecordOutcome {
-                    appended: false,
+                    recorded: None,
                     peak_changed,
                 };
             }
@@ -286,7 +311,7 @@ impl Slot {
             }
         }
         RecordOutcome {
-            appended: true,
+            recorded: Some(self.logical_len()),
             peak_changed,
         }
     }
@@ -305,8 +330,26 @@ impl Slot {
     }
 }
 
+/// Whether `visible` — the surviving iterations of a slot that evicted
+/// `evicted` samples — is the strictly increasing progression
+/// `first + stride · k` the record path maintains for a regular slot: the
+/// invariant that lets [`Slot::probe`] and [`Slot::value_at`] locate a
+/// sample from its position alone. Checked on snapshot decode.
+fn on_progression(visible: &[u64], first: u64, stride: u64, evicted: usize) -> bool {
+    let recorded = evicted.saturating_add(visible.len());
+    (stride > 0 || recorded <= 1)
+        && visible.iter().enumerate().all(|(i, &iteration)| {
+            let position = (evicted as u64).checked_add(i as u64);
+            position
+                .and_then(|k| stride.checked_mul(k))
+                .and_then(|offset| first.checked_add(offset))
+                == Some(iteration)
+        })
+}
+
 struct RecordOutcome {
-    appended: bool,
+    /// The ever-recorded count after an append; `None` for an overwrite.
+    recorded: Option<usize>,
     peak_changed: bool,
 }
 
@@ -365,6 +408,10 @@ pub struct SampleHistory {
     /// sorted by location — maintained incrementally at record time and
     /// handed to the extractors as a borrowed slice.
     profile: Vec<(usize, f64)>,
+    /// `(recorded count, location)` of the representative location: the
+    /// maximum over every sampled slot, updated as samples are appended
+    /// (counts never shrink, so the maximum only moves up).
+    representative: Option<(usize, usize)>,
     retention: Retention,
     total: usize,
 }
@@ -465,17 +512,24 @@ impl SampleHistory {
     /// updates its running statistics without consulting the location map.
     pub fn record_in_slot(&mut self, slot: SlotId, iteration: u64, value: f64) {
         let window = self.retention.window();
-        let first_sample = self.slots[slot.0 as usize].visible_len() == 0
-            && self.slots[slot.0 as usize].evicted == 0;
-        let outcome = self.slots[slot.0 as usize].record(iteration, value, window);
-        if outcome.appended {
+        let s = &mut self.slots[slot.0 as usize];
+        let outcome = s.record(iteration, value, window);
+        let (location, peak, profile_pos) = (s.location, s.peak, s.profile_pos);
+        if let Some(recorded) = outcome.recorded {
             self.total += 1;
+            if self
+                .representative
+                .is_none_or(|best| (recorded, location) >= best)
+            {
+                self.representative = Some((recorded, location));
+            }
+            if recorded == 1 {
+                self.insert_profile_entry(slot.0);
+                return;
+            }
         }
-        if first_sample {
-            self.insert_profile_entry(slot.0);
-        } else if outcome.peak_changed {
-            let s = &self.slots[slot.0 as usize];
-            self.profile[s.profile_pos].1 = s.peak;
+        if outcome.peak_changed {
+            self.profile[profile_pos].1 = peak;
         }
     }
 
@@ -500,6 +554,23 @@ impl SampleHistory {
                 .expect("profiled locations have slots");
             self.slots[displaced as usize].profile_pos += 1;
         }
+    }
+
+    /// The slot handle of a registered location, without registering it.
+    pub(crate) fn slot_id(&self, location: usize) -> Option<SlotId> {
+        self.map.get(location).map(SlotId)
+    }
+
+    /// O(1) slot-addressed point lookup: the sample `back` entries before
+    /// the slot's newest, if it was recorded at `iteration`. When it was
+    /// not, or the series is irregular, this falls back to
+    /// [`SampleHistory::value_at`], so it always returns exactly what
+    /// `value_at(location, iteration)` returns for the slot's location.
+    /// `back` is only a hint: the batch assembler derives it from the
+    /// sampling cadence once per target iteration.
+    #[inline]
+    pub(crate) fn probe(&self, slot: SlotId, back: usize, iteration: u64) -> Option<f64> {
+        self.slots[slot.0 as usize].probe(back, iteration)
     }
 
     fn slot(&self, location: usize) -> Option<&Slot> {
@@ -563,6 +634,13 @@ impl SampleHistory {
     pub fn last_iteration_of(&self, location: usize) -> Option<u64> {
         self.slot(location)
             .and_then(|s| s.visible_iterations().last().copied())
+    }
+
+    /// The location with the most samples ever recorded, ties broken by
+    /// the largest location id — `iter_locations().max_by_key(recorded_of)`,
+    /// kept current at record time, O(1).
+    pub fn representative(&self) -> Option<usize> {
+        self.representative.map(|(_, location)| location)
     }
 
     /// The value observed at `(location, iteration)`, if it was sampled and
@@ -653,6 +731,7 @@ impl SampleHistory {
             slot.clear();
         }
         self.profile.clear();
+        self.representative = None;
         self.total = 0;
     }
 
@@ -731,6 +810,9 @@ impl SampleHistory {
             if start > values.len() {
                 return Err(corrupt("slot start index past the end of its columns"));
             }
+            if regular && !on_progression(&iterations[start..], first_iteration, stride, evicted) {
+                return Err(corrupt("regular slot's iterations leave its progression"));
+            }
             slots.push(Slot {
                 location,
                 iterations,
@@ -776,6 +858,7 @@ impl SampleHistory {
 
         let mut sampled = 0usize;
         let mut recorded = 0usize;
+        let mut representative = None;
         for slot in &slots {
             recorded = recorded
                 .checked_add(slot.logical_len())
@@ -787,6 +870,7 @@ impl SampleHistory {
                 continue;
             }
             sampled += 1;
+            representative = representative.max(Some((slot.logical_len(), slot.location)));
             let anchored = profile.get(slot.profile_pos).is_some_and(|&(loc, peak)| {
                 loc == slot.location && peak.to_bits() == slot.peak.to_bits()
             });
@@ -808,6 +892,7 @@ impl SampleHistory {
             slots,
             sorted,
             profile,
+            representative,
             retention,
             total,
         })
@@ -1075,6 +1160,128 @@ mod tests {
             }
         }
         assert_eq!(h, restored);
+    }
+
+    /// The record-time representative against the scan it replaced.
+    fn assert_representative(h: &SampleHistory, what: &str) {
+        let scanned = h.iter_locations().max_by_key(|&loc| h.recorded_of(loc));
+        assert_eq!(h.representative(), scanned, "{what}");
+    }
+
+    #[test]
+    fn representative_tracks_the_most_recorded_location() {
+        for retention in [Retention::Full, Retention::Window(3)] {
+            let mut h = SampleHistory::with_retention(retention);
+            h.reserve(&[1, 2, 3, 4], 8);
+            assert_representative(&h, "empty");
+            // A small LCG drives records, overwrites, out-of-order arrivals,
+            // clears and snapshot round trips.
+            let mut state = 0x2545_F491_4F6C_DD1Du64;
+            let mut next = |bound: u64| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) % bound
+            };
+            let mut iteration = 0u64;
+            for op in 0..600 {
+                match next(40) {
+                    0 => {
+                        h.clear();
+                        assert_representative(&h, "after clear");
+                    }
+                    1 => {
+                        h = round_trip(&h);
+                        assert_representative(&h, "after decode");
+                    }
+                    roll => {
+                        // Mostly forward; sometimes the same iteration (an
+                        // overwrite) or an older one (out of order).
+                        iteration = match roll {
+                            2..=4 => iteration,
+                            5 => iteration.saturating_sub(next(4)),
+                            _ => iteration + 1 + next(2),
+                        };
+                        let location = [1, 2, 3, 4, 9][next(5) as usize];
+                        h.record(Sample::new(iteration, location, next(100) as f64));
+                    }
+                }
+                assert_representative(&h, &format!("{retention:?} op {op}"));
+            }
+        }
+    }
+
+    #[test]
+    fn representative_ties_go_to_the_largest_location() {
+        let mut h = SampleHistory::new();
+        for &loc in &[5usize, 2, 8, 3] {
+            h.record(Sample::new(0, loc, 1.0));
+        }
+        assert_eq!(h.representative(), Some(8));
+        h.record(Sample::new(1, 3, 1.0));
+        assert_eq!(h.representative(), Some(3));
+        // An overwrite does not add a sample.
+        h.record(Sample::new(0, 8, 2.0));
+        assert_eq!(h.representative(), Some(3));
+        h.record(Sample::new(1, 8, 2.0));
+        assert_eq!(h.representative(), Some(8));
+    }
+
+    #[test]
+    fn probe_returns_exactly_what_value_at_returns() {
+        let mut gapped = SampleHistory::with_retention(Retention::Window(4));
+        let mut out_of_order = SampleHistory::new();
+        for it in [0u64, 3, 6, 9, 12, 18, 21, 24, 27] {
+            gapped.record(Sample::new(it, 1, it as f64 * 0.5));
+        }
+        for it in [0u64, 3, 6, 9, 6, 12, 15] {
+            out_of_order.record(Sample::new(it, 1, it as f64 + 0.25));
+        }
+        for h in [&filled(), &gapped, &out_of_order] {
+            for loc in 1..=3usize {
+                let Some(slot) = h.slot_id(loc) else {
+                    continue;
+                };
+                for back in 0..12 {
+                    for it in 0..50u64 {
+                        assert_eq!(
+                            h.probe(slot, back, it).map(f64::to_bits),
+                            h.value_at(loc, it).map(f64::to_bits),
+                            "location {loc}, back {back}, iteration {it}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_decode_rejects_a_regular_slot_off_its_progression() {
+        use crate::snapshot::{Dec, Enc};
+
+        // Two samples at one iteration on a "regular" slot with stride 0:
+        // a state recording can never reach, where a positional probe
+        // and `value_at` would disagree.
+        let mut enc = Enc::default();
+        enc.put_u8(0); // Retention::Full
+        enc.put_usize(2); // total
+        enc.put_usize(1); // one slot
+        enc.put_usize(1); // location
+        enc.put_u64_slice(&[5, 5]);
+        enc.put_f64_slice(&[1.0, 2.0]);
+        enc.put_usize(0); // start
+        enc.put_usize(0); // evicted
+        enc.put_f64(2.0); // peak
+        enc.put_f64(f64::NEG_INFINITY); // evicted peak
+        enc.put_u64(5); // first iteration
+        enc.put_u64(0); // stride
+        enc.put_bool(true); // regular
+        enc.put_opt_usize(Some(0));
+        enc.put_usize(1);
+        enc.put_usize(1);
+        enc.put_f64(2.0);
+        let err = SampleHistory::snapshot_decode(&mut Dec::new(&enc.buf)).unwrap_err();
+        assert!(err.to_string().contains("progression"), "{err}");
     }
 
     #[test]

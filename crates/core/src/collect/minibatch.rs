@@ -165,9 +165,21 @@ impl MiniBatch {
     where
         F: FnOnce(&mut [f64]) -> Option<()>,
     {
+        self.push_after(target, |_, row| fill(row))
+    }
+
+    /// [`MiniBatch::push_with`] whose `fill` also reads the predictors of
+    /// the last row in the batch (an empty slice when there is none), so an
+    /// assembler can carry values over from one row to the next.
+    pub(crate) fn push_after<F>(&mut self, target: f64, fill: F) -> bool
+    where
+        F: FnOnce(&[f64], &mut [f64]) -> Option<()>,
+    {
         let start = self.inputs.len();
         self.inputs.resize(start + self.order, 0.0);
-        if fill(&mut self.inputs[start..]).is_some() {
+        let (earlier, row) = self.inputs.split_at_mut(start);
+        let last = &earlier[start.saturating_sub(self.order)..];
+        if fill(last, row).is_some() {
             self.targets.push(target);
             true
         } else {

@@ -35,6 +35,8 @@ mod collector;
 mod history;
 mod minibatch;
 mod sample;
+#[cfg(test)]
+mod slot_assembly_tests;
 
 pub use assembler::{BatchAssembler, PredictorLayout};
 pub(crate) use collector::CollectorState;

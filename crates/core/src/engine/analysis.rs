@@ -93,11 +93,6 @@ pub(crate) struct Analysis<D: ?Sized> {
     pub(crate) store: Collector,
     slot: TrainerSlot,
     feature: Option<FeatureValue>,
-    /// Cached representative location (the one with the longest series),
-    /// recomputed only when the history grows instead of on every status
-    /// poll / prediction.
-    representative: Option<usize>,
-    representative_len: usize,
     /// Reusable predictor buffer (`order` slots) for the per-step
     /// prediction at the representative location.
     predictor_scratch: Vec<f64>,
@@ -136,8 +131,6 @@ impl<D: ?Sized> Analysis<D> {
             store,
             slot: TrainerSlot::Idle(Box::new(trainer)),
             feature: None,
-            representative: None,
-            representative_len: 0,
             predictor_scratch: vec![0.0; order],
             batches_trained: 0,
             train_ewma_ns: 0,
@@ -159,13 +152,8 @@ impl<D: ?Sized> Analysis<D> {
     /// characteristic and append to the history. Returns the number of
     /// samples recorded (0 when the iteration is not selected).
     pub(crate) fn sample(&mut self, iteration: u64, domain: &D) -> usize {
-        let samples = self
-            .store
-            .sample(iteration, domain, self.spec.provider.as_ref());
-        if samples > 0 {
-            self.refresh_representative();
-        }
-        samples
+        self.store
+            .sample(iteration, domain, self.spec.provider.as_ref())
     }
 
     /// Stage 2 — **assemble**: write fresh samples into the columnar batch;
@@ -297,7 +285,7 @@ impl<D: ?Sized> Analysis<D> {
             FeatureKind::DelayTime => {
                 // The SoA history hands the extractor its iteration and
                 // value columns directly — no gather into scratch vectors.
-                let location = self.representative.unwrap_or(0);
+                let location = history.representative().unwrap_or(0);
                 let iterations = history.iterations_of(location);
                 let values = history.values_of(location);
                 iterations.zip(values).and_then(|(iterations, values)| {
@@ -320,21 +308,6 @@ impl<D: ?Sized> Analysis<D> {
         }
     }
 
-    /// Updates the cached representative location — the location with the
-    /// most samples (ties broken by the largest id). Called from the sample
-    /// stage, the only place the history grows.
-    fn refresh_representative(&mut self) {
-        let history = self.store.history();
-        let len = history.len();
-        if len == self.representative_len {
-            return;
-        }
-        self.representative_len = len;
-        self.representative = history
-            .iter_locations()
-            .max_by_key(|loc| history.recorded_of(*loc));
-    }
-
     /// Latest one-step prediction at the representative location, if the
     /// model is resident, trained, and enough history exists. Uses the
     /// reusable predictor scratch — no allocation on the per-step status
@@ -344,7 +317,7 @@ impl<D: ?Sized> Analysis<D> {
         if !trainer.model().is_trained() {
             return None;
         }
-        let location = self.representative.unwrap_or(0);
+        let location = self.store.history().representative().unwrap_or(0);
         let latest_iteration = self.store.history().last_iteration_of(location)?;
         self.store
             .write_predictors_for(location, latest_iteration, &mut self.predictor_scratch)?;
@@ -407,8 +380,12 @@ impl<D: ?Sized> Analysis<D> {
                 put_feature(enc, f);
             }
         }
-        enc.put_opt_usize(self.representative);
-        enc.put_usize(self.representative_len);
+        // The representative location and the sample count it belongs to:
+        // derived from the history (and rebuilt from it on decode), written
+        // so the record layout stays the same.
+        let history = self.store.history();
+        enc.put_opt_usize(history.representative());
+        enc.put_usize(history.len());
         enc.put_usize(self.batches_trained);
     }
 
@@ -431,15 +408,14 @@ impl<D: ?Sized> Analysis<D> {
             1 => Some(take_feature(dec)?),
             t => return Err(corrupt(format!("invalid feature option tag {t}"))),
         };
-        let representative = dec.take_opt_usize()?;
-        let representative_len = dec.take_usize()?;
+        // The derived representative and its sample count: read and ignored.
+        dec.take_opt_usize()?;
+        dec.take_usize()?;
         let batches_trained = dec.take_usize()?;
         Ok(AnalysisState {
             store,
             trainer,
             feature,
-            representative,
-            representative_len,
             batches_trained,
         })
     }
@@ -457,8 +433,6 @@ impl<D: ?Sized> Analysis<D> {
         self.store.snapshot_apply(state.store);
         self.slot = TrainerSlot::Idle(Box::new(state.trainer));
         self.feature = state.feature;
-        self.representative = state.representative;
-        self.representative_len = state.representative_len;
         self.batches_trained = state.batches_trained;
         // The placement estimates are diagnostics, not state: they restart
         // empty, like telemetry.
@@ -474,7 +448,5 @@ pub(crate) struct AnalysisState {
     store: CollectorState,
     trainer: IncrementalTrainer,
     feature: Option<FeatureValue>,
-    representative: Option<usize>,
-    representative_len: usize,
     batches_trained: usize,
 }

@@ -79,7 +79,9 @@ use parsim::ThreadPool;
 use crate::collect::SampleHistory;
 use crate::error::{Error, Result};
 use crate::model::IncrementalTrainer;
-use crate::region::{AnalysisSpec, ExitAction, NullBroadcaster, RegionStatus, StatusBroadcaster};
+use crate::region::{
+    AnalysisSpec, ExitAction, FeatureValue, NullBroadcaster, RegionStatus, StatusBroadcaster,
+};
 use crate::snapshot::{
     corrupt, parse_container, Container, Dec, Enc, SECTION_ENGINE, SECTION_REGION,
 };
@@ -810,11 +812,7 @@ impl<D: ?Sized> Engine<D> {
         for analysis in &mut slot.analyses {
             analysis.try_extract();
         }
-        slot.status.features = slot
-            .analyses
-            .iter()
-            .filter_map(|a| a.feature().cloned().map(|f| (a.spec.name().to_string(), f)))
-            .collect();
+        Self::sync_features(&mut slot.status.features, &slot.analyses);
         Ok(())
     }
 
@@ -981,11 +979,34 @@ impl<D: ?Sized> Engine<D> {
         region.status.batches_trained = analyses.iter().map(|a| a.batches_trained).sum();
         region.status.converged = all_done;
         region.status.front_location = Self::front_location(analyses);
-        region.status.features = analyses
-            .iter()
-            .filter_map(|a| a.feature().cloned().map(|f| (a.spec.name().to_string(), f)))
-            .collect();
+        Self::sync_features(&mut region.status.features, analyses);
         region.status.should_terminate = all_done && wants_termination;
+    }
+
+    /// Brings a status' feature list in line with its analyses: one
+    /// `(name, feature)` entry per analysis that has extracted its feature,
+    /// in analysis order. Entries are overwritten in place, so a step whose
+    /// features did not change reuses their `String`s and `Vec` instead of
+    /// rebuilding them.
+    fn sync_features(features: &mut Vec<(String, FeatureValue)>, analyses: &[Analysis<D>]) {
+        let mut len = 0;
+        for analysis in analyses {
+            let Some(feature) = analysis.feature() else {
+                continue;
+            };
+            let name = analysis.spec.name();
+            match features.get_mut(len) {
+                Some((entry_name, entry)) => {
+                    if entry_name != name {
+                        *entry_name = name.to_owned();
+                    }
+                    entry.clone_from(feature);
+                }
+                None => features.push((name.to_string(), feature.clone())),
+            }
+            len += 1;
+        }
+        features.truncate(len);
     }
 
     /// The location of the maximum most-recently-observed value across the
@@ -1853,5 +1874,78 @@ mod tests {
                     .samples_collected,
             "coarsening must actually drop samples"
         );
+    }
+
+    /// The feature list as `refresh_status` used to rebuild it every step.
+    fn rebuilt_features(engine: &Engine<Pulse>, region: RegionId) -> Vec<(String, FeatureValue)> {
+        engine.regions[region.0]
+            .analyses
+            .iter()
+            .filter_map(|a| a.feature().cloned().map(|f| (a.spec.name().to_string(), f)))
+            .collect()
+    }
+
+    #[test]
+    fn in_place_features_match_the_rebuilt_list() {
+        // Threshold-only analyses extract once their collection finishes,
+        // so different temporal ends make them extract in an order unlike
+        // their registration order: entries appear in the middle of the
+        // list and shift the names after them.
+        fn arm(engine: &mut Engine<Pulse>) -> RegionId {
+            let region = engine.add_region("pulse").unwrap();
+            for (name, end, feature) in [
+                (
+                    "breakpoint-late",
+                    60,
+                    FeatureKind::Breakpoint { threshold: 0.05 },
+                ),
+                ("outliers-mid", 40, FeatureKind::Outliers { threshold: 1.0 }),
+                ("delay-early", 20, FeatureKind::DelayTime),
+                (
+                    "breakpoint-mid",
+                    40,
+                    FeatureKind::Breakpoint { threshold: 0.2 },
+                ),
+            ] {
+                let spec = AnalysisSpec::builder()
+                    .name(name)
+                    .provider(|d: &Pulse, loc: usize| d.values.get(loc).copied().unwrap_or(0.0))
+                    .spatial(IterParam::new(1, 12, 1).unwrap())
+                    .temporal(IterParam::new(0, end, 1).unwrap())
+                    .method(crate::region::AnalysisMethod::ThresholdOnly)
+                    .feature(feature)
+                    .build()
+                    .unwrap();
+                engine.add_analysis(region, spec).unwrap();
+            }
+            region
+        }
+        let mut engine: Engine<Pulse> = Engine::new();
+        let region = arm(&mut engine);
+        let mut domain = Pulse::new();
+        let mut lengths = Vec::new();
+        for it in 0..80 {
+            let step = engine.step(it);
+            domain.advance(it);
+            let report = step.complete(&domain);
+            let want = rebuilt_features(&engine, region);
+            assert_eq!(report.region(region).unwrap().features, want, "step {it}");
+            lengths.push(want.len());
+        }
+        // All three extraction waves happened.
+        for len in [1, 3, 4] {
+            assert!(lengths.contains(&len), "lengths {lengths:?}");
+        }
+
+        // A restored engine starts from the snapshot's list and keeps it in
+        // line from there.
+        let bytes = engine.snapshot();
+        let mut restored: Engine<Pulse> = Engine::new();
+        let r = arm(&mut restored);
+        restored.restore(&bytes).unwrap();
+        restored.extract_now(r).unwrap();
+        let features = &restored.status(r).unwrap().features;
+        assert_eq!(*features, rebuilt_features(&restored, r));
+        assert_eq!(*features, engine.status(region).unwrap().features);
     }
 }

@@ -3,7 +3,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{Error, Result};
-use crate::tracking::{find_inflections, gradients, moving_average};
 
 /// Result of a delay-time extraction.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -24,9 +23,17 @@ pub struct DelayTimeResult {
 ///
 /// The paper identifies the detonation as the point where "the rate of
 /// increase in [the variable's] value suddenly decreases" — the strongest
-/// inflection. The extractor smooths the series lightly, finds all
-/// inflection points, ranks them by gradient drop and interpolates the
-/// timestamp between samples.
+/// inflection. The extractor smooths the series lightly (a centred moving
+/// average), collects two kinds of candidates — inflections (extrema of the
+/// gradient) and jumps between consecutive gradients — ranks them by
+/// gradient drop and reports the timestamp of the winning sample.
+///
+/// Extraction is one streaming pass over the series that allocates nothing,
+/// so an engine can re-run it on the simulation thread every step. It is
+/// bit-identical to composing the public
+/// [`moving_average`](crate::tracking::moving_average),
+/// [`find_inflections`](crate::tracking::find_inflections) and
+/// [`gradients`](crate::tracking::gradients) passes the same way.
 ///
 /// ```
 /// use insitu::extract::DelayTimeExtractor;
@@ -110,47 +117,82 @@ impl DelayTimeExtractor {
 
     /// Shared kernel: locates the strongest regime change in `values` and
     /// reads the timestamp of the winning index off `time_of`.
+    ///
+    /// One streaming pass over the smoothed series `s` (the
+    /// [`moving_average`](crate::tracking::moving_average) of `values`) and
+    /// its gradients `g[i] = s[i + 1] - s[i]`, holding four smoothed samples
+    /// at a time — nothing is allocated. Candidate regime changes come from
+    /// two complementary detectors:
+    ///
+    /// * inflections ([`find_inflections`](crate::tracking::find_inflections)):
+    ///   extrema of the gradient, which mark smooth, logistic-like
+    ///   transitions — candidate `(i + 1, |g[i] - g[i + 1]|)`;
+    /// * gradient jumps: the change between consecutive gradients, which
+    ///   marks piecewise "knee" transitions where the gradient steps without
+    ///   peaking — candidate `(i, |g[i] - g[i - 1]|)`, skipping the gradients
+    ///   whose smoothing window was truncated at the series boundary (the
+    ///   truncation itself produces a spurious slope change there).
+    ///
+    /// The winner is the largest drop at or above the minimum, ranked as if
+    /// all inflections preceded all jumps and the last maximum won
+    /// (`Iterator::max_by`); each detector keeps its own running best, and
+    /// the two are combined by the same rule at the end.
     fn extract_with_time_axis<F>(&self, values: &[f64], time_of: F) -> Result<DelayTimeResult>
     where
         F: Fn(usize) -> f64,
     {
-        if values.len() < 5 {
+        let n = values.len();
+        if n < 5 {
             return Err(Error::NotEnoughData {
-                available: values.len(),
+                available: n,
                 required: 5,
             });
         }
-        let smoothed = moving_average(values, self.smoothing_half_window);
+        let half = self.smoothing_half_window;
+        let smoothed = |i: usize| {
+            if half == 0 {
+                values[i]
+            } else {
+                let lo = i.saturating_sub(half);
+                let hi = (i + half + 1).min(n);
+                values[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
+            }
+        };
+        let margin = half + 1;
+        let jumps = margin..(n - 1).saturating_sub(margin);
 
-        // Candidate regime changes come from two complementary detectors:
-        // extrema of the gradient (smooth, logistic-like transitions) and
-        // the largest jump between consecutive gradients (piecewise "knee"
-        // transitions where the gradient steps without peaking).
-        let mut candidates: Vec<(usize, f64)> = find_inflections(&smoothed)
-            .into_iter()
-            .map(|p| (p.index, p.gradient_drop()))
-            .collect();
-        // Skip gradient samples whose smoothing window was truncated at the
-        // series boundary — the truncation itself produces a spurious slope
-        // change there.
-        let grads = gradients(&smoothed);
-        let margin = self.smoothing_half_window + 1;
-        let lo = margin.min(grads.len());
-        let hi = grads.len().saturating_sub(margin);
-        for i in lo.max(1)..hi {
-            let drop = (grads[i] - grads[i - 1]).abs();
-            candidates.push((i, drop));
+        let mut best_inflection: Option<(usize, f64)> = None;
+        let mut best_jump: Option<(usize, f64)> = None;
+        let offer = |best: &mut Option<(usize, f64)>, index: usize, drop: f64| {
+            if drop >= self.minimum_gradient_drop {
+                *best = Some(match *best {
+                    Some(held) if last_max_keeps(held, (index, drop)) => held,
+                    _ => (index, drop),
+                });
+            }
+        };
+        // Rolling window s[i - 1], s[i], s[i + 1], s[i + 2].
+        let (mut s0, mut s1, mut s2) = (smoothed(0), smoothed(1), smoothed(2));
+        for i in 1..n - 2 {
+            let s3 = smoothed(i + 2);
+            let (g_prev, g, g_next) = (s1 - s0, s2 - s1, s3 - s2);
+            let (k2, k3) = (g - g_prev, g_next - g);
+            if (k2 > 0.0 && k3 < 0.0) || (k2 < 0.0 && k3 > 0.0) {
+                offer(&mut best_inflection, i + 1, (g - g_next).abs());
+            }
+            if jumps.contains(&i) {
+                offer(&mut best_jump, i, (g - g_prev).abs());
+            }
+            (s0, s1, s2) = (s1, s2, s3);
         }
 
-        let best = candidates
-            .into_iter()
-            .filter(|(_, drop)| *drop >= self.minimum_gradient_drop)
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .ok_or_else(|| Error::FeatureNotFound {
-                what: "no inflection point with sufficient gradient change".into(),
-            })?;
-
-        let (idx, drop) = best;
+        let best = match (best_inflection, best_jump) {
+            (Some(inflection), Some(jump)) if last_max_keeps(inflection, jump) => Some(inflection),
+            (inflection, jump) => jump.or(inflection),
+        };
+        let (idx, drop) = best.ok_or_else(|| Error::FeatureNotFound {
+            what: "no inflection point with sufficient gradient change".into(),
+        })?;
         Ok(DelayTimeResult {
             delay_time: time_of(idx),
             index: idx,
@@ -158,6 +200,13 @@ impl DelayTimeExtractor {
             gradient_drop: drop,
         })
     }
+}
+
+/// `Iterator::max_by`'s rule for a running best `held` and the next
+/// candidate: `held` survives only when it compares strictly greater, so
+/// the last maximum wins and incomparable (NaN) drops count as equal.
+fn last_max_keeps(held: (usize, f64), next: (usize, f64)) -> bool {
+    held.1.partial_cmp(&next.1) == Some(std::cmp::Ordering::Greater)
 }
 
 impl Default for DelayTimeExtractor {
@@ -246,6 +295,126 @@ mod tests {
             from_times.gradient_drop.to_bits(),
             from_columns.gradient_drop.to_bits()
         );
+    }
+
+    /// The extraction as the allocating `moving_average` →
+    /// `find_inflections` → `gradients` chain computed it.
+    fn reference(
+        half: usize,
+        minimum: f64,
+        times: &[f64],
+        values: &[f64],
+    ) -> Result<DelayTimeResult> {
+        use crate::tracking::{find_inflections, gradients, moving_average};
+
+        if values.len() < 5 {
+            return Err(Error::NotEnoughData {
+                available: values.len(),
+                required: 5,
+            });
+        }
+        let smoothed = moving_average(values, half);
+        let mut candidates: Vec<(usize, f64)> = find_inflections(&smoothed)
+            .into_iter()
+            .map(|p| (p.index, p.gradient_drop()))
+            .collect();
+        let grads = gradients(&smoothed);
+        let margin = half + 1;
+        let lo = margin.min(grads.len());
+        let hi = grads.len().saturating_sub(margin);
+        for i in lo.max(1)..hi {
+            candidates.push((i, (grads[i] - grads[i - 1]).abs()));
+        }
+        let (index, drop) = candidates
+            .into_iter()
+            .filter(|(_, drop)| *drop >= minimum)
+            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .ok_or_else(|| Error::FeatureNotFound {
+                what: "no inflection point with sufficient gradient change".into(),
+            })?;
+        Ok(DelayTimeResult {
+            delay_time: times[index],
+            index,
+            value: values[index],
+            gradient_drop: drop,
+        })
+    }
+
+    fn result_bits(result: &Result<DelayTimeResult>) -> std::result::Result<[u64; 4], String> {
+        match result {
+            Ok(r) => Ok([
+                r.delay_time.to_bits(),
+                r.index as u64,
+                r.value.to_bits(),
+                r.gradient_drop.to_bits(),
+            ]),
+            Err(e) => Err(e.to_string()),
+        }
+    }
+
+    #[test]
+    fn streaming_extraction_matches_the_allocating_chain_bit_for_bit() {
+        // A small palette makes ties between drops common; NaN and ±inf
+        // poison the smoothed series and its gradients.
+        let palette = [
+            0.0,
+            1.0,
+            -1.0,
+            2.5,
+            0.5,
+            1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut compared = 0;
+        for case in 0..4_000 {
+            let n = match case % 6 {
+                0..=3 => 5 + (case % 4),
+                4 => 12,
+                _ => 40,
+            };
+            let poisoned = case % 3 == 0;
+            let values: Vec<f64> = (0..n)
+                .map(|_| {
+                    let pick = next(if poisoned { 9 } else { 6 }) as usize;
+                    if pick == 4 && !poisoned {
+                        next(1000) as f64 / 7.0
+                    } else {
+                        palette[pick]
+                    }
+                })
+                .collect();
+            let times: Vec<f64> = (0..n).map(|i| 10.0 + 0.5 * i as f64).collect();
+            let iterations: Vec<u64> = (0..n as u64).map(|i| 3 * i + 1).collect();
+            let cast: Vec<f64> = iterations.iter().map(|&it| it as f64).collect();
+            for half in [0, 1, 2] {
+                for minimum in [0.0, 0.75, 2.0] {
+                    let ex = DelayTimeExtractor::new()
+                        .with_smoothing(half)
+                        .with_minimum_gradient_drop(minimum);
+                    let want = reference(half, minimum, &times, &values);
+                    let got = ex.extract(&times, &values);
+                    assert_eq!(
+                        result_bits(&got),
+                        result_bits(&want),
+                        "values {values:?}, half {half}, minimum {minimum}"
+                    );
+                    let want = reference(half, minimum, &cast, &values);
+                    let got = ex.extract_sampled(&iterations, &values);
+                    assert_eq!(result_bits(&got), result_bits(&want));
+                    compared += 1;
+                }
+            }
+        }
+        assert_eq!(compared, 4_000 * 9);
     }
 
     #[test]

@@ -162,13 +162,17 @@ fn engine_early_termination_matches_region_early_termination() {
 type Fingerprint = (Vec<u64>, Vec<u64>, Vec<(String, u64)>, usize, usize);
 
 /// Runs a 400-iteration LULESH scenario; `drain_period` forces a mid-run
-/// `drain()` every that many iterations and a `poll()` every 11. Returns
-/// the fingerprint and how many of those polls found a job in flight.
+/// `drain()` every that many iterations and a `poll()` after every step.
+/// Returns the fingerprint and how many of those polls found a job in
+/// flight.
 ///
-/// The trainer is heavy (96-row batches, 256 epochs, hundreds of
-/// microseconds per batch), so background mode keeps handing batches to
-/// the worker instead of training them in place, and the drains and polls
-/// race real in-flight jobs.
+/// The trainer is heavy (96-row batches, 256 epochs, about 0.1 ms per
+/// batch optimised and more in debug builds), so background mode keeps
+/// handing batches to the worker instead of training them in place, and
+/// the drains and polls race real in-flight jobs. At least one poll always
+/// does: the first batch goes to the worker unconditionally (no hand-off
+/// has been measured yet), and the poll right after the step that launched
+/// it runs while that batch is still training.
 fn run_with_drains(config: EngineConfig, drain_period: Option<u64>) -> (Fingerprint, usize) {
     const ITERATIONS: u64 = 400;
     let spec = AnalysisSpec::builder()
@@ -193,9 +197,7 @@ fn run_with_drains(config: EngineConfig, drain_period: Option<u64>) -> (Fingerpr
     sim.run_with(|s, it| {
         engine.step(it).complete(s);
         if let Some(period) = drain_period {
-            if it % 11 == 0 {
-                raced += engine.poll().in_flight;
-            }
+            raced += engine.poll().in_flight;
             if it > 0 && it.is_multiple_of(period) {
                 engine.drain();
             }
@@ -235,6 +237,11 @@ fn drain_racing_background_steps_is_bit_identical() {
     assert!(!expected.2.is_empty(), "scenario must extract a feature");
     for drain_period in [37u64, 113] {
         let pool = ThreadPool::new(ParallelConfig::new(2, 2).unwrap());
+        // Start the pool's job workers before the engine's first hand-off.
+        // Otherwise that hand-off also measures thread start-up, which can
+        // exceed the batch's train time and make every later batch train
+        // in place, leaving nothing in flight to race.
+        pool.spawn_job(|| ()).join();
         let (got, raced) = run_with_drains(EngineConfig::background(pool), Some(drain_period));
         assert_eq!(
             expected, got,
