@@ -1,12 +1,12 @@
 //! Criterion bench: per-iteration cost of the full in-situ hook
-//! (`td_region_begin` + `td_region_end`) against the bare simulation step it
-//! wraps — the microscopic version of the paper's overhead tables.
+//! (`Engine::step` + `StepScope::complete`) against the bare simulation step
+//! it wraps — the microscopic version of the paper's overhead tables.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use insitu::prelude::*;
 use lulesh::{LuleshConfig, LuleshSim};
 
-fn region_for(sim_size: usize) -> Region<LuleshSim> {
+fn engine_for(sim_size: usize) -> Engine<LuleshSim> {
     let spec = AnalysisSpec::builder()
         .name("velocity")
         .provider(|sim: &LuleshSim, loc: usize| sim.velocity_at(loc))
@@ -16,9 +16,10 @@ fn region_for(sim_size: usize) -> Region<LuleshSim> {
         .lag(5)
         .build()
         .unwrap();
-    let mut region = Region::new(format!("lulesh-{sim_size}"));
-    region.add_analysis(spec);
-    region
+    let mut engine = Engine::new();
+    let region = engine.add_region(format!("lulesh-{sim_size}")).unwrap();
+    engine.add_analysis(region, spec).unwrap();
+    engine
 }
 
 fn bench_overhead(c: &mut Criterion) {
@@ -36,30 +37,29 @@ fn bench_overhead(c: &mut Criterion) {
 
     group.bench_function("instrumented_step", |b| {
         let mut sim = LuleshSim::new(LuleshConfig::with_edge_elems(size));
-        let mut region = region_for(size);
+        let mut engine = engine_for(size);
         for _ in 0..5 {
             sim.step();
         }
         b.iter(|| {
             let iteration = sim.iteration();
-            region.begin(iteration);
+            let step = engine.step(iteration);
             sim.step();
-            region.end(iteration, &sim)
+            step.complete(&sim)
         });
     });
 
     group.bench_function("hook_only", |b| {
         let mut sim = LuleshSim::new(LuleshConfig::with_edge_elems(size));
-        let mut region = region_for(size);
+        let mut engine = engine_for(size);
         for _ in 0..50 {
             sim.step();
         }
         let mut iteration = 0u64;
         b.iter(|| {
-            region.begin(iteration);
-            let status = region.end(iteration, &sim);
+            let report = engine.step(iteration).complete(&sim);
             iteration += 1;
-            status
+            report
         });
     });
 

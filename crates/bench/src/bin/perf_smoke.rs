@@ -40,8 +40,8 @@ const FLOOR: f64 = 0.5;
 const RUNS: usize = 5;
 
 /// Extracts every `"<key>": <number>` value from a committed
-/// `BENCH_*.json` (the offline serde stand-in has no deserializer, and the
-/// files are hand-rolled flat JSON with one case per line, so a scan is
+/// `BENCH_*.json` (the workspace builds offline with no JSON parser, and
+/// the files are hand-rolled flat JSON with one case per line, so a scan is
 /// exact).
 fn committed_values(path: &str, key: &str) -> Vec<f64> {
     let text = std::fs::read_to_string(path)

@@ -23,7 +23,7 @@ use insitu::model::{ConvergenceCriteria, IncrementalTrainer, OptimizerKind, Trai
 use insitu::IterParam;
 
 /// The pre-refactor map-of-row-tuples store, copied verbatim from the old
-/// `SampleHistory` (minus the serde plumbing).
+/// `SampleHistory`.
 #[derive(Debug, Clone, Default)]
 pub struct MapHistory {
     per_location: BTreeMap<usize, Vec<(u64, f64)>>,

@@ -359,24 +359,27 @@ pub fn run_instrumented(
     } else {
         ExitAction::Continue
     };
-    let mut region: Region<LuleshSim> = Region::new("lulesh");
-    region.add_analysis(lulesh_analysis_spec(
-        size,
-        temporal_end,
-        threshold_fraction,
-        exit,
-    ));
+    let mut engine: Engine<LuleshSim> = Engine::new();
+    let region = engine.add_region("lulesh").expect("fresh engine");
+    engine
+        .add_analysis(
+            region,
+            lulesh_analysis_spec(size, temporal_end, threshold_fraction, exit),
+        )
+        .expect("region exists");
     // Rank-wide status broadcast, as the paper's integration performs after
     // every analysed iteration; its cost is modelled by the parsim world.
     let analysis_world = parsim::World::new(parallel);
-    let mut region = region.with_broadcaster(move |status: &RegionStatus| {
-        let _ = analysis_world.broadcast(0, status.iteration);
-    });
+    engine
+        .set_broadcaster(region, move |status: &RegionStatus| {
+            let _ = analysis_world.broadcast(0, status.iteration);
+        })
+        .expect("region exists");
 
     let started = std::time::Instant::now();
     let summary = sim.run_with(|sim_ref, iteration| {
-        region.begin(iteration);
-        let status = region.end(iteration, sim_ref);
+        let report = engine.step(iteration).complete(sim_ref);
+        let status = report.region(region).expect("region exists");
         if !allow_early_stop {
             return true;
         }
@@ -401,11 +404,16 @@ pub fn run_instrumented(
     });
     let wall = started.elapsed().as_secs_f64();
 
-    region.extract_now();
-    let radius = region.status().features.first().and_then(|(_, f)| match f {
-        insitu::region::FeatureValue::Breakpoint(b) => Some(b.radius),
-        _ => None,
-    });
+    engine.extract_now(region).expect("region exists");
+    let radius = engine
+        .status(region)
+        .expect("region exists")
+        .features
+        .first()
+        .and_then(|(_, f)| match f {
+            insitu::region::FeatureValue::Breakpoint(b) => Some(b.radius),
+            _ => None,
+        });
     (summary.iterations, wall, radius)
 }
 

@@ -1,7 +1,7 @@
 //! Hand-rolled JSON rendering for the `BENCH_*.json` artifacts (the
-//! offline serde stand-in has no serializer, so every benchmark binary
-//! used to carry its own string-pasting loop — this module is that loop,
-//! written once).
+//! workspace builds offline with no JSON serializer, so every benchmark
+//! binary used to carry its own string-pasting loop — this module is that
+//! loop, written once).
 //!
 //! The layout is the one `perf_smoke` greps: top-level fields in
 //! insertion order, then a `"cases"` array with one object per line, so

@@ -228,22 +228,26 @@ pub fn run_instrumented(
     } else {
         ExitAction::Continue
     };
-    let mut region: Region<WdMergerSim> = Region::new("wdmerger");
+    let mut engine: Engine<WdMergerSim> = Engine::new();
+    let region = engine.add_region("wdmerger").expect("fresh engine");
     for variable in DiagnosticVariable::all() {
-        region.add_analysis(wd_analysis_spec(variable, temporal_end, exit));
+        engine
+            .add_analysis(region, wd_analysis_spec(variable, temporal_end, exit))
+            .expect("one analysis per diagnostic variable");
     }
     let analysis_world = parsim::World::new(parallel);
-    let mut region = region.with_broadcaster(move |status: &RegionStatus| {
-        let _ = analysis_world.broadcast(0, status.iteration);
-    });
+    engine
+        .set_broadcaster(region, move |status: &RegionStatus| {
+            let _ = analysis_world.broadcast(0, status.iteration);
+        })
+        .expect("region exists");
 
     let started = std::time::Instant::now();
     let summary = sim.run_with(|sim_ref, step| {
-        region.begin(step);
-        let status = region.end(step, sim_ref);
+        let report = engine.step(step).complete(sim_ref);
         // Early termination needs the detonation signal to have been seen;
         // otherwise the delay time cannot be derived yet.
-        !(allow_early_stop && status.should_terminate && sim_ref.detonated())
+        !(allow_early_stop && report.should_terminate() && sim_ref.detonated())
     });
     let wall = started.elapsed().as_secs_f64();
     (summary.steps, wall)

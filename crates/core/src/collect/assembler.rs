@@ -15,14 +15,12 @@
 //! simpler layouts (purely temporal, purely spatial) are provided for the
 //! ablation studies.
 
-use serde::{Deserialize, Serialize};
-
 use super::history::{SampleHistory, SlotId};
 use super::minibatch::MiniBatch;
 use crate::params::IterParam;
 
 /// Which past values serve as predictors for `V(l, t)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PredictorLayout {
     /// `V(l-i, t-lag)` for `i = 1..=order` — the paper's dual-dimensional
     /// formulation.
@@ -59,7 +57,7 @@ pub enum PredictorLayout {
 /// assert_eq!(batch.len(), 3);
 /// assert_eq!(batch.targets()[0], 3.2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchAssembler {
     order: usize,
     lag: u64,

@@ -11,8 +11,6 @@
 //! through [`Collector::recycle`], so the steady state cycles a fixed set
 //! of buffers with zero per-row heap allocations.
 
-use serde::{Deserialize, Serialize};
-
 use super::assembler::{BatchAssembler, PredictorLayout};
 use super::history::{Retention, SampleHistory, SlotId};
 use super::minibatch::{BatchPool, MiniBatch};
@@ -20,7 +18,7 @@ use crate::params::IterParam;
 use crate::provider::VarProvider;
 
 /// What happened during one call to [`Collector::observe`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CollectionEvent {
     /// The iteration did not match the temporal characteristic.
     Skipped,
@@ -76,7 +74,7 @@ fn widened_retention(
 
 /// Collects the diagnostic variable according to the configured temporal and
 /// spatial characteristics and assembles columnar mini-batches.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Collector {
     spatial: IterParam,
     temporal: IterParam,

@@ -54,12 +54,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use super::sample::Sample;
 
 /// How much of the per-location series a [`SampleHistory`] keeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Retention {
     /// Keep every sample for the lifetime of the analysis (the original
     /// behaviour; memory grows with the number of sampled iterations).
@@ -93,7 +91,7 @@ impl Retention {
 /// [`SampleHistory::slot_of`] and then used for O(1) recording
 /// ([`SampleHistory::record_in_slot`]) without re-touching the
 /// location map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotId(u32);
 
 /// Sentinel for "location has no slot" in the dense map.
@@ -105,7 +103,7 @@ const DENSE_LOCATION_LIMIT: usize = 1 << 20;
 
 /// One location's series and running statistics (struct-of-arrays: the
 /// iteration and value columns are separate contiguous vectors).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Slot {
     location: usize,
     /// Iteration column. The visible series is `iterations[start..]`.
@@ -354,7 +352,7 @@ struct RecordOutcome {
 }
 
 /// The dense-first `location → slot` map.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct SlotMap {
     /// `dense[location]` is the slot index, or [`NO_SLOT`]. Covers every
     /// registered location below [`DENSE_LOCATION_LIMIT`].
@@ -396,7 +394,7 @@ impl SlotMap {
 /// compare it against model predictions. See the
 /// [module docs](crate::collect) for the slot/SoA layout and the
 /// retention policy.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SampleHistory {
     map: SlotMap,
     /// Slot storage, in registration order.

@@ -30,8 +30,6 @@
 //! per-row heap allocations: the same few buffers cycle between
 //! "filling", "training", and "spare" forever.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// A bounded columnar buffer of training rows handed to the trainer when
@@ -58,7 +56,7 @@ use crate::error::{Error, Result};
 /// let rows: Vec<(&[f64], f64)> = batch.rows().collect();
 /// assert_eq!(rows[1], (&[2.0, 3.0][..], 4.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MiniBatch {
     order: usize,
     capacity: usize,
@@ -225,7 +223,7 @@ impl MiniBatch {
 /// [`BatchPool::recycle_hits`] expose the steady-state behaviour to tests:
 /// after warm-up, `buffers_created` stops growing and every acquire is a
 /// recycle hit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchPool {
     order: usize,
     capacity: usize,

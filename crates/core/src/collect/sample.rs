@@ -1,7 +1,5 @@
 //! A single collected observation.
 
-use serde::{Deserialize, Serialize};
-
 /// One observation of the diagnostic variable: which iteration, which
 /// location, what value.
 ///
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.location, 6);
 /// assert_eq!(s.value, 3.2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// Simulation iteration at which the value was observed.
     pub iteration: u64,

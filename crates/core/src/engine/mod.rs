@@ -1,12 +1,10 @@
 //! The in-situ engine: handle-based multi-region sessions with staged
 //! sampling, training and extraction.
 //!
-//! [`Engine`] is the library's primary entry point. Where the legacy
-//! [`Region`](crate::region::Region) type owns one group of analyses and
-//! trains inline on the simulation thread, an engine owns **many** regions
-//! and analyses behind copyable integer handles ([`RegionId`],
-//! [`AnalysisId`]) — mirroring the paper's C API, which also hands out ids —
-//! and splits every iteration into four explicit stages:
+//! [`Engine`] is the library's entry point. An engine owns one or more
+//! regions and their analyses behind copyable integer handles
+//! ([`RegionId`], [`AnalysisId`]) — mirroring the paper's C API, which also
+//! hands out ids — and splits every iteration into four explicit stages:
 //!
 //! 1. **sample** — batch-query each analysis' provider over its spatial
 //!    characteristic ([`VarProvider::fill`](crate::provider::VarProvider::fill)),
@@ -459,23 +457,6 @@ impl<D: ?Sized> Engine<D> {
                 name: spec.name().to_string(),
             });
         }
-        self.add_analysis_allow_duplicate(region, spec)
-    }
-
-    /// Registers an analysis without the duplicate-name check. Used by the
-    /// legacy [`Region`](crate::region::Region) shim, whose historical
-    /// contract accepted any number of same-named analyses (features are
-    /// then looked up by first match).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownHandle`] if `region` does not refer to a
-    /// region of this engine.
-    pub(crate) fn add_analysis_allow_duplicate(
-        &mut self,
-        region: RegionId,
-        spec: AnalysisSpec<D>,
-    ) -> Result<AnalysisId> {
         // Disabled telemetry gets a zero-capacity ring: the accessors stay
         // valid, the memory cost is nil, and nothing records into it.
         let telemetry_capacity = if self.timed {
@@ -817,8 +798,7 @@ impl<D: ?Sized> Engine<D> {
     }
 
     /// Stamps the iteration on every region without sampling — the effect of
-    /// a dropped (uncompleted) [`StepScope`], and of the legacy
-    /// `td_region_begin`.
+    /// a dropped (uncompleted) [`StepScope`].
     pub(crate) fn stamp_iteration(&mut self, iteration: u64) {
         for region in &mut self.regions {
             region.status.iteration = iteration;
@@ -1143,11 +1123,18 @@ mod tests {
         assert!(a.batches_trained > 0);
         assert_eq!(a.last_loss, b.last_loss, "loss sequence must be identical");
         assert_eq!(a.features, b.features, "features must be bit-identical");
-        assert!(!a.features.is_empty());
+        match a.feature("velocity") {
+            Some(FeatureValue::Breakpoint(bp)) => assert!((1..=12).contains(&bp.radius)),
+            other => panic!("expected a breakpoint feature, got {other:?}"),
+        }
+        // The front location tracks the pulse over the spatial range.
+        assert!(a.front_location.is_some_and(|f| (1..=12).contains(&f)));
+        assert_eq!(a.front_location, b.front_location);
 
         // The fitted models are bit-identical too: same batches, same order.
         let ia = inline.analysis_id(inline_region, 0).unwrap();
         let ib = background.analysis_id(bg_region, 0).unwrap();
+        assert!(inline.trainer(ia).unwrap().model().is_trained());
         assert_eq!(
             inline.trainer(ia).unwrap().model().coefficients(),
             background.trainer(ib).unwrap().model().coefficients()
@@ -1377,11 +1364,20 @@ mod tests {
 
     #[test]
     fn dropped_step_scope_stamps_iteration_without_sampling() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let broadcasts = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&broadcasts);
         let mut engine: Engine<Pulse> = Engine::new();
         let region = engine.add_region("pulse").unwrap();
         engine.add_analysis(region, pulse_spec("velocity")).unwrap();
+        engine
+            .set_broadcaster(region, move |_: &RegionStatus| {
+                counter.fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap();
         // begin-without-end: the scope is dropped (skipped) — the iteration
-        // advances but nothing is sampled.
+        // advances but nothing is sampled or broadcast.
         engine.step(7).skip();
         let status = engine.status(region).unwrap();
         assert_eq!(status.iteration, 7);
@@ -1393,6 +1389,16 @@ mod tests {
         let status = engine.status(region).unwrap();
         assert_eq!(status.iteration, 9);
         assert_eq!(status.samples_collected, 0);
+        assert_eq!(broadcasts.load(Ordering::Relaxed), 0);
+
+        // Every completed step broadcasts exactly once.
+        let mut domain = Pulse::new();
+        for it in 10..20u64 {
+            let step = engine.step(it);
+            domain.advance(it);
+            step.complete(&domain);
+        }
+        assert_eq!(broadcasts.load(Ordering::Relaxed), 10);
     }
 
     #[test]
@@ -1411,18 +1417,24 @@ mod tests {
             .build()
             .unwrap();
         engine.add_analysis(sparse, sparse_spec).unwrap();
+        let empty = engine.add_region("empty").unwrap();
 
         let mut domain = Pulse::new();
         for it in 0..100u64 {
             let step = engine.step(it);
             domain.advance(it);
             let report = step.complete(&domain);
-            assert_eq!(report.regions().len(), 2);
+            assert_eq!(report.regions().len(), 3);
         }
         let dense_samples = engine.status(dense).unwrap().samples_collected;
         let sparse_samples = engine.status(sparse).unwrap().samples_collected;
         assert!(dense_samples > sparse_samples);
         assert!(sparse_samples > 0);
+        // A region with no analyses reports nothing and never terminates.
+        let empty = engine.status(empty).unwrap();
+        assert_eq!(empty.samples_collected, 0);
+        assert!(!empty.converged);
+        assert!(!empty.should_terminate);
     }
 
     /// Builds the same engine shape as [`run_engine`] without running it.

@@ -1,12 +1,10 @@
 //! Break-point radius extraction (material deformation case study).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 use crate::tracking::radius_search;
 
 /// Result of a break-point extraction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakpointResult {
     /// The velocity threshold in absolute units that was applied.
     pub threshold_value: f64,
@@ -35,7 +33,7 @@ pub struct BreakpointResult {
 /// assert_eq!(result.radius, 21);
 /// assert!(result.bounded);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakpointExtractor {
     threshold_fraction: f64,
     initial_value: f64,

@@ -1,11 +1,9 @@
 //! Delay-time extraction (white-dwarf detonation case study).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// Result of a delay-time extraction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayTimeResult {
     /// The extracted delay time, in the same units as the time axis handed
     /// to the extractor (simulation time or timestep index).
@@ -48,7 +46,7 @@ pub struct DelayTimeResult {
 /// let result = ex.extract(&times, &temp).unwrap();
 /// assert!((result.delay_time - 30.0).abs() < 2.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayTimeExtractor {
     smoothing_half_window: usize,
     minimum_gradient_drop: f64,

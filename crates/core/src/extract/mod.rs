@@ -21,11 +21,9 @@ pub use breakpoint::{BreakpointExtractor, BreakpointResult};
 pub use delay_time::{DelayTimeExtractor, DelayTimeResult};
 pub use outlier::{OutlierExtractor, OutlierReport};
 
-use serde::{Deserialize, Serialize};
-
 /// Which feature an analysis extracts; carried in the
 /// [`AnalysisSpec`](crate::region::AnalysisSpec).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FeatureKind {
     /// Break-point radius at a velocity threshold expressed as a fraction
     /// of the initial (blast) velocity.

@@ -1,11 +1,9 @@
 //! Threshold-exceeding outlier extraction.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// The distribution of threshold-exceeding samples across locations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OutlierReport {
     /// The absolute threshold applied.
     pub threshold: f64,
@@ -38,7 +36,7 @@ impl OutlierReport {
 /// assert_eq!(report.outliers.len(), 2);
 /// assert_eq!(report.fraction(), 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutlierExtractor {
     threshold: f64,
 }

@@ -17,14 +17,17 @@
 //! optionally requesting **early termination** of the simulation once the
 //! model is accurate enough ([`region`]).
 //!
-//! The primary entry point is the handle-based multi-region
+//! The single entry point is the handle-based multi-region
 //! [`engine::Engine`], which drives every iteration through explicit
 //! **sample → assemble → train → extract** stages and can move training off
-//! the simulation thread ([`engine::TrainingMode::Background`]). The paper's
-//! library framework is preserved as thin layers on top: the legacy
-//! [`region::Region`] type wraps a single-region inline engine, and the
-//! `td_*` free functions in [`compat`] correspond one-to-one to the API
-//! listed in the paper's Section III-C.
+//! the simulation thread ([`engine::TrainingMode::Background`]). Each call of
+//! the paper's `td_*` API (Section III-C) has one engine counterpart:
+//! `td_region_init` is [`Engine::add_region`](engine::Engine::add_region),
+//! `td_region_add_analysis` is
+//! [`Engine::add_analysis`](engine::Engine::add_analysis), and the
+//! `td_region_begin` / `td_region_end` pair is
+//! [`Engine::step`](engine::Engine::step) /
+//! [`StepScope::complete`](engine::StepScope::complete).
 //!
 //! # Quick start
 //!
@@ -36,7 +39,8 @@
 //!     velocities: Vec<f64>,
 //! }
 //!
-//! let mut region: Region<Domain> = Region::new("demo");
+//! let mut engine: Engine<Domain> = Engine::new();
+//! let region = engine.add_region("demo").unwrap();
 //! let spec = AnalysisSpec::builder()
 //!     .provider(|d: &Domain, loc: usize| d.velocities.get(loc).copied().unwrap_or(0.0))
 //!     .spatial(IterParam::new(1, 10, 1).unwrap())
@@ -45,30 +49,28 @@
 //!     .feature(FeatureKind::Breakpoint { threshold: 0.05 })
 //!     .build()
 //!     .unwrap();
-//! region.add_analysis(spec);
+//! engine.add_analysis(region, spec).unwrap();
 //!
 //! let mut domain = Domain { velocities: vec![0.0; 32] };
 //! for iteration in 0..200u64 {
-//!     region.begin(iteration);
+//!     let step = engine.step(iteration);
 //!     // main computation: an outward-travelling, decaying pulse
 //!     for (loc, v) in domain.velocities.iter_mut().enumerate() {
 //!         let front = iteration as f64 * 0.15;
 //!         let x = loc as f64;
 //!         *v = (1.0 / (1.0 + x)) * (-(x - front).powi(2) / 4.0).exp();
 //!     }
-//!     let status = region.end(iteration, &domain);
-//!     if status.should_terminate {
+//!     if step.complete(&domain).should_terminate() {
 //!         break;
 //!     }
 //! }
-//! assert!(region.status().samples_collected > 0);
+//! assert!(engine.status(region).unwrap().samples_collected > 0);
 //! ```
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collect;
-pub mod compat;
 pub mod engine;
 pub mod error;
 pub mod extract;
@@ -89,10 +91,6 @@ pub use provider::VarProvider;
 /// The most commonly used items, re-exported for glob import.
 pub mod prelude {
     pub use crate::collect::{Collector, MiniBatch, Retention, Sample, SampleHistory};
-    #[allow(deprecated)]
-    pub use crate::compat::{
-        td_iter_param_init, td_region_add_analysis, td_region_begin, td_region_end, td_region_init,
-    };
     pub use crate::engine::{
         AnalysisId, Engine, EngineConfig, RegionId, StepReport, StepScope, TrainingMode,
         TrainingProgress,
@@ -103,7 +101,7 @@ pub mod prelude {
     pub use crate::params::IterParam;
     pub use crate::provider::{FrameProvider, SampleFrame, SliceProvider, VarProvider};
     pub use crate::region::{
-        AnalysisMethod, AnalysisSpec, ExitAction, Region, RegionStatus, StatusBroadcaster,
+        AnalysisMethod, AnalysisSpec, ExitAction, RegionStatus, StatusBroadcaster,
     };
     pub use crate::telemetry::{
         Histogram, Recorder, ShedPolicy, Stage, StepBudget, TelemetryConfig,

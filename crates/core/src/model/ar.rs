@@ -1,7 +1,5 @@
 //! The linear auto-regressive model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// A linear auto-regressive model of fixed order:
@@ -22,7 +20,7 @@ use crate::error::{Error, Result};
 /// m.set_coefficients(1.0, &[0.5, -0.25]).unwrap();
 /// assert_eq!(m.predict(&[2.0, 4.0]).unwrap(), 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArModel {
     intercept: f64,
     coefficients: Vec<f64>,

@@ -6,8 +6,6 @@
 //! practitioner adopting the library would reasonably ask whether a smarter
 //! update rule changes the accuracy/overhead trade-off.
 
-use serde::{Deserialize, Serialize};
-
 /// An in-place update rule `params -= f(grads)`.
 pub trait Optimizer: std::fmt::Debug + Send {
     /// Applies one update step given the loss gradient w.r.t. every
@@ -39,7 +37,7 @@ pub trait Optimizer: std::fmt::Debug + Send {
 
 /// Identifies an optimizer family plus its learning rate; used in
 /// configuration structs that must be plain data (serializable, `Copy`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OptimizerKind {
     /// Plain stochastic gradient descent (the paper's choice).
     Sgd {
@@ -83,7 +81,7 @@ impl OptimizerKind {
 }
 
 /// Plain stochastic gradient descent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sgd {
     learning_rate: f64,
 }
@@ -113,7 +111,7 @@ impl Optimizer for Sgd {
 }
 
 /// Heavy-ball momentum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Momentum {
     learning_rate: f64,
     beta: f64,
@@ -160,7 +158,7 @@ impl Optimizer for Momentum {
 
 /// Adagrad: per-parameter learning rates scaled by accumulated squared
 /// gradients.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adagrad {
     learning_rate: f64,
     accumulator: Vec<f64>,

@@ -8,8 +8,6 @@
 //! stream, so it never needs a full-dataset pass — consistent with the
 //! paper's "no pre-training" constraint.
 
-use serde::{Deserialize, Serialize};
-
 /// Running mean/variance with z-score transform and inverse.
 ///
 /// ```
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let z = s.transform(9.0);
 /// assert!((s.inverse(z) - 9.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct OnlineScaler {
     count: u64,
     mean: f64,

@@ -20,8 +20,6 @@
 //! batches, so a steady-state training step performs zero per-row heap
 //! allocations.
 
-use serde::{Deserialize, Serialize};
-
 use super::ar::ArModel;
 use super::optimizer::{Optimizer, OptimizerKind};
 use super::scaler::OnlineScaler;
@@ -32,7 +30,7 @@ use crate::kernels::{self, Kernels};
 /// Convergence rule: the model is considered "well trained" once the running
 /// batch loss stays below `loss_threshold` for `patience` consecutive
 /// batches, or once `max_batches` batches have been consumed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergenceCriteria {
     /// Z-score-space mean-squared-error threshold.
     pub loss_threshold: f64,
@@ -54,7 +52,7 @@ impl Default for ConvergenceCriteria {
 }
 
 /// Hyper-parameters of the incremental trainer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainerConfig {
     /// AR model order (number of lagged predictors).
     pub order: usize,
@@ -102,7 +100,7 @@ impl TrainerConfig {
 }
 
 /// Summary of the training performed so far.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TrainingSummary {
     /// Number of mini-batches consumed.
     pub batches: usize,

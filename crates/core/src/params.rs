@@ -6,8 +6,6 @@
 //! of three, with inclusive bounds, plus the membership and enumeration
 //! queries the collector needs on every iteration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// An inclusive `begin..=end` range walked with a positive `step`.
@@ -22,7 +20,7 @@ use crate::error::{Error, Result};
 /// assert!(!temporal.contains(55));
 /// assert_eq!(temporal.len(), 33);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IterParam {
     begin: u64,
     end: u64,

@@ -1,7 +1,5 @@
 //! Analysis specifications.
 
-use serde::{Deserialize, Serialize};
-
 use crate::collect::{PredictorLayout, Retention};
 use crate::error::{Error, Result};
 use crate::extract::FeatureKind;
@@ -13,7 +11,7 @@ use crate::provider::VarProvider;
 /// currently supports curve fitting with the auto-regressive model, matching
 /// the paper's `'Curve_Fitting'` constant; the enum leaves room for the
 /// threshold-only and future methods without breaking the API.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum AnalysisMethod {
     /// Fit the collected samples with the auto-regressive model (default).
@@ -25,7 +23,7 @@ pub enum AnalysisMethod {
 
 /// What the analysis should do once its goal is reached — the paper's
 /// `if_simulation_will_terminate` flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExitAction {
     /// Keep simulating; the analysis only reports.
     #[default]

@@ -1,11 +1,9 @@
 //! Region status and its broadcast to other ranks.
 
-use serde::{Deserialize, Serialize};
-
 use crate::extract::{BreakpointResult, DelayTimeResult, OutlierReport};
 
 /// The value of an extracted feature, tagged by kind.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FeatureValue {
     /// A break-point radius.
     Breakpoint(BreakpointResult),
@@ -31,7 +29,7 @@ impl FeatureValue {
 /// paper's `td_region_end` broadcasts: the current predicted value, the
 /// location (rank) of the wave front, and the flag indicating what happens
 /// once the analysis concludes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RegionStatus {
     /// Iteration this status describes.
     pub iteration: u64,
@@ -57,6 +55,9 @@ pub struct RegionStatus {
 
 impl RegionStatus {
     /// The feature extracted by the analysis with the given name, if any.
+    /// Names are unique within a region
+    /// ([`Engine::add_analysis`](crate::engine::Engine::add_analysis) rejects
+    /// duplicates), so at most one feature matches.
     pub fn feature(&self, name: &str) -> Option<&FeatureValue> {
         self.features
             .iter()
@@ -73,8 +74,11 @@ impl RegionStatus {
 /// in the overhead measurements exactly as the MPI broadcast does in the
 /// paper.
 pub trait StatusBroadcaster: Send {
-    /// Publishes the status; called once per iteration from
-    /// [`Region::end`](crate::region::Region::end).
+    /// Publishes the status; called once per completed step from
+    /// [`StepScope::complete`](crate::engine::StepScope::complete) (never for
+    /// a skipped or dropped scope), and again whenever
+    /// [`Engine::poll`](crate::engine::Engine::poll) or
+    /// [`Engine::drain`](crate::engine::Engine::drain) refreshes the status.
     fn broadcast(&mut self, status: &RegionStatus);
 }
 

@@ -6,10 +6,8 @@
 //! runtime, acceleration as the saving from early termination, accuracy as
 //! `100 % − error rate`).
 
-use serde::{Deserialize, Serialize};
-
 /// Curve-fitting accuracy of one analysis against ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyReport {
     /// Which analysis / diagnostic variable this report describes.
     pub name: String,
@@ -29,7 +27,7 @@ impl AccuracyReport {
 
 /// Execution-time overhead of running the simulation with in-situ analysis
 /// enabled (the paper's Tables III and VII "origin" vs "non-stop" columns).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadReport {
     /// Execution time of the plain simulation, in seconds.
     pub baseline_seconds: f64,
@@ -56,7 +54,7 @@ impl OverheadReport {
 
 /// Saving obtained by terminating the simulation early once the model has
 /// converged (the paper's Tables IV and VII "stop" columns).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EarlyTerminationReport {
     /// Iterations of the full simulation.
     pub full_iterations: u64,

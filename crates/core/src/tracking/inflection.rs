@@ -8,13 +8,11 @@
 //! the angular-momentum decrease, the onset of mass ejection — is the signal
 //! of thermonuclear detonation, and its timestamp is the delay time.
 
-use serde::{Deserialize, Serialize};
-
 use super::gradient::gradients;
 use super::peaks::{find_local_extrema, TrackedPointKind};
 
 /// An inflection point of a series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InflectionPoint {
     /// Index in the original series at which the regime change occurs.
     pub index: usize,

@@ -1,11 +1,9 @@
 //! Local extrema detection from consecutive gradients.
 
-use serde::{Deserialize, Serialize};
-
 use super::gradient::gradients;
 
 /// The kind of focal point that was detected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrackedPointKind {
     /// A local maximum (positive `k2`, negative `k3`).
     LocalMaximum,
@@ -14,7 +12,7 @@ pub enum TrackedPointKind {
 }
 
 /// A focal point located by the tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackedPoint {
     /// Index of the point within the series that was scanned (for the
     /// streaming detector, the index of the value in arrival order).
@@ -79,7 +77,7 @@ pub fn find_local_extrema(values: &[f64]) -> Vec<TrackedPoint> {
 /// assert_eq!(peak.value, 3.5);
 /// assert_eq!(at, 3); // detected one sample after the peak
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PeakDetector {
     window: Vec<f64>,
     pushed: usize,

@@ -6,10 +6,8 @@
 //! more refined search for critical data points". These helpers implement
 //! the crossing queries and that radius-refined search.
 
-use serde::{Deserialize, Serialize};
-
 /// Direction of a threshold crossing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrossingDirection {
     /// The series rises through the threshold.
     Upward,

@@ -1,7 +1,6 @@
 //! Configuration of the Sedov-blast proxy.
 
 use parsim::ParallelConfig;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`LuleshSim`](crate::LuleshSim) run.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// (30, 60, 90) produce iteration counts, shock coverage and velocity decay
 /// in the same regime as LULESH 2.0 (≈ 930 iterations at size 30, shock
 /// front reaching ≈ 80 % of the domain radius by the end of the run).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LuleshConfig {
     /// Number of elements along one edge of the cubic domain (the paper's
     /// "domain size": 30, 60 or 90).

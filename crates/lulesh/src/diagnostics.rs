@@ -6,13 +6,12 @@
 //! velocity initiated by the blast at the point of contact. The diagnostics
 //! recorder keeps exactly that state, updated once per iteration.
 
-use serde::{Deserialize, Serialize};
 use simkit::series::TimeSeries;
 
 use crate::state::RadialState;
 
 /// One recorded `(iteration, velocity)` pair for a location.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VelocityRecord {
     /// Iteration at which the velocity was observed.
     pub iteration: u64,
@@ -22,7 +21,7 @@ pub struct VelocityRecord {
 
 /// Accumulates per-location velocity series, per-location peaks, and the
 /// initial blast velocity.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RadialDiagnostics {
     /// Velocity time series per radial location (index = location id).
     series: Vec<TimeSeries>,

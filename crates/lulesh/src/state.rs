@@ -1,7 +1,5 @@
 //! The radial Lagrangian state of the Sedov blast.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::LuleshConfig;
 
 /// Minimum specific internal energy of the undisturbed material (a small
@@ -14,7 +12,7 @@ pub(crate) const ENERGY_FLOOR: f64 = 1.0e-6;
 /// Node `i` sits at radius `node_r[i]`; zone `j` spans nodes `j` and `j+1`.
 /// All lengths are measured in initial element widths, so "radius 22" means
 /// the same thing as the paper's "radius of 22 out of 30 units".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RadialState {
     /// Node radii (length `zones + 1`).
     pub node_r: Vec<f64>,

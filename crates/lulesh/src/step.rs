@@ -7,13 +7,11 @@
 //! family of discretization as LULESH's `LagrangeLeapFrog`, reduced to the
 //! one symmetry direction the Sedov problem actually has.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::LuleshConfig;
 use crate::state::{shell_volume, RadialState};
 
 /// What one step reported back to the driver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepReport {
     /// The timestep that was taken.
     pub dt: f64,

@@ -1,7 +1,5 @@
 //! Parallel run configuration (ranks × threads).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// An MPI-rank × OpenMP-thread configuration such as `8×2`.
@@ -13,7 +11,7 @@ use crate::error::{Error, Result};
 /// assert_eq!(config.total_workers(), 32);
 /// assert_eq!(config.label(), "8x4");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParallelConfig {
     ranks: usize,
     threads_per_rank: usize,

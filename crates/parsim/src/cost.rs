@@ -7,8 +7,6 @@
 //! the range of a commodity InfiniBand-class interconnect and can be
 //! overridden for sensitivity studies.
 
-use serde::{Deserialize, Serialize};
-
 /// Latency/bandwidth model for simulated communication.
 ///
 /// ```
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(bcast >= one);
 /// assert_eq!(model.broadcast_seconds(1, 8), 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Per-message latency in seconds.
     pub latency_seconds: f64,

@@ -8,7 +8,6 @@
 //! rank, termination flag), which is exactly the traffic whose overhead the
 //! paper's Table III measures.
 
-use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
 use crate::config::ParallelConfig;
@@ -17,7 +16,7 @@ use crate::error::{Error, Result};
 use crate::threadpool::ThreadPool;
 
 /// Record of one collective operation, kept for overhead attribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollectiveRecord {
     /// Which collective ran.
     pub kind: CollectiveKind,
@@ -28,7 +27,7 @@ pub struct CollectiveRecord {
 }
 
 /// The collective operations supported by the simulated world.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectiveKind {
     /// One-to-all broadcast.
     Broadcast,

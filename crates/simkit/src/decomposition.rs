@@ -8,13 +8,11 @@
 //! and the in-situ layer ask: *which rank owns element e?* and *which
 //! elements does rank r own?*
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 use crate::index::{Extents, Index3};
 
 /// How the global element grid is split across ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SplitKind {
     /// A cubic `p x p x p` split (LULESH style); requires `ranks` to be a
     /// perfect cube.
@@ -35,7 +33,7 @@ pub enum SplitKind {
 /// let owned: usize = (0..8).map(|r| dec.elements_of_rank(r).len()).sum();
 /// assert_eq!(owned, 27_000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockDecomposition {
     extents: Extents,
     ranks: usize,

@@ -5,8 +5,6 @@
 //! name so diagnostics and the in-situ analysis layer can refer to variables
 //! symbolically ("velocity", "temperature", ...).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// A named scalar field.
@@ -19,7 +17,7 @@ use crate::error::{Error, Result};
 /// assert_eq!(e.get(0).unwrap(), 3.0);
 /// assert_eq!(e.sum(), 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalarField {
     name: String,
     data: Vec<f64>,
@@ -160,7 +158,7 @@ impl ScalarField {
 /// v.set(2, [1.0, 2.0, 2.0]).unwrap();
 /// assert!((v.magnitude(2).unwrap() - 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VectorField {
     name: String,
     x: Vec<f64>,

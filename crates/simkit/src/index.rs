@@ -5,8 +5,6 @@
 //! grid dimensions and performs the conversion in row-major (`k` slowest,
 //! `i` fastest) order, matching the layout used by LULESH.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// A triple of grid coordinates `(i, j, k)`.
@@ -17,7 +15,7 @@ use crate::error::{Error, Result};
 /// assert_eq!(idx.i, 1);
 /// assert_eq!(idx + Index3::new(1, 1, 1), Index3::new(2, 3, 4));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Index3 {
     /// Fastest-varying coordinate (x direction).
     pub i: usize,
@@ -75,7 +73,7 @@ impl From<(usize, usize, usize)> for Index3 {
 /// let lin = ext.linearize(idx).unwrap();
 /// assert_eq!(ext.delinearize(lin).unwrap(), idx);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Extents {
     nx: usize,
     ny: usize,

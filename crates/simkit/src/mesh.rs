@@ -7,8 +7,6 @@
 //! implicit in the structured layout and exposed through
 //! [`StructuredMesh::element_nodes`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 use crate::index::{Extents, Index3};
 
@@ -23,7 +21,7 @@ use crate::index::{Extents, Index3};
 /// let corners = mesh.element_nodes(0);
 /// assert_eq!(corners.len(), 8);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StructuredMesh {
     element_extents: Extents,
     node_extents: Extents,

@@ -6,8 +6,6 @@
 //! operations the paper's evaluation needs: gradients, resampling onto a
 //! common grid, normalization, and truncation to a training fraction.
 
-use serde::{Deserialize, Serialize};
-
 use crate::stats;
 
 /// A sequence of `(time, value)` samples in non-decreasing time order.
@@ -24,7 +22,7 @@ use crate::stats;
 /// let grad = s.gradients();
 /// assert_eq!(grad.len(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimeSeries {
     name: String,
     times: Vec<f64>,

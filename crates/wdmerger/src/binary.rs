@@ -6,13 +6,11 @@
 //! Each call to [`BinaryState::advance`] integrates one diagnostic timestep
 //! with the configured number of substeps.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::WdMergerConfig;
 use crate::wd::{chandrasekhar_mass, orbital_angular_momentum, roche_lobe_radius, wd_radius};
 
 /// Which stage of the merger the system is currently in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergerPhase {
     /// Detached binary, orbit shrinking through gravitational-wave and tidal
     /// losses.
@@ -28,7 +26,7 @@ pub enum MergerPhase {
 
 /// The dynamical state of the binary (plus the thermal state of the primary
 /// and the bookkeeping of the detonation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinaryState {
     /// Primary (accretor) mass, solar masses.
     pub primary_mass: f64,

@@ -1,7 +1,6 @@
 //! Configuration of the white-dwarf merger proxy.
 
 use parsim::ParallelConfig;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`WdMergerSim`](crate::WdMergerSim) run.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// of the paper's delay-time axis). Rates are expressed per timestep. The
 /// defaults are calibrated so the detonation occurs near timestep 30 of a
 /// ~110-step run, matching the regime of the paper's Figure 8 and Table VI.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WdMergerConfig {
     /// Grid resolution per axis (the paper's 16, 32 or 48).
     pub resolution: usize,

@@ -1,12 +1,11 @@
 //! The four diagnostic series and their ground-truth delay times.
 
-use serde::{Deserialize, Serialize};
 use simkit::series::TimeSeries;
 
 use crate::binary::BinaryState;
 
 /// The diagnostic variables the paper extracts for the WD-merger case study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DiagnosticVariable {
     /// Central temperature of the primary.
     Temperature,
@@ -66,7 +65,7 @@ impl std::fmt::Display for DiagnosticVariable {
 
 /// Time series of the four diagnostics plus the simulation's own record of
 /// when ignition happened (the ground-truth delay time).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WdDiagnostics {
     temperature: TimeSeries,
     angular_momentum: TimeSeries,

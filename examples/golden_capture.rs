@@ -25,13 +25,14 @@ use insitu_repro::prelude::*;
 /// `cargo run --example golden_capture` executes).
 const GOLDEN_PATH: &str = "tests/golden/columnar.txt";
 
-fn dump(out: &mut String, label: &str, region: &Region<impl ?Sized>, analyses: usize) {
+fn dump<D: ?Sized>(out: &mut String, label: &str, engine: &Engine<D>, region: RegionId) {
     writeln!(out, "// --- {label} ---").unwrap();
-    let status = region.status();
+    let status = engine.status(region).expect("region exists");
     writeln!(out, "samples_collected: {}", status.samples_collected).unwrap();
     writeln!(out, "batches_trained: {}", status.batches_trained).unwrap();
-    for index in 0..analyses {
-        let trainer = region.trainer(index).expect("trainer resident");
+    for index in 0..engine.analysis_count(region).expect("region exists") {
+        let analysis = engine.analysis_id(region, index).expect("analysis exists");
+        let trainer = engine.trainer(analysis).expect("trainer resident");
         let losses: Vec<String> = trainer
             .loss_history()
             .iter()
@@ -70,7 +71,8 @@ fn dump(out: &mut String, label: &str, region: &Region<impl ?Sized>, analyses: u
 fn lulesh_scenario(out: &mut String) {
     let size = 14;
     let mut sim = LuleshSim::new(LuleshConfig::with_edge_elems(size));
-    let mut region: Region<LuleshSim> = Region::new("golden-lulesh");
+    let mut engine: Engine<LuleshSim> = Engine::new();
+    let region = engine.add_region("golden-lulesh").unwrap();
     let spec = AnalysisSpec::builder()
         .name("velocity")
         .provider(|s: &LuleshSim, loc: usize| s.velocity_at(loc))
@@ -81,20 +83,20 @@ fn lulesh_scenario(out: &mut String) {
         .batch_capacity(16)
         .build()
         .unwrap();
-    region.add_analysis(spec);
+    engine.add_analysis(region, spec).unwrap();
     sim.run_with(|s, it| {
-        region.begin(it);
-        region.end(it, s);
+        engine.step(it).complete(s);
         it < 250
     });
-    region.extract_now();
-    dump(out, "lulesh", &region, 1);
+    engine.extract_now(region).unwrap();
+    dump(out, "lulesh", &engine, region);
 }
 
 fn wdmerger_scenario(out: &mut String) {
     let config = WdMergerConfig::with_resolution(12);
     let mut sim = WdMergerSim::new(config);
-    let mut region: Region<WdMergerSim> = Region::new("golden-wd");
+    let mut engine: Engine<WdMergerSim> = Engine::new();
+    let region = engine.add_region("golden-wd").unwrap();
     for variable in DiagnosticVariable::all() {
         let spec = AnalysisSpec::builder()
             .name(variable.name())
@@ -107,16 +109,14 @@ fn wdmerger_scenario(out: &mut String) {
             .batch_capacity(8)
             .build()
             .unwrap();
-        region.add_analysis(spec);
+        engine.add_analysis(region, spec).unwrap();
     }
-    let analyses = region.analysis_count();
     sim.run_with(|s, step| {
-        region.begin(step);
-        region.end(step, s);
+        engine.step(step).complete(s);
         true
     });
-    region.extract_now();
-    dump(out, "wdmerger", &region, analyses);
+    engine.extract_now(region).unwrap();
+    dump(out, "wdmerger", &engine, region);
 }
 
 fn main() {

@@ -1,12 +1,9 @@
 //! Quickstart: attach the real-time auto-regression analysis to a toy
-//! iterative simulation in ~30 lines, using the paper's `td_*` API names.
+//! iterative simulation in ~30 lines, following the shape of the paper's
+//! Fig. 2 integration. Each engine call is annotated with the `td_*` call of
+//! the paper's C API that it stands for.
 //!
 //! Run with `cargo run --release --example quickstart`.
-//!
-//! This example deliberately exercises the deprecated `td_*` compatibility
-//! shims to show how a ported C integration reads; see
-//! `examples/engine_pipeline.rs` for the engine-native equivalent.
-#![allow(deprecated)]
 
 use insitu_repro::prelude::*;
 
@@ -28,14 +25,14 @@ impl ToyDomain {
 }
 
 fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
-    // 1. Initialize the region and the sampling characteristics
-    //    (td_region_init / td_iter_param_init in the paper).
-    let mut region = td_region_init::<ToyDomain>("quickstart");
-    let locations = td_iter_param_init(1, 12, 1)?;
-    let iterations = td_iter_param_init(0, 400, 1)?;
+    // 1. Initialize the region and the sampling characteristics.
+    let mut engine: Engine<ToyDomain> = Engine::new();
+    let region = engine.add_region("quickstart")?; // td_region_init
+    let locations = IterParam::new(1, 12, 1)?; // td_iter_param_init
+    let iterations = IterParam::new(0, 400, 1)?; // td_iter_param_init
 
-    // 2. Describe the analysis: which variable, where, how to model it and
-    //    which feature to extract (td_region_add_analysis).
+    // 2. Describe the analysis: which variable (the td_var_provider), where,
+    //    how to model it and which feature to extract.
     let spec = AnalysisSpec::builder()
         .name("velocity")
         .provider(|d: &ToyDomain, loc: usize| d.velocity.get(loc).copied().unwrap_or(0.0))
@@ -46,32 +43,36 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
         .lag(5)
         .exit(ExitAction::TerminateSimulation)
         .build()?;
-    td_region_add_analysis(&mut region, spec);
+    let analysis = engine.add_analysis(region, spec)?; // td_region_add_analysis
 
-    // 3. Wrap the main computation with td_region_begin / td_region_end.
+    // 3. Wrap the main computation in one engine step.
     let mut domain = ToyDomain {
         velocity: vec![0.0; 32],
     };
     let mut executed = 0;
     for iteration in 0..400u64 {
-        td_region_begin(&mut region, iteration);
+        let step = engine.step(iteration); // td_region_begin
         domain.advance(iteration); // the "main computation"
-        let status = td_region_end(&mut region, iteration, &domain);
+        let report = step.complete(&domain); // td_region_end
         executed = iteration + 1;
-        if status.should_terminate {
+        if report.should_terminate() {
             println!("early termination requested at iteration {iteration}");
             break;
         }
     }
 
     // 4. Inspect what the analysis learned.
-    region.extract_now();
-    let status = region.status();
+    engine.extract_now(region)?;
+    let status = engine.status(region).expect("region exists");
     println!("iterations executed : {executed}");
     println!("samples collected   : {}", status.samples_collected);
     println!("mini-batches trained: {}", status.batches_trained);
     if let Some((name, feature)) = status.features.first() {
         println!("extracted feature   : {name} = {:.2}", feature.scalar());
+    }
+    let trainer = engine.trainer(analysis).expect("inline trainer");
+    if !trainer.model().is_trained() {
+        return Err("the model was never trained".into());
     }
     Ok(())
 }

@@ -21,7 +21,7 @@ pub use simkit;
 pub use wdmerger;
 
 /// Convenience re-exports of the most commonly used items across the
-/// workspace (the `td_*` region API, both proxy simulations, and the
+/// workspace (the engine API, both proxy simulations, and the
 /// parallel-runtime configuration).
 pub mod prelude {
     pub use insitu::prelude::*;

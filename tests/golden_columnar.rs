@@ -220,7 +220,8 @@ fn assert_model_bits(
 fn lulesh_pipeline_is_bit_identical_to_the_row_oriented_path() {
     let size = 14;
     let mut sim = LuleshSim::new(LuleshConfig::with_edge_elems(size));
-    let mut region: Region<LuleshSim> = Region::new("golden-lulesh");
+    let mut engine: Engine<LuleshSim> = Engine::new();
+    let region = engine.add_region("golden-lulesh").unwrap();
     let spec = AnalysisSpec::builder()
         .name("velocity")
         .provider(|s: &LuleshSim, loc: usize| s.velocity_at(loc))
@@ -231,18 +232,17 @@ fn lulesh_pipeline_is_bit_identical_to_the_row_oriented_path() {
         .batch_capacity(16)
         .build()
         .unwrap();
-    region.add_analysis(spec);
+    let analysis = engine.add_analysis(region, spec).unwrap();
     sim.run_with(|s, it| {
-        region.begin(it);
-        region.end(it, s);
+        engine.step(it).complete(s);
         it < 250
     });
-    region.extract_now();
+    engine.extract_now(region).unwrap();
 
-    let status = region.status();
+    let status = engine.status(region).unwrap();
     assert_eq!(status.samples_collected, LULESH_SAMPLES);
     assert_eq!(status.batches_trained, LULESH_BATCHES);
-    let trainer = region.trainer(0).unwrap();
+    let trainer = engine.trainer(analysis).unwrap();
     assert_loss_bits(trainer, &LULESH_LOSS_BITS, "lulesh velocity");
     assert_model_bits(
         trainer,
@@ -262,7 +262,8 @@ fn lulesh_pipeline_is_bit_identical_to_the_row_oriented_path() {
 fn wdmerger_pipeline_is_bit_identical_to_the_row_oriented_path() {
     let config = WdMergerConfig::with_resolution(12);
     let mut sim = WdMergerSim::new(config);
-    let mut region: Region<WdMergerSim> = Region::new("golden-wd");
+    let mut engine: Engine<WdMergerSim> = Engine::new();
+    let region = engine.add_region("golden-wd").unwrap();
     for variable in DiagnosticVariable::all() {
         let spec = AnalysisSpec::builder()
             .name(variable.name())
@@ -275,16 +276,15 @@ fn wdmerger_pipeline_is_bit_identical_to_the_row_oriented_path() {
             .batch_capacity(8)
             .build()
             .unwrap();
-        region.add_analysis(spec);
+        engine.add_analysis(region, spec).unwrap();
     }
     sim.run_with(|s, step| {
-        region.begin(step);
-        region.end(step, s);
+        engine.step(step).complete(s);
         true
     });
-    region.extract_now();
+    engine.extract_now(region).unwrap();
 
-    let status = region.status();
+    let status = engine.status(region).unwrap();
     assert_eq!(status.samples_collected, WD_SAMPLES);
     assert_eq!(status.batches_trained, WD_BATCHES);
     for (index, ((losses, intercept), coefficients)) in WD_LOSS_BITS
@@ -294,7 +294,8 @@ fn wdmerger_pipeline_is_bit_identical_to_the_row_oriented_path() {
         .enumerate()
     {
         let label = format!("wdmerger analysis {index}");
-        let trainer = region.trainer(index).unwrap();
+        let analysis = engine.analysis_id(region, index).unwrap();
+        let trainer = engine.trainer(analysis).unwrap();
         assert_loss_bits(trainer, losses, &label);
         assert_model_bits(trainer, *intercept, coefficients, &label);
     }

@@ -1,9 +1,7 @@
-//! Acceptance test for the engine-centric API redesign: the same
-//! LULESH-style workload driven through (a) the deprecated `td_*` shims,
-//! (b) an `Engine` with inline training, and (c) an `Engine` with
+//! Acceptance test for the engine API: the same LULESH-style workload
+//! driven through an `Engine` with inline training and an `Engine` with
 //! background training must extract the same feature values — with the
 //! background run bit-identical after a final `engine.drain()`.
-#![allow(deprecated)]
 
 use insitu_repro::prelude::*;
 
@@ -31,23 +29,10 @@ fn feature_rows(status: &RegionStatus) -> Vec<(String, f64)> {
         .collect()
 }
 
-fn run_td_shims() -> RegionStatus {
-    let mut sim = LuleshSim::new(LuleshConfig::with_edge_elems(EDGE_ELEMS));
-    let mut region = td_region_init::<LuleshSim>("compat");
-    td_region_add_analysis(&mut region, lulesh_spec());
-    sim.run_with(|s, it| {
-        td_region_begin(&mut region, it);
-        td_region_end(&mut region, it, s);
-        true
-    });
-    region.extract_now();
-    region.status().clone()
-}
-
 fn run_engine(config: EngineConfig) -> (Engine<LuleshSim>, RegionId, RegionStatus) {
     let mut sim = LuleshSim::new(LuleshConfig::with_edge_elems(EDGE_ELEMS));
     let mut engine: Engine<LuleshSim> = Engine::with_config(config);
-    let region = engine.add_region("compat").unwrap();
+    let region = engine.add_region("lulesh").unwrap();
     engine.add_analysis(region, lulesh_spec()).unwrap();
     sim.run_with(|s, it| {
         let step = engine.step(it);
@@ -62,21 +47,17 @@ fn run_engine(config: EngineConfig) -> (Engine<LuleshSim>, RegionId, RegionStatu
 
 #[test]
 fn all_three_api_layers_extract_identical_features() {
-    let td = run_td_shims();
     let (inline_engine, inline_region, inline) = run_engine(EngineConfig::inline());
     let pool = ThreadPool::new(ParallelConfig::new(1, 2).unwrap());
     let (bg_engine, bg_region, background) = run_engine(EngineConfig::background(pool));
 
-    // All three layers saw the same samples and produced features.
-    assert!(td.samples_collected > 0);
-    assert_eq!(td.samples_collected, inline.samples_collected);
+    // Both training modes saw the same samples and produced features.
+    assert!(inline.samples_collected > 0);
     assert_eq!(inline.samples_collected, background.samples_collected);
-    assert!(!feature_rows(&td).is_empty(), "td shims extracted nothing");
-
-    // The td shims are a thin layer over an inline engine: identical output.
-    assert_eq!(feature_rows(&td), feature_rows(&inline));
-    assert_eq!(td.batches_trained, inline.batches_trained);
-    assert_eq!(td.last_loss, inline.last_loss);
+    assert!(
+        !feature_rows(&inline).is_empty(),
+        "inline extracted nothing"
+    );
 
     // Background training consumed the same batches in the same order, so
     // after drain() the results are bit-identical to inline.
@@ -121,40 +102,32 @@ fn background_engine_does_not_perturb_the_physics() {
 
 #[test]
 fn engine_early_termination_matches_region_early_termination() {
-    let spec = |exit: ExitAction| {
-        AnalysisSpec::builder()
-            .name("velocity")
-            .provider(|s: &LuleshSim, loc: usize| s.velocity_at(loc))
-            .spatial(IterParam::new(1, 8, 1).unwrap())
-            .temporal(IterParam::new(1, 400, 1).unwrap())
-            .feature(FeatureKind::Breakpoint { threshold: 0.1 })
-            .lag(5)
-            .exit(exit)
-            .build()
-            .unwrap()
-    };
+    let spec = AnalysisSpec::builder()
+        .name("velocity")
+        .provider(|s: &LuleshSim, loc: usize| s.velocity_at(loc))
+        .spatial(IterParam::new(1, 8, 1).unwrap())
+        .temporal(IterParam::new(1, 400, 1).unwrap())
+        .feature(FeatureKind::Breakpoint { threshold: 0.1 })
+        .lag(5)
+        .exit(ExitAction::TerminateSimulation)
+        .build()
+        .unwrap();
 
-    // Legacy region path.
-    let mut sim = LuleshSim::new(LuleshConfig::with_edge_elems(EDGE_ELEMS));
-    let mut region: Region<LuleshSim> = Region::new("early");
-    region.add_analysis(spec(ExitAction::TerminateSimulation));
-    let legacy = sim.run_with(|s, it| {
-        region.begin(it);
-        !region.end(it, s).should_terminate
-    });
+    let mut full = LuleshSim::new(LuleshConfig::with_edge_elems(EDGE_ELEMS));
+    let full_iterations = full.run_to_completion().iterations;
 
-    // Engine path.
     let mut sim = LuleshSim::new(LuleshConfig::with_edge_elems(EDGE_ELEMS));
     let mut engine: Engine<LuleshSim> = Engine::new();
     let r = engine.add_region("early").unwrap();
-    engine
-        .add_analysis(r, spec(ExitAction::TerminateSimulation))
-        .unwrap();
-    let modern = sim.run_with(|s, it| !engine.step(it).complete(s).should_terminate());
+    engine.add_analysis(r, spec).unwrap();
+    let summary = sim.run_with(|s, it| !engine.step(it).complete(s).should_terminate());
 
-    assert!(legacy.terminated_early);
-    assert!(modern.terminated_early);
-    assert_eq!(legacy.iterations, modern.iterations);
+    // The engine-wide stop is the region's own request.
+    let status = engine.status(r).unwrap();
+    assert!(status.converged);
+    assert!(status.should_terminate);
+    assert!(summary.terminated_early);
+    assert!(summary.iterations < full_iterations);
 }
 
 /// The per-batch loss sequence, intercept + coefficients, named features

@@ -1,9 +1,5 @@
 //! Integration tests spanning the `insitu` library and the LULESH proxy:
 //! the full material-deformation pipeline of the paper's first case study.
-//!
-//! The `td_*` calls below intentionally cover the deprecated compatibility
-//! shims.
-#![allow(deprecated)]
 
 use insitu_repro::prelude::*;
 
@@ -24,7 +20,8 @@ fn instrumented_run_matches_plain_run_physics() {
     let plain = full_run(size);
 
     let mut instrumented = LuleshSim::new(LuleshConfig::with_edge_elems(size));
-    let mut region: Region<LuleshSim> = Region::new("check");
+    let mut engine: Engine<LuleshSim> = Engine::new();
+    let region = engine.add_region("check").unwrap();
     let spec = AnalysisSpec::builder()
         .name("velocity")
         .provider(|s: &LuleshSim, loc: usize| s.velocity_at(loc))
@@ -34,10 +31,9 @@ fn instrumented_run_matches_plain_run_physics() {
         .lag(5)
         .build()
         .unwrap();
-    region.add_analysis(spec);
+    engine.add_analysis(region, spec).unwrap();
     instrumented.run_with(|s, it| {
-        region.begin(it);
-        region.end(it, s);
+        engine.step(it).complete(s);
         true
     });
 
@@ -56,7 +52,8 @@ fn instrumented_run_matches_plain_run_physics() {
 fn region_collects_exactly_the_configured_samples() {
     let size = small_size();
     let mut sim = LuleshSim::new(LuleshConfig::with_edge_elems(size));
-    let mut region: Region<LuleshSim> = Region::new("count");
+    let mut engine: Engine<LuleshSim> = Engine::new();
+    let region = engine.add_region("count").unwrap();
     let spatial = IterParam::new(1, 6, 1).unwrap();
     let temporal = IterParam::new(10, 60, 5).unwrap();
     let spec = AnalysisSpec::builder()
@@ -67,18 +64,17 @@ fn region_collects_exactly_the_configured_samples() {
         .feature(FeatureKind::Outliers { threshold: 1.0 })
         .build()
         .unwrap();
-    region.add_analysis(spec);
+    let analysis = engine.add_analysis(region, spec).unwrap();
     sim.run_with(|s, it| {
-        region.begin(it);
-        region.end(it, s);
+        engine.step(it).complete(s);
         it < 100
     });
     // Every sampled iteration contributes one sample per sampled location.
     assert_eq!(
-        region.status().samples_collected,
+        engine.status(region).unwrap().samples_collected,
         spatial.len() * temporal.len()
     );
-    let history = region.history(0).unwrap();
+    let history = engine.history(analysis).unwrap();
     assert_eq!(history.iter_locations().count(), spatial.len());
 }
 
@@ -89,7 +85,8 @@ fn breakpoint_feature_agrees_with_ground_truth_for_coarse_thresholds() {
     let truth = full.diagnostics().breakpoint_radius(0.20);
 
     let mut sim = LuleshSim::new(LuleshConfig::with_edge_elems(size));
-    let mut region: Region<LuleshSim> = Region::new("bp");
+    let mut engine: Engine<LuleshSim> = Engine::new();
+    let region = engine.add_region("bp").unwrap();
     let spec = AnalysisSpec::builder()
         .name("velocity")
         .provider(|s: &LuleshSim, loc: usize| s.velocity_at(loc))
@@ -99,15 +96,15 @@ fn breakpoint_feature_agrees_with_ground_truth_for_coarse_thresholds() {
         .lag(5)
         .build()
         .unwrap();
-    region.add_analysis(spec);
+    engine.add_analysis(region, spec).unwrap();
     sim.run_with(|s, it| {
-        region.begin(it);
-        region.end(it, s);
+        engine.step(it).complete(s);
         true
     });
-    region.extract_now();
-    let extracted = region
-        .status()
+    engine.extract_now(region).unwrap();
+    let extracted = engine
+        .status(region)
+        .unwrap()
         .feature("velocity")
         .map(|f| f.scalar())
         .expect("breakpoint feature extracted");
@@ -124,7 +121,8 @@ fn early_termination_executes_fewer_iterations_than_full_run() {
     let full_iterations = full.iteration();
 
     let mut sim = LuleshSim::new(LuleshConfig::with_edge_elems(size));
-    let mut region: Region<LuleshSim> = Region::new("early");
+    let mut engine: Engine<LuleshSim> = Engine::new();
+    let region = engine.add_region("early").unwrap();
     let spec = AnalysisSpec::builder()
         .name("velocity")
         .provider(|s: &LuleshSim, loc: usize| s.velocity_at(loc))
@@ -135,38 +133,11 @@ fn early_termination_executes_fewer_iterations_than_full_run() {
         .exit(ExitAction::TerminateSimulation)
         .build()
         .unwrap();
-    region.add_analysis(spec);
-    let summary = sim.run_with(|s, it| {
-        region.begin(it);
-        !region.end(it, s).should_terminate
-    });
+    engine.add_analysis(region, spec).unwrap();
+    let summary = sim.run_with(|s, it| !engine.step(it).complete(s).should_terminate());
     assert!(summary.terminated_early);
     assert!(summary.iterations < full_iterations);
     // The paper's Table IV regime: early termination lands well below the
     // full iteration budget (≈ 40 % collection window plus convergence).
     assert!(summary.iterations as f64 <= full_iterations as f64 * 0.6);
-}
-
-#[test]
-fn td_compat_layer_drives_the_same_pipeline() {
-    let size = small_size();
-    let mut sim = LuleshSim::new(LuleshConfig::with_edge_elems(size));
-    let mut region = td_region_init::<LuleshSim>("compat");
-    let loc = td_iter_param_init(1, 8, 1).unwrap();
-    let iters = td_iter_param_init(1, 200, 1).unwrap();
-    let spec = AnalysisSpec::builder()
-        .provider(|s: &LuleshSim, l: usize| s.velocity_at(l))
-        .spatial(loc)
-        .temporal(iters)
-        .feature(FeatureKind::Breakpoint { threshold: 0.05 })
-        .build()
-        .unwrap();
-    td_region_add_analysis(&mut region, spec);
-    sim.run_with(|s, it| {
-        td_region_begin(&mut region, it);
-        let status = td_region_end(&mut region, it, s);
-        !status.should_terminate
-    });
-    assert!(region.status().samples_collected > 0);
-    assert!(region.status().batches_trained > 0);
 }

@@ -4,8 +4,9 @@
 use insitu::collect::PredictorLayout;
 use insitu_repro::prelude::*;
 
-fn region_for(config: &WdMergerConfig) -> Region<WdMergerSim> {
-    let mut region: Region<WdMergerSim> = Region::new("wdmerger");
+fn engine_for(config: &WdMergerConfig) -> (Engine<WdMergerSim>, RegionId) {
+    let mut engine: Engine<WdMergerSim> = Engine::new();
+    let region = engine.add_region("wdmerger").unwrap();
     for variable in DiagnosticVariable::all() {
         let spec = AnalysisSpec::builder()
             .name(variable.name())
@@ -18,27 +19,26 @@ fn region_for(config: &WdMergerConfig) -> Region<WdMergerSim> {
             .batch_capacity(8)
             .build()
             .unwrap();
-        region.add_analysis(spec);
+        engine.add_analysis(region, spec).unwrap();
     }
-    region
+    (engine, region)
 }
 
 #[test]
 fn delay_time_features_cluster_around_the_ignition_time() {
     let config = WdMergerConfig::with_resolution(12);
     let mut sim = WdMergerSim::new(config);
-    let mut region = region_for(&config);
+    let (mut engine, region) = engine_for(&config);
     sim.run_with(|s, step| {
-        region.begin(step);
-        region.end(step, s);
+        engine.step(step).complete(s);
         true
     });
-    region.extract_now();
+    engine.extract_now(region).unwrap();
 
     let truth = sim.diagnostics().ground_truth_delay_time().unwrap();
     let mut extracted = 0;
     for variable in DiagnosticVariable::all() {
-        if let Some(feature) = region.status().feature(variable.name()) {
+        if let Some(feature) = engine.status(region).unwrap().feature(variable.name()) {
             let delay = feature.scalar();
             assert!(
                 (delay - truth).abs() <= 8.0,
@@ -61,10 +61,9 @@ fn instrumented_wd_run_preserves_the_physics() {
     plain.run_to_completion();
 
     let mut instrumented = WdMergerSim::new(config);
-    let mut region = region_for(&config);
+    let (mut engine, _) = engine_for(&config);
     instrumented.run_with(|s, step| {
-        region.begin(step);
-        region.end(step, s);
+        engine.step(step).complete(s);
         true
     });
 
@@ -87,14 +86,14 @@ fn instrumented_wd_run_preserves_the_physics() {
 fn four_analyses_collect_independent_series() {
     let config = WdMergerConfig::with_resolution(12).with_steps(40);
     let mut sim = WdMergerSim::new(config);
-    let mut region = region_for(&config);
+    let (mut engine, region) = engine_for(&config);
     sim.run_with(|s, step| {
-        region.begin(step);
-        region.end(step, s);
+        engine.step(step).complete(s);
         true
     });
     for index in 0..4 {
-        let history = region.history(index).unwrap();
+        let analysis = engine.analysis_id(region, index).unwrap();
+        let history = engine.history(analysis).unwrap();
         assert_eq!(history.iter_locations().count(), 1);
         let location = history.iter_locations().next().unwrap();
         assert_eq!(
@@ -106,8 +105,12 @@ fn four_analyses_collect_independent_series() {
         assert_eq!(history.iterations_of(location).unwrap().len(), 40);
     }
     // Mass and temperature series must differ (they are different variables).
-    let mass = region.history(2).unwrap();
-    let temp = region.history(0).unwrap();
+    let mass = engine
+        .history(engine.analysis_id(region, 2).unwrap())
+        .unwrap();
+    let temp = engine
+        .history(engine.analysis_id(region, 0).unwrap())
+        .unwrap();
     let mass_last = mass
         .latest_of(mass.iter_locations().next().unwrap())
         .unwrap();
@@ -121,7 +124,8 @@ fn four_analyses_collect_independent_series() {
 fn early_termination_after_detonation_saves_steps() {
     let config = WdMergerConfig::with_resolution(12);
     let mut sim = WdMergerSim::new(config);
-    let mut region: Region<WdMergerSim> = Region::new("early");
+    let mut engine: Engine<WdMergerSim> = Engine::new();
+    let region = engine.add_region("early").unwrap();
     let spec = AnalysisSpec::builder()
         .name("temperature")
         .provider(|s: &WdMergerSim, loc: usize| s.diagnostic_at(loc))
@@ -134,11 +138,10 @@ fn early_termination_after_detonation_saves_steps() {
         .exit(ExitAction::TerminateSimulation)
         .build()
         .unwrap();
-    region.add_analysis(spec);
+    engine.add_analysis(region, spec).unwrap();
     let summary = sim.run_with(|s, step| {
-        region.begin(step);
-        let status = region.end(step, s);
-        !(status.should_terminate && s.detonated())
+        let report = engine.step(step).complete(s);
+        !(report.should_terminate() && s.detonated())
     });
     assert!(summary.detonated);
     assert!(summary.steps < config.steps);
