@@ -1,7 +1,8 @@
-//! Criterion micro-bench: each `insitu::kernels` hot loop, scalar versus
-//! every SIMD dispatch the host offers. This is the per-kernel companion to
-//! the committed pipeline benches (`BENCH_columnar.json` carries the
-//! enforced numbers); run it to see where a new kernel's cycles go.
+//! Criterion micro-bench: each dispatched `insitu::kernels` hot loop,
+//! scalar versus every SIMD dispatch the host offers. This is the
+//! per-kernel companion to the committed pipeline benches
+//! (`BENCH_columnar.json` carries the enforced numbers); run it to see
+//! where a new kernel's cycles go.
 
 use std::hint::black_box;
 
@@ -21,35 +22,6 @@ fn fill(seed: u64, buf: &mut [f64]) {
 
 fn candidates() -> Vec<&'static Kernels> {
     kernels::candidates()
-}
-
-fn bench_transform(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels/transform");
-    group.sample_size(40);
-    let mut values = vec![0.0; 3072];
-    fill(1, &mut values);
-    for k in candidates() {
-        group.bench_function(k.name(), |b| {
-            let mut buf = values.clone();
-            b.iter(|| {
-                k.transform(black_box(&mut buf), 0.37, 2.25);
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_sum_squares(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels/sum_squares");
-    group.sample_size(40);
-    let mut values = vec![0.0; 3072];
-    fill(2, &mut values);
-    for k in candidates() {
-        group.bench_function(k.name(), |b| {
-            b.iter(|| k.sum_squares(black_box(&values)));
-        });
-    }
-    group.finish();
 }
 
 fn bench_affine(c: &mut Criterion) {
@@ -103,27 +75,5 @@ fn bench_grad_and_loss(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_max_seeded(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels/max_seeded");
-    group.sample_size(40);
-    for len in [64usize, 4096] {
-        let mut values = vec![0.0; len];
-        fill(8, &mut values);
-        for k in candidates() {
-            group.bench_function(format!("{}_n{len}", k.name()), |b| {
-                b.iter(|| k.max_seeded(black_box(f64::NEG_INFINITY), black_box(&values)));
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_transform,
-    bench_sum_squares,
-    bench_affine,
-    bench_grad_and_loss,
-    bench_max_seeded
-);
+criterion_group!(benches, bench_affine, bench_grad_and_loss);
 criterion_main!(benches);

@@ -1,6 +1,7 @@
-//! Ablation studies for the design choices called out in `DESIGN.md`:
-//! mini-batch size, AR order/lag, optimizer family, and the spatial
-//! sampling window.
+//! Ablation studies for the pipeline's design choices (see
+//! `docs/ARCHITECTURE.md`): mini-batch size, AR order/lag, optimizer
+//! family, and the spatial sampling window. The `ablate_*` binaries print
+//! them.
 
 use insitu::collect::MiniBatch;
 use insitu::model::{

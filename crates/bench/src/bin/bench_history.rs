@@ -8,16 +8,14 @@
 //! speedup is purely the storage layout: O(1) slot-addressed records
 //! instead of tree walks, contiguous value columns instead of interleaved
 //! pairs, and incrementally maintained peak/latest profiles instead of
-//! per-extraction rescans. The artifact also carries the store-side
-//! scalar-vs-dispatched kernel row (`"kernel_speedup"`, the windowed peak
-//! re-scan — see [`bench::kernelbench`]). Run from the workspace root:
+//! per-extraction rescans. Run from the workspace root:
 //!
 //! ```text
 //! cargo run --release -p bench --bin bench_history
 //! ```
 
 use bench::report::{JsonObj, JsonReport};
-use bench::{histref, kernelbench, median_ns};
+use bench::{histref, median_ns};
 
 struct Measurement {
     locations: u64,
@@ -74,16 +72,6 @@ fn main() {
                 .ratio("speedup", m.map_ns_per_run / m.slot_ns_per_run),
         );
     }
-    let kernel_cases = kernelbench::measure_history_kernels(runs);
-    for case in &kernel_cases {
-        report.case(
-            JsonObj::new()
-                .string("kernel", case.name)
-                .ns("scalar_ns", case.scalar_ns)
-                .ns("dispatched_ns", case.dispatched_ns)
-                .ratio("kernel_speedup", case.speedup()),
-        );
-    }
     let json = report.write("BENCH_history.json");
     println!("{json}");
     for m in &measurements {
@@ -93,15 +81,6 @@ fn main() {
             m.map_ns_per_run,
             m.slot_ns_per_run,
             m.map_ns_per_run / m.slot_ns_per_run
-        );
-    }
-    for case in &kernel_cases {
-        println!(
-            "kernel {:<20}: scalar {:>8.1} ns, dispatched {:>8.1} ns, speedup {:.2}x",
-            case.name,
-            case.scalar_ns,
-            case.dispatched_ns,
-            case.speedup()
         );
     }
 }

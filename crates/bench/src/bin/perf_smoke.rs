@@ -2,20 +2,18 @@
 //! benchmarks at reduced sizes and fails if any measured number drops below
 //! **50 % of the value committed** in the corresponding `BENCH_*.json`:
 //!
-//! * `BENCH_history.json` — map-based vs slot-indexed sample store, plus
-//!   the store-side `"kernel_speedup"` row (windowed peak re-scan),
+//! * `BENCH_history.json` — map-based vs slot-indexed sample store,
 //! * `BENCH_columnar.json` — row-oriented vs columnar mini-batches, plus
-//!   the training-side `"kernel_speedup"` rows (scalar vs dispatched
-//!   `insitu::kernels`),
+//!   the `"kernel_speedup"` rows (scalar vs dispatched `insitu::kernels`),
 //! * `BENCH_service.json` — wire-served session throughput (steps/sec),
 //! * `BENCH_snapshot.json` — checkpoint serialize/restore throughput (MB/s).
 //!
 //! Two absolute ceilings ride along: telemetry-on at most 1.05× telemetry-off,
 //! and background training at most 1.25× inline, on the same pulse engine.
 //!
-//! Kernel floors are only enforced when this host's dispatch matches the
-//! recorded `"kernels"` string — a scalar or NEON host cannot be held to
-//! an AVX2 recording (same skip idiom as the core-count guards below).
+//! The kernel floor is only enforced when this host's dispatch matches the
+//! recorded `"kernels"` string — a scalar host cannot be held to an AVX2
+//! recording (same skip idiom as the core-count guards below).
 //!
 //! The floor is derived from the committed artifact (geometric mean of its
 //! per-case speedups, or the matching rung's throughput), not hard-coded,
@@ -306,38 +304,29 @@ fn main() {
             unit: "x",
         },
     ];
-    // Kernel floors: only comparable when this host resolves the same
+    // Kernel floor: only comparable when this host resolves the same
     // dispatch the artifact was recorded under (an AVX2 speedup is not a
-    // bound for a scalar or NEON host). The committed geomean spans the
-    // training rows (columnar artifact) and the store row (history
-    // artifact), re-measured on the same shapes via `bench::kernelbench`.
+    // bound for a scalar host). The committed geomean spans the kernel
+    // rows, re-measured on the same shapes via `bench::kernelbench`.
     let active = insitu::kernels::active();
-    for (artifact, measure) in [
-        (
-            "BENCH_columnar.json",
-            kernelbench::measure_training_kernels as fn(usize) -> Vec<kernelbench::KernelCase>,
-        ),
-        ("BENCH_history.json", kernelbench::measure_history_kernels),
-    ] {
-        let recorded = committed_kernels(artifact);
-        if recorded == active {
-            let speedups: Vec<f64> = measure(RUNS).iter().map(|c| c.speedup()).collect();
-            checks.push(Check {
-                name: match artifact {
-                    "BENCH_columnar.json" => "kernels/train (BENCH_columnar.json)",
-                    _ => "kernels/store (BENCH_history.json)",
-                },
-                committed: geomean(&committed_values(artifact, "kernel_speedup")),
-                measured: geomean(&speedups),
-                unit: "x",
-            });
-        } else {
-            println!(
-                "kernels ({artifact})   skipped: this host dispatches \"{active}\" \
-                 vs \"{recorded}\" when recorded — kernel floor not comparable; \
-                 re-record the artifact on matching hardware to re-arm it"
-            );
-        }
+    let recorded = committed_kernels("BENCH_columnar.json");
+    if recorded == active {
+        let speedups: Vec<f64> = kernelbench::measure_training_kernels(RUNS)
+            .iter()
+            .map(|c| c.speedup())
+            .collect();
+        checks.push(Check {
+            name: "kernels (BENCH_columnar.json)",
+            committed: geomean(&committed_values("BENCH_columnar.json", "kernel_speedup")),
+            measured: geomean(&speedups),
+            unit: "x",
+        });
+    } else {
+        println!(
+            "kernels (BENCH_columnar.json)    skipped: this host dispatches \"{active}\" \
+             vs \"{recorded}\" when recorded — kernel floor not comparable; \
+             re-record the artifact on matching hardware to re-arm it"
+        );
     }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // The service floor is throughput on real threads and sockets:

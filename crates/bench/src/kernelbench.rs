@@ -1,16 +1,16 @@
 //! Shared scalar-vs-dispatched kernel measurement.
 //!
-//! One fixed shape ladder per kernel, timed once against the canonical
+//! One fixed shape per dispatched kernel, timed once against the canonical
 //! scalar reference and once against the host's best dispatch
-//! ([`insitu::kernels::select`]). `bench_columnar` and `bench_history`
-//! record these rows into their committed `BENCH_*.json` artifacts (keyed
-//! `"kernel_speedup"`, deliberately not a substring hit for the pipeline
-//! `"speedup":` scans), and `perf_smoke` re-measures the same shapes to
-//! enforce the committed geomean at its floor.
+//! ([`insitu::kernels::select`]). `bench_columnar` records these rows into
+//! the committed `BENCH_columnar.json` (keyed `"kernel_speedup"`,
+//! deliberately not a substring hit for the pipeline `"speedup":` scans),
+//! and `perf_smoke` re-measures the same shapes to enforce the committed
+//! geomean at its floor.
 //!
-//! Because scalar and SIMD are bit-identical under the default feature
-//! set, every measurement first asserts the two paths agree on its actual
-//! inputs — a timing row for diverging arithmetic would be meaningless.
+//! Because scalar and SIMD are bit-identical, every measurement first
+//! asserts the two paths agree on its actual inputs — a timing row for
+//! diverging arithmetic would be meaningless.
 
 use insitu::kernels::{self, Kernels};
 
@@ -70,28 +70,22 @@ fn time_pair(
     }
 }
 
-/// Asserts the dispatched kernel agrees with scalar on this input (bitwise
-/// under the default features; the `fma` build is pinned by its own
-/// tolerance goldens, so here it only has to stay finite and close).
+/// Asserts the dispatched kernel reproduces scalar bit for bit on this
+/// input.
 fn assert_agree(scalar: f64, dispatched: f64, what: &str) {
-    let tol = 1e-9 * scalar.abs().max(dispatched.abs()).max(1.0);
-    assert!(
-        scalar.to_bits() == dispatched.to_bits() || (scalar - dispatched).abs() <= tol,
+    assert_eq!(
+        scalar.to_bits(),
+        dispatched.to_bits(),
         "{what}: dispatched kernel diverged from scalar ({scalar:e} vs {dispatched:e})"
     );
 }
 
-/// The training-side kernel rows recorded in `BENCH_columnar.json`:
-/// bulk z-score transform (divide and reciprocal-multiply variants),
-/// input-energy reduction, gradient epoch, loss reduction, and the order-3
-/// affine predict (the extraction path's shape; too short to vectorize
-/// well — committed as an honest ~1× row).
+/// The kernel rows recorded in `BENCH_columnar.json`: gradient epoch, loss
+/// reduction, and the order-3 affine predict (the extraction path's
+/// shape).
 pub fn measure_training_kernels(runs: usize) -> Vec<KernelCase> {
-    let n = 3072;
     let rows = 256;
     let order = 3;
-    let mut values = vec![0.0; n];
-    fill(1, &mut values);
     let mut inputs = vec![0.0; rows * order];
     let mut targets = vec![0.0; rows];
     let mut coeffs = vec![0.0; order];
@@ -100,11 +94,6 @@ pub fn measure_training_kernels(runs: usize) -> Vec<KernelCase> {
     fill(4, &mut coeffs);
     let intercept = 0.125;
 
-    assert_agree(
-        kernels::scalar().sum_squares(&values),
-        kernels::select().sum_squares(&values),
-        "sum_squares",
-    );
     assert_agree(
         kernels::scalar().loss_sum(&inputs, &targets, intercept, &coeffs),
         kernels::select().loss_sum(&inputs, &targets, intercept, &coeffs),
@@ -117,21 +106,6 @@ pub fn measure_training_kernels(runs: usize) -> Vec<KernelCase> {
     );
 
     let mut cases = Vec::new();
-    let mut buf = values.clone();
-    cases.push(time_pair("transform_n3072", runs, 64, |k| {
-        k.transform(&mut buf, 0.37, 2.25);
-    }));
-    // The reciprocal-multiply z-score variant (1/σ precomputed, `mul`
-    // instead of `div`) — the kernel the scaler routes through in the
-    // `fma`/tolerance tier. Elementwise mul, so scalar and dispatched are
-    // bit-identical under every feature set.
-    let mut recip_buf = values.clone();
-    cases.push(time_pair("transform_recip_n3072", runs, 64, |k| {
-        k.transform_recip(&mut recip_buf, 0.37, 1.0 / 2.25);
-    }));
-    cases.push(time_pair("sum_squares_n3072", runs, 64, |k| {
-        std::hint::black_box(k.sum_squares(&values));
-    }));
     let mut grads = vec![0.0; order + 1];
     let mut lanes = vec![0.0; 4 * (order + 1)];
     cases.push(time_pair("grad_epoch_rows256_order3", runs, 64, |k| {
@@ -148,22 +122,6 @@ pub fn measure_training_kernels(runs: usize) -> Vec<KernelCase> {
     cases
 }
 
-/// The store-side kernel row recorded in `BENCH_history.json`: the
-/// windowed peak re-scan (`max_seeded`) over a 4096-value column.
-pub fn measure_history_kernels(runs: usize) -> Vec<KernelCase> {
-    let n = 4096;
-    let mut values = vec![0.0; n];
-    fill(5, &mut values);
-    assert_agree(
-        kernels::scalar().max_seeded(f64::NEG_INFINITY, &values),
-        kernels::select().max_seeded(f64::NEG_INFINITY, &values),
-        "max_seeded",
-    );
-    vec![time_pair("peak_rescan_n4096", runs, 64, |k| {
-        std::hint::black_box(k.max_seeded(f64::NEG_INFINITY, &values));
-    })]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,9 +133,6 @@ mod tests {
         assert_eq!(
             names,
             [
-                "transform_n3072",
-                "transform_recip_n3072",
-                "sum_squares_n3072",
                 "grad_epoch_rows256_order3",
                 "loss_sum_rows256_order3",
                 "affine_order3",
@@ -187,7 +142,5 @@ mod tests {
             assert!(c.scalar_ns > 0.0 && c.dispatched_ns > 0.0, "{}", c.name);
             assert!(c.speedup().is_finite());
         }
-        let history = measure_history_kernels(3);
-        assert_eq!(history[0].name, "peak_rescan_n4096");
     }
 }

@@ -1,10 +1,10 @@
 //! `bench` — the experiment harness.
 //!
-//! One function per table/figure of the paper's evaluation section, plus the
-//! ablation studies called out in `DESIGN.md`. Each function runs the
-//! relevant proxy simulation(s), drives the `insitu` analysis library the
-//! same way the paper's integration does, and returns plain-data row structs
-//! that the `src/bin/*` binaries print and `EXPERIMENTS.md` records.
+//! One function per table/figure of the paper's evaluation section, plus
+//! ablation studies of the design choices (see [`ablation`]). Each function
+//! runs the relevant proxy simulation(s), drives the `insitu` analysis
+//! library the same way the paper's integration does, and returns
+//! plain-data row structs that the `src/bin/*` binaries print.
 //!
 //! | paper artifact | function |
 //! |----------------|----------|

@@ -298,9 +298,7 @@ pub fn run_row_pipeline(w: &LayoutWorkload) -> (usize, f64) {
 /// written straight into the recycled
 /// [`MiniBatch`](insitu::collect::MiniBatch), contiguous-slice trainer.
 /// Pinned to the scalar kernels so the row-vs-columnar rows measure the
-/// memory layout alone (and stay bit-comparable under the `fma` feature,
-/// whose fused kernels are only reachable through dispatch). Returns
-/// `(batches, last_loss)`.
+/// memory layout alone. Returns `(batches, last_loss)`.
 pub fn run_columnar_pipeline(w: &LayoutWorkload) -> (usize, f64) {
     run_columnar_pipeline_with(w, kernels::scalar())
 }
@@ -353,22 +351,11 @@ mod tests {
         let (scalar_batches, scalar_loss) = run_columnar_pipeline(&w);
         let (simd_batches, simd_loss) = run_columnar_pipeline_dispatched(&w);
         assert_eq!(scalar_batches, simd_batches, "batch cadence must agree");
-        if kernels::select().dispatch() == insitu::kernels::Dispatch::Avx2Fma {
-            // Fused multiply-add rounds once per multiply-add: tolerance,
-            // not bit-identity (the contract documented on the kernels
-            // module).
-            let tol = 1e-9 * scalar_loss.abs().max(1.0);
-            assert!(
-                (scalar_loss - simd_loss).abs() <= tol,
-                "fma loss {simd_loss:e} drifted past tolerance from {scalar_loss:e}"
-            );
-        } else {
-            assert_eq!(
-                scalar_loss.to_bits(),
-                simd_loss.to_bits(),
-                "dispatched loss {simd_loss:e} != scalar loss {scalar_loss:e}"
-            );
-        }
+        assert_eq!(
+            scalar_loss.to_bits(),
+            simd_loss.to_bits(),
+            "dispatched loss {simd_loss:e} != scalar loss {scalar_loss:e}"
+        );
     }
 
     #[test]

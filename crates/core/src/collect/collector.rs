@@ -282,21 +282,9 @@ impl Collector {
         }
     }
 
-    /// Builds the predictor vector for forecasting `V(location, iteration)`
-    /// from the collected history (without requiring the target itself).
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a fresh Vec per call; use the slice-writing \
-                `write_predictors_for`"
-    )]
-    pub fn predictors_for(&self, location: usize, iteration: u64) -> Option<Vec<f64>> {
-        let mut out = vec![0.0; self.assembler.order()];
-        self.write_predictors_for(location, iteration, &mut out)?;
-        Some(out)
-    }
-
-    /// Allocation-free variant of [`Collector::predictors_for`]: writes the
-    /// predictors into `out` (which must hold exactly `order` values).
+    /// Builds the predictors for forecasting `V(location, iteration)` from
+    /// the collected history (without requiring the target itself), writing
+    /// them into `out` (which must hold exactly `order` values).
     pub fn write_predictors_for(
         &self,
         location: usize,
@@ -527,11 +515,6 @@ mod tests {
         let provider = |_d: &(), loc: usize| loc as f64;
         for it in (0..=100u64).step_by(10) {
             c.observe(it, &(), &provider);
-        }
-        #[allow(deprecated)]
-        {
-            let p = c.predictors_for(6, 100).unwrap();
-            assert_eq!(p, vec![5.0, 4.0]);
         }
         let mut buf = [0.0; 2];
         c.write_predictors_for(6, 100, &mut buf).unwrap();

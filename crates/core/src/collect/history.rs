@@ -237,12 +237,9 @@ impl Slot {
                     value != old
                 } else if old >= self.peak {
                     // The overwritten value was the peak and the new one is
-                    // smaller: rescan the survivors (cold path, vectorized
-                    // max over the contiguous value column; the store is
-                    // serializable so it cannot pin a vtable — the global
-                    // selection is one atomic load, resolved well outside
-                    // any per-sample loop).
-                    let rescanned = crate::kernels::select()
+                    // smaller: rescan the survivors (cold path, the scalar
+                    // 4-lane max over the contiguous value column).
+                    let rescanned = crate::kernels::scalar()
                         .max_seeded(self.evicted_peak, self.visible_values());
                     let changed = rescanned != self.peak;
                     self.peak = rescanned;
@@ -587,16 +584,6 @@ impl SampleHistory {
         self.total == 0
     }
 
-    /// Locations that have at least one sample, in increasing order.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates on every call; use `iter_locations` (or \
-                `peak_profile` for the (location, peak) pairs)"
-    )]
-    pub fn locations(&self) -> Vec<usize> {
-        self.iter_locations().collect()
-    }
-
     /// Iterates the locations that have at least one sample, in increasing
     /// order, without allocating. Registered-but-empty slots are skipped.
     pub fn iter_locations(&self) -> impl Iterator<Item = usize> + '_ {
@@ -679,30 +666,6 @@ impl SampleHistory {
         Some(&values[values.len() - count..])
     }
 
-    /// The most recent `count` values observed at `location` (oldest first).
-    /// Returns `None` if fewer than `count` samples exist.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates on every call; use the borrowed `recent_values_of`"
-    )]
-    pub fn recent_of(&self, location: usize, count: usize) -> Option<Vec<f64>> {
-        self.recent_values_of(location, count).map(<[f64]>::to_vec)
-    }
-
-    /// Values of all sampled locations at a fixed iteration (location
-    /// order). Locations that were not sampled at that iteration are
-    /// skipped.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates on every call; loop over `iter_locations` + \
-                `value_at` instead"
-    )]
-    pub fn spatial_profile_at(&self, iteration: u64) -> Vec<(usize, f64)> {
-        self.iter_locations()
-            .filter_map(|loc| self.value_at(loc, iteration).map(|v| (loc, v)))
-            .collect()
-    }
-
     /// The peak (maximum) value ever observed per location, in location
     /// order — the radial profile the break-point extractor consumes.
     /// Maintained incrementally at record time; this is a borrowed view,
@@ -710,16 +673,6 @@ impl SampleHistory {
     /// [`Retention::Window`] the peaks still cover evicted samples.
     pub fn peak_profile(&self) -> &[(usize, f64)] {
         &self.profile
-    }
-
-    /// The peak value ever observed per location, as an owned vector.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates and was O(samples); use the borrowed, \
-                incrementally-maintained `peak_profile`"
-    )]
-    pub fn peak_per_location(&self) -> Vec<(usize, f64)> {
-        self.profile.clone()
     }
 
     /// Removes all samples while keeping every slot's allocation, used when
@@ -951,18 +904,15 @@ mod tests {
         let h = filled();
         assert_eq!(h.recent_values_of(1, 3), Some(&[12.0, 13.0, 14.0][..]));
         assert_eq!(h.recent_values_of(1, 6), None);
-        #[allow(deprecated)]
-        {
-            assert_eq!(h.recent_of(1, 3), Some(vec![12.0, 13.0, 14.0]));
-            assert_eq!(h.recent_of(1, 6), None);
-        }
     }
 
     #[test]
-    #[allow(deprecated)]
     fn spatial_profile_collects_one_value_per_location() {
         let h = filled();
-        let profile = h.spatial_profile_at(20);
+        let profile: Vec<(usize, f64)> = h
+            .iter_locations()
+            .filter_map(|loc| h.value_at(loc, 20).map(|v| (loc, v)))
+            .collect();
         assert_eq!(profile, vec![(1, 12.0), (2, 22.0), (3, 32.0)]);
     }
 
@@ -970,11 +920,7 @@ mod tests {
     fn peak_profile_is_maintained_incrementally() {
         let h = filled();
         assert_eq!(h.peak_profile(), &[(1, 14.0), (2, 24.0), (3, 34.0)]);
-        #[allow(deprecated)]
-        {
-            assert_eq!(h.peak_per_location(), vec![(1, 14.0), (2, 24.0), (3, 34.0)]);
-            assert_eq!(h.locations(), vec![1, 2, 3]);
-        }
+        assert_eq!(h.iter_locations().collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 
     #[test]

@@ -1,24 +1,25 @@
-//! Explicit-width SIMD kernels for the five hot loops, with a scalar
-//! fallback that is **bit-identical by construction**.
+//! Explicit-width SIMD kernels for the three hot loops where SIMD wins,
+//! over a scalar reference that is **bit-identical by construction**.
 //!
-//! PRs 2–3 rebuilt [`MiniBatch`](crate::collect::MiniBatch) and
-//! [`SampleHistory`](crate::collect::SampleHistory) as contiguous
-//! stride-`order` SoA columns precisely so these loops would be
-//! vectorization-shaped; this module stops relying on whatever
-//! auto-vectorization LLVM finds and issues 4-lane `f64` instructions
-//! directly (`core::arch::x86_64` AVX2, NEON on aarch64). The kernels are
+//! [`MiniBatch`](crate::collect::MiniBatch) and
+//! [`SampleHistory`](crate::collect::SampleHistory) keep contiguous
+//! stride-`order` SoA columns precisely so these loops are
+//! vectorization-shaped. The kernels are
 //!
-//! * [`Kernels::transform`] — the bulk z-score transform
-//!   (`OnlineScaler::transform_in_place`); [`Kernels::transform_recip`]
-//!   is its reciprocal-multiply variant (`1/σ` precomputed, `mul` instead
-//!   of `div`), used by the scaler only in the `fma`/tolerance tier,
-//! * [`Kernels::sum_squares`] — the trainer's input-energy and
-//!   gradient-norm reductions,
 //! * [`Kernels::affine`] — the affine predict (`b0 + Σ bi·xi`,
 //!   `ArModel::predict_unchecked`),
 //! * [`Kernels::grad_epoch`] — one gradient-descent accumulation pass over
 //!   a whole columnar mini-batch,
 //! * [`Kernels::loss_sum`] — the post-update residual² reduction,
+//!
+//! which dispatch to `core::arch::x86_64` AVX2 bodies when the CPU has
+//! them, plus three that always run the scalar reference, because an AVX2
+//! body measured no faster at the shapes the workloads use:
+//!
+//! * [`Kernels::transform`] — the bulk z-score transform
+//!   (`OnlineScaler::transform_in_place`),
+//! * [`Kernels::sum_squares`] — the trainer's input-energy and
+//!   gradient-norm reductions,
 //! * [`Kernels::max_seeded`] — the windowed peak re-scan in the slot store.
 //!
 //! # The 4-accumulator reduction convention
@@ -44,26 +45,25 @@
 //!   shared scalar per-row helper into lane `row & 3`; the SIMD path spills
 //!   its vector accumulators and runs the *same* helper.
 //!
-//! Under the default feature set every SIMD floating-point operation
-//! corresponds 1:1 to a scalar one, so scalar and SIMD results are
-//! bitwise identical — proven by `tests/kernel_identity.rs` and by the
-//! goldens in `tests/golden_columnar.rs` holding for every dispatch. The
-//! optional `fma` cargo feature contracts each multiply-add into
-//! `vfmadd` (one rounding instead of two); that relaxes bit-identity, and
-//! the goldens switch to a relative-tolerance comparison.
+//! Every SIMD floating-point operation corresponds 1:1 to a scalar one
+//! (a multiply then an add, never a fused multiply-add), so every dispatch
+//! is bitwise identical to the scalar reference — proven by
+//! `tests/kernel_identity.rs` and by the goldens in
+//! `tests/golden_columnar.rs` holding for every dispatch.
 //!
 //! # Dispatch
 //!
 //! Dispatch is resolved **once**, never per row: [`select`] probes the CPU
 //! with `is_x86_feature_detected!` on first use and caches a `&'static`
 //! [`Kernels`] vtable of plain function pointers. The trainer stores the
-//! vtable per instance; serializable types (`ArModel`, `SampleHistory`)
-//! call [`select`] at the call site, which after the first probe is a
-//! single atomic load. `INSITU_KERNELS=scalar` in the environment (read
-//! once) or the `force-scalar` cargo feature pin the scalar path — under
-//! default features that changes timing only, never results.
+//! vtable per instance; the serializable `ArModel` calls [`select`] at the
+//! call site, which after the first probe is a single atomic load. Hosts
+//! without AVX2 (and every non-x86 target) run the scalar reference.
+//! `INSITU_KERNELS=scalar` in the environment (read once) or the
+//! `force-scalar` cargo feature pin the scalar path — that changes timing
+//! only, never results.
 
-// The SIMD submodules are the one place the crate meets `core::arch`; the
+// The AVX2 submodule is the one place the crate meets `core::arch`; the
 // crate-wide `#![deny(unsafe_code)]` stays in force everywhere else, and
 // the only unsafe surface here is intrinsic calls + raw-slice pointer
 // arithmetic proven in-bounds by the loop structure.
@@ -72,10 +72,6 @@ mod scalar;
 #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
 #[allow(unsafe_code)]
 mod x86;
-
-#[cfg(all(target_arch = "aarch64", not(feature = "force-scalar")))]
-#[allow(unsafe_code)]
-mod neon;
 
 use std::sync::OnceLock;
 
@@ -87,13 +83,6 @@ pub enum Dispatch {
     Scalar,
     /// AVX2 256-bit lanes, strict mul-then-add (bit-identical to scalar).
     Avx2,
-    /// AVX2 with fused multiply-add — one rounding per multiply-add, so
-    /// results differ from scalar within tolerance (only built under the
-    /// `fma` cargo feature).
-    Avx2Fma,
-    /// NEON 128-bit pairs emulating the 4-lane convention (bit-identical
-    /// to scalar).
-    Neon,
 }
 
 impl Dispatch {
@@ -102,8 +91,6 @@ impl Dispatch {
         match self {
             Dispatch::Scalar => "scalar",
             Dispatch::Avx2 => "avx2",
-            Dispatch::Avx2Fma => "avx2+fma",
-            Dispatch::Neon => "neon",
         }
     }
 }
@@ -112,21 +99,18 @@ impl Dispatch {
 /// intercept, coeffs, grads, lanes)` — see [`Kernels::grad_epoch`].
 type GradEpochFn = fn(&[f64], &[f64], f64, &[f64], &mut [f64], &mut [f64]);
 
-/// A resolved kernel set: one function pointer per hot loop, chosen once
-/// at startup so the per-row loops never branch on CPU features.
+/// A resolved kernel set: one function pointer per dispatched hot loop,
+/// chosen once at startup so the per-row loops never branch on CPU
+/// features.
 ///
 /// Obtain one from [`select`] (best available) or [`scalar`] (reference);
 /// both return `&'static` so holders copy a single pointer.
 #[derive(Debug, Clone, Copy)]
 pub struct Kernels {
     dispatch: Dispatch,
-    transform: fn(&mut [f64], f64, f64),
-    transform_recip: fn(&mut [f64], f64, f64),
-    sum_squares: fn(&[f64]) -> f64,
     affine: fn(f64, &[f64], &[f64]) -> f64,
     grad_epoch: GradEpochFn,
     loss_sum: fn(&[f64], &[f64], f64, &[f64]) -> f64,
-    max_seeded: fn(f64, &[f64]) -> f64,
 }
 
 impl Kernels {
@@ -141,30 +125,17 @@ impl Kernels {
     }
 
     /// In-place z-score transform: `v = (v - mean) / std_dev` for every
-    /// element. Purely elementwise, so every dispatch (including `fma`)
-    /// produces identical bits.
+    /// element. Always the scalar reference (see the module docs).
     #[inline]
     pub fn transform(&self, values: &mut [f64], mean: f64, std_dev: f64) {
-        (self.transform)(values, mean, std_dev);
-    }
-
-    /// Reciprocal-multiply z-score transform: `v = (v - mean) * inv_std`
-    /// with `inv_std = 1/σ` precomputed once by the caller, trading the
-    /// per-element divide for a multiply. Elementwise, so every dispatch
-    /// produces identical bits for the *same* `inv_std`; relative to
-    /// [`Kernels::transform`] the single rounding of `1/σ` makes this the
-    /// tolerance-tier variant — the scaler only routes through it under
-    /// the `fma` feature.
-    #[inline]
-    pub fn transform_recip(&self, values: &mut [f64], mean: f64, inv_std: f64) {
-        (self.transform_recip)(values, mean, inv_std);
+        scalar::transform(values, mean, std_dev);
     }
 
     /// `Σ v[i]²` over the canonical 4-lane tree (lane `i & 3`, zero-padded
-    /// tail, [`hsum4`] combine).
+    /// tail, [`hsum4`] combine). Always the scalar reference.
     #[inline]
     pub fn sum_squares(&self, values: &[f64]) -> f64 {
-        (self.sum_squares)(values)
+        scalar::sum_squares(values)
     }
 
     /// The affine predict `intercept + Σ coeffs[i]·inputs[i]`, dot product
@@ -248,10 +219,11 @@ impl Kernels {
     /// Max-reduction of `values` seeded with `seed` in every lane — the
     /// windowed peak re-scan. Uses `vmaxpd` semantics (`if a > b { a }
     /// else { b }`), so for the store's non-NaN samples the result equals
-    /// `values.iter().fold(seed, f64::max)` bit for bit.
+    /// `values.iter().fold(seed, f64::max)` bit for bit. Always the scalar
+    /// reference.
     #[inline]
     pub fn max_seeded(&self, seed: f64, values: &[f64]) -> f64 {
-        (self.max_seeded)(seed, values)
+        scalar::max_seeded(seed, values)
     }
 }
 
@@ -266,18 +238,13 @@ pub fn hsum4(lanes: [f64; 4]) -> f64 {
 
 static SCALAR: Kernels = Kernels {
     dispatch: Dispatch::Scalar,
-    transform: scalar::transform,
-    transform_recip: scalar::transform_recip,
-    sum_squares: scalar::sum_squares,
     affine: scalar::affine,
     grad_epoch: scalar::grad_epoch,
     loss_sum: scalar::loss_sum,
-    max_seeded: scalar::max_seeded,
 };
 
 /// The scalar reference kernels — always available, and the normative
-/// definition every SIMD path must reproduce bit for bit (default
-/// features) or within tolerance (`fma`).
+/// definition every SIMD path must reproduce bit for bit.
 pub fn scalar() -> &'static Kernels {
     &SCALAR
 }
@@ -292,15 +259,7 @@ pub fn candidates() -> Vec<&'static Kernels> {
     {
         if std::arch::is_x86_feature_detected!("avx2") {
             sets.push(&x86::AVX2);
-            #[cfg(feature = "fma")]
-            if std::arch::is_x86_feature_detected!("fma") {
-                sets.push(&x86::AVX2_FMA);
-            }
         }
-    }
-    #[cfg(all(target_arch = "aarch64", not(feature = "force-scalar")))]
-    {
-        sets.push(&neon::NEON);
     }
     sets
 }
@@ -452,7 +411,7 @@ mod tests {
         let second = select();
         assert!(std::ptr::eq(first, second));
         assert_eq!(first.name(), active());
-        assert!(["scalar", "avx2", "avx2+fma", "neon"].contains(&active()));
+        assert!(["scalar", "avx2"].contains(&active()));
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! The scalar reference kernels: the normative definition of every
 //! reduction, written on the canonical 4-accumulator tree (see the module
-//! docs). The SIMD paths must reproduce these bit for bit under the
-//! default feature set; the row-dimension tail helpers here are shared by
-//! the SIMD implementations so both paths literally run the same code on
-//! leftover rows.
+//! docs). The SIMD paths must reproduce these bit for bit; the
+//! row-dimension tail helpers here are shared by the SIMD implementations
+//! so both paths literally run the same code on leftover rows.
 
 use super::hsum4;
 
@@ -11,7 +10,7 @@ use super::hsum4;
 /// operands compare equal (including `+0.0` vs `-0.0`). `if a > b` lowers
 /// to exactly `maxsd a, b` on x86.
 #[inline]
-pub(super) fn vmax(a: f64, b: f64) -> f64 {
+fn vmax(a: f64, b: f64) -> f64 {
     if a > b {
         a
     } else {
@@ -21,15 +20,14 @@ pub(super) fn vmax(a: f64, b: f64) -> f64 {
 
 /// The canonical lane-max combine: `vmax(vmax(l0, l2), vmax(l1, l3))`.
 #[inline]
-pub(super) fn hmax4(lanes: [f64; 4]) -> f64 {
+fn hmax4(lanes: [f64; 4]) -> f64 {
     vmax(vmax(lanes[0], lanes[2]), vmax(lanes[1], lanes[3]))
 }
 
 /// Finishes a max-reduction: folds the remainder elements into lanes
-/// `0..rem.len()` and combines. Shared verbatim by the SIMD paths after
-/// they spill their vector accumulator.
+/// `0..rem.len()` and combines.
 #[inline]
-pub(super) fn max_finish(mut lanes: [f64; 4], rem: &[f64]) -> f64 {
+fn max_finish(mut lanes: [f64; 4], rem: &[f64]) -> f64 {
     for (lane, &v) in lanes.iter_mut().zip(rem) {
         *lane = vmax(*lane, v);
     }
@@ -39,16 +37,6 @@ pub(super) fn max_finish(mut lanes: [f64; 4], rem: &[f64]) -> f64 {
 pub(super) fn transform(values: &mut [f64], mean: f64, std_dev: f64) {
     for v in values {
         *v = (*v - mean) / std_dev;
-    }
-}
-
-/// Reciprocal-multiply z-score: the caller precomputes `1/σ` once so the
-/// per-element divide becomes a multiply. Elementwise, so every dispatch
-/// reproduces it bit for bit; relative to [`transform`] the rounding of
-/// `1/σ` makes it a tolerance-tier variant.
-pub(super) fn transform_recip(values: &mut [f64], mean: f64, inv_std: f64) {
-    for v in values {
-        *v = (*v - mean) * inv_std;
     }
 }
 
@@ -63,7 +51,7 @@ pub(super) fn sum_squares(values: &[f64]) -> f64 {
     let rem = chunks.remainder();
     if !rem.is_empty() {
         // Zero-pad the tail to a full lane group, padding multiplies
-        // included — the masked SIMD load produces the same `+0.0` lanes.
+        // included, as the dot product below does.
         let mut pad = [0.0f64; 4];
         pad[..rem.len()].copy_from_slice(rem);
         for (lane, &v) in lanes.iter_mut().zip(&pad) {

@@ -82,28 +82,18 @@ impl OnlineScaler {
 
     /// Maps every value in the slice into z-score space in place — the
     /// allocation-free bulk transform the trainer's columnar kernel uses on
-    /// a whole mini-batch of predictors at once, dispatched through the
-    /// host's best [`crate::kernels`] set. On the strict dispatches it is
-    /// purely elementwise division, bit-identical to
-    /// [`OnlineScaler::transform`]; the fused dispatch (the `fma`
-    /// feature's tolerance tier) precomputes `1/σ` and multiplies instead
-    /// ([`crate::kernels::Kernels::transform_recip`]), which differs from
-    /// the divide by at most the rounding of the reciprocal.
+    /// a whole mini-batch of predictors at once. Purely elementwise
+    /// division, bit-identical to [`OnlineScaler::transform`].
     pub fn transform_in_place(&self, values: &mut [f64]) {
         self.transform_in_place_with(crate::kernels::select(), values);
     }
 
     /// [`OnlineScaler::transform_in_place`] on an explicit kernel set (the
     /// trainer passes its per-instance vtable so the whole batch path uses
-    /// one dispatch decision). Only the fused dispatch — already the
-    /// tolerance tier — takes the reciprocal-multiply path; the strict
-    /// vtables (scalar, AVX2, NEON) keep the bit-exact divide.
+    /// one dispatch decision). Every kernel set runs the same scalar
+    /// divide, so the result does not depend on the dispatch.
     pub fn transform_in_place_with(&self, kernels: &crate::kernels::Kernels, values: &mut [f64]) {
-        if kernels.dispatch() == crate::kernels::Dispatch::Avx2Fma {
-            kernels.transform_recip(values, self.mean, self.std_dev().recip());
-        } else {
-            kernels.transform(values, self.mean, self.std_dev());
-        }
+        kernels.transform(values, self.mean, self.std_dev());
     }
 
     /// Maps a z-score back into raw space.
@@ -147,10 +137,6 @@ mod tests {
         }
     }
 
-    // Under default features the bulk path divides exactly like the
-    // per-value transform; the fma tier trades the divide for a
-    // reciprocal multiply, so there the contract is tolerance, not bits.
-    #[cfg(not(feature = "fma"))]
     #[test]
     fn bulk_transform_matches_scalar_transform_bitwise() {
         let mut s = OnlineScaler::new();
@@ -160,21 +146,6 @@ mod tests {
         s.transform_in_place(&mut bulk);
         for (r, b) in raw.iter().zip(&bulk) {
             assert_eq!(s.transform(*r).to_bits(), b.to_bits());
-        }
-    }
-
-    #[cfg(feature = "fma")]
-    #[test]
-    fn bulk_transform_matches_scalar_transform_within_tolerance() {
-        let mut s = OnlineScaler::new();
-        s.update_all(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        let raw = [-3.0, 0.0, 4.9, 5.0, 123.456];
-        let mut bulk = raw;
-        s.transform_in_place(&mut bulk);
-        for (r, b) in raw.iter().zip(&bulk) {
-            let want = s.transform(*r);
-            let tol = 1e-12 * want.abs().max(1.0);
-            assert!((want - b).abs() <= tol, "{want} vs {b}");
         }
     }
 

@@ -1,10 +1,10 @@
 //! Accuracy, overhead and acceleration reports.
 //!
-//! These are the record types the experiment harness fills in and
-//! `EXPERIMENTS.md` is generated from; they encode the exact definitions the
-//! paper uses in its tables (overhead as a percentage of the original
-//! runtime, acceleration as the saving from early termination, accuracy as
-//! `100 % − error rate`).
+//! These are the record types the experiment harness (the `bench` crate's
+//! table and figure binaries) fills in and prints; they encode the exact
+//! definitions the paper uses in its tables (overhead as a percentage of
+//! the original runtime, acceleration as the saving from early
+//! termination, accuracy as `100 % − error rate`).
 
 /// Curve-fitting accuracy of one analysis against ground truth.
 #[derive(Debug, Clone, PartialEq)]

@@ -7,13 +7,8 @@
 //! row-oriented, sequential-reduction pipeline). The pipeline must
 //! reproduce every per-batch loss, the fitted model parameters, and the
 //! extracted features **bit for bit** on both proxy case studies — under
-//! *every* kernel dispatch (scalar, AVX2, NEON, `INSITU_KERNELS=scalar`),
+//! *every* kernel dispatch (scalar, AVX2, `INSITU_KERNELS=scalar`),
 //! proving the SIMD kernels changed the instruction mix and nothing else.
-//!
-//! The optional `fma` feature intentionally relaxes bit-identity (a fused
-//! multiply-add rounds once instead of twice), so under `--features fma`
-//! these asserts switch to a 1e-9 relative tolerance pinned against the
-//! same constants.
 //!
 //! If a future change intentionally alters the training arithmetic,
 //! regenerate the constants with the same example and say so in the PR.
@@ -167,26 +162,13 @@ const WD_FEATURE_BITS: [(&str, u64); 4] = [
     ("energy", 0x403e000000000000),
 ];
 
-/// Exact bit comparison under the default feature set; 1e-9 relative
-/// tolerance under `--features fma`, where the fused kernels round each
-/// multiply-add once and last-ulp drift from the goldens is the contract.
-#[cfg(not(feature = "fma"))]
+/// Exact bit comparison against a golden constant.
 fn assert_golden(actual: f64, expected_bits: u64, what: &str) {
     assert_eq!(
         actual.to_bits(),
         expected_bits,
         "{what} is not bit-identical (got {actual:e}, expected {:e})",
         f64::from_bits(expected_bits)
-    );
-}
-
-#[cfg(feature = "fma")]
-fn assert_golden(actual: f64, expected_bits: u64, what: &str) {
-    let expected = f64::from_bits(expected_bits);
-    let tol = 1e-9 * actual.abs().max(expected.abs()).max(1.0);
-    assert!(
-        (actual - expected).abs() <= tol,
-        "{what} drifted past fma tolerance (got {actual:e}, expected {expected:e})"
     );
 }
 

@@ -104,64 +104,14 @@ fn committed_snapshot_fixture_still_restores_and_continues() {
 
     let got = restored.status(region).unwrap();
     let expected = reference.status(ref_region).unwrap();
-    assert_matches_reference(got, expected);
+    assert_eq!(got, expected, "restored fixture diverged from a full run");
     assert!(got.batches_trained > 0);
     assert!(!got.features.is_empty());
 }
 
-/// Exact comparison under the default feature set; under `--features fma`
-/// the fixture's committed state was trained with the bit-exact kernels
-/// while the continuation trains fused, so the losses carry last-ulp
-/// drift and the comparison relaxes to the same 1e-9 relative tolerance
-/// `tests/golden_columnar.rs` uses for its fma tier.
-#[cfg(not(feature = "fma"))]
-fn assert_matches_reference(
-    got: &insitu::region::RegionStatus,
-    expected: &insitu::region::RegionStatus,
-) {
-    assert_eq!(got, expected, "restored fixture diverged from a full run");
-}
-
-#[cfg(feature = "fma")]
-fn assert_matches_reference(
-    got: &insitu::region::RegionStatus,
-    expected: &insitu::region::RegionStatus,
-) {
-    assert_eq!(got.iteration, expected.iteration);
-    assert_eq!(got.samples_collected, expected.samples_collected);
-    assert_eq!(got.batches_trained, expected.batches_trained);
-    assert_eq!(got.converged, expected.converged);
-    assert_eq!(got.front_location, expected.front_location);
-    assert_eq!(got.should_terminate, expected.should_terminate);
-    assert_eq!(got.features, expected.features, "features diverged");
-    for (what, a, b) in [
-        ("last_loss", got.last_loss, expected.last_loss),
-        (
-            "predicted_value",
-            got.predicted_value,
-            expected.predicted_value,
-        ),
-    ] {
-        match (a, b) {
-            (Some(a), Some(b)) => {
-                let tol = 1e-9 * a.abs().max(b.abs()).max(1.0);
-                assert!(
-                    (a - b).abs() <= tol,
-                    "{what} drifted past fma tolerance (got {a:e}, expected {b:e})"
-                );
-            }
-            (a, b) => assert_eq!(a, b, "{what} presence diverged"),
-        }
-    }
-}
-
 /// The capture is deterministic: re-snapshotting the same scenario at
 /// the same boundary reproduces the committed bytes exactly. This is the
-/// in-test half of CI's `golden-drift` regeneration check. Byte
-/// stability only holds in the bit-exact kernel tier — the `fma` feature
-/// trades bit-identity for fused rounding, so the trained coefficients
-/// (and therefore the container bytes) legitimately differ there.
-#[cfg(not(feature = "fma"))]
+/// in-test half of CI's `golden-drift` regeneration check.
 #[test]
 fn fixture_capture_is_byte_stable() {
     let committed = std::fs::read(concat!(

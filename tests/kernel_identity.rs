@@ -1,16 +1,14 @@
 //! Property test: every kernel dispatch reproduces the scalar reference.
 //!
 //! The `insitu::kernels` contract is that the SIMD paths change the
-//! instruction mix, never the arithmetic: AVX2 and NEON follow the same
-//! four-accumulator reduction tree as the restructured scalar code, so
-//! their results are **bitwise identical** — including signed zeros,
-//! subnormals, and catastrophic-cancellation mixes. The one sanctioned
-//! exception is the `fma` feature's fused dispatch, which rounds each
-//! multiply-add once and is held to a relative tolerance instead.
+//! instruction mix, never the arithmetic: AVX2 follows the same
+//! four-accumulator reduction tree as the scalar code, so its results are
+//! **bitwise identical** — including signed zeros, subnormals, and
+//! catastrophic-cancellation mixes.
 //!
 //! This test sweeps every candidate vtable on this host over PRNG batches
-//! seasoned with hostile values, at every length/row count around the
-//! 4-lane boundaries (0..=8 covers empty, sub-lane, exact-lane, and
+//! seasoned with hostile values, at every row count around the 4-lane
+//! boundaries (0..=8 covers empty, sub-lane, exact-lane, and
 //! lane-plus-tail shapes) plus larger sizes, and at AR orders 1..=8.
 
 use insitu::kernels::{self, Dispatch, Kernels};
@@ -38,7 +36,7 @@ impl XorShift {
     }
 }
 
-/// Values chosen to break naive SIMD ports: signed zeros (max semantics),
+/// Values chosen to break naive SIMD ports: signed zeros,
 /// subnormals (flush-to-zero bugs), and magnitudes that overflow or vanish
 /// when squared or reassociated carelessly.
 const HOSTILE: [f64; 12] = [
@@ -61,32 +59,13 @@ fn fill(rng: &mut XorShift, buf: &mut [f64]) {
     }
 }
 
-/// Bitwise for every dispatch except the fused one, which gets the
-/// documented 1e-9 relative tolerance.
 fn assert_matches(reference: f64, candidate: f64, k: &Kernels, what: &str) {
-    if k.dispatch() == Dispatch::Avx2Fma {
-        // The tolerance contract covers finite arithmetic only: hostile
-        // ±1e300 inputs can overflow, and past that point strict and fused
-        // rounding legitimately disagree about inf vs NaN (an fma keeps an
-        // intermediate finite where mul-then-add already overflowed). The
-        // strict dispatches still compare such cases bit for bit.
-        if !reference.is_finite() {
-            return;
-        }
-        let tol = 1e-9 * reference.abs().max(candidate.abs()).max(1.0);
-        assert!(
-            (reference - candidate).abs() <= tol,
-            "{what}: {} drifted past fma tolerance (scalar {reference:e}, got {candidate:e})",
-            k.name()
-        );
-    } else {
-        assert_eq!(
-            reference.to_bits(),
-            candidate.to_bits(),
-            "{what}: {} is not bit-identical to scalar (scalar {reference:e}, got {candidate:e})",
-            k.name()
-        );
-    }
+    assert_eq!(
+        reference.to_bits(),
+        candidate.to_bits(),
+        "{what}: {} is not bit-identical to scalar (scalar {reference:e}, got {candidate:e})",
+        k.name()
+    );
 }
 
 fn non_scalar_candidates() -> Vec<&'static Kernels> {
@@ -94,98 +73,6 @@ fn non_scalar_candidates() -> Vec<&'static Kernels> {
         .into_iter()
         .filter(|k| k.dispatch() != Dispatch::Scalar)
         .collect()
-}
-
-/// Lengths around the 4-lane group boundary plus larger odd/even sizes.
-const LENGTHS: [usize; 12] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 63, 256, 1021];
-
-#[test]
-fn transform_is_elementwise_identical() {
-    let mut rng = XorShift::new(0xA11CE);
-    for k in non_scalar_candidates() {
-        for len in LENGTHS {
-            let mut raw = vec![0.0; len];
-            fill(&mut rng, &mut raw);
-            for (mean, std) in [(0.0, 1.0), (3.5, 0.25), (-1e3, 42.0), (1e-3, 1e3)] {
-                let mut want = raw.clone();
-                kernels::scalar().transform(&mut want, mean, std);
-                let mut got = raw.clone();
-                k.transform(&mut got, mean, std);
-                for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-                    assert_matches(*w, *g, k, &format!("transform len {len} elem {i}"));
-                }
-            }
-        }
-    }
-}
-
-/// The reciprocal-multiply z-score variant: like `transform` it is purely
-/// elementwise, so **every** dispatch — including the fused one, which has
-/// no multiply-add to contract here — must reproduce the scalar reference
-/// bit for bit for the same `inv_std`. Against the divide-based transform
-/// it is the tolerance relationship: `(v - μ)·(1/σ)` differs from
-/// `(v - μ)/σ` by at most the rounding of the reciprocal.
-#[test]
-fn transform_recip_is_bitwise_across_dispatches_and_near_the_divide() {
-    let mut rng = XorShift::new(0x1CE);
-    let candidates = non_scalar_candidates();
-    for len in LENGTHS {
-        let mut raw = vec![0.0; len];
-        fill(&mut rng, &mut raw);
-        for (mean, std) in [(0.0, 1.0), (3.5, 0.25), (-1e3, 42.0), (1e-3, 1e3)] {
-            let inv = 1.0 / std;
-            let mut want = raw.clone();
-            kernels::scalar().transform_recip(&mut want, mean, inv);
-            for k in &candidates {
-                let mut got = raw.clone();
-                k.transform_recip(&mut got, mean, inv);
-                for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-                    assert_eq!(
-                        w.to_bits(),
-                        g.to_bits(),
-                        "transform_recip len {len} elem {i}: {} diverged \
-                         (scalar {w:e}, got {g:e})",
-                        k.name()
-                    );
-                }
-            }
-            // Tolerance leg: recip-multiply vs the divide-based reference.
-            let mut divided = raw.clone();
-            kernels::scalar().transform(&mut divided, mean, std);
-            for (i, (d, r)) in divided.iter().zip(&want).enumerate() {
-                if !d.is_finite() {
-                    continue;
-                }
-                let tol = 1e-9 * d.abs().max(r.abs()).max(1.0);
-                assert!(
-                    (d - r).abs() <= tol,
-                    "transform_recip len {len} elem {i}: recip drifted past \
-                     tolerance of the divide ({d:e} vs {r:e})"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn sum_squares_reduces_identically() {
-    let mut rng = XorShift::new(0xB0B);
-    for k in non_scalar_candidates() {
-        for len in LENGTHS {
-            for round in 0..8 {
-                let mut values = vec![0.0; len];
-                fill(&mut rng, &mut values);
-                let want = kernels::scalar().sum_squares(&values);
-                let got = k.sum_squares(&values);
-                assert_matches(
-                    want,
-                    got,
-                    k,
-                    &format!("sum_squares len {len} round {round}"),
-                );
-            }
-        }
-    }
 }
 
 #[test]
@@ -257,36 +144,12 @@ fn grad_epoch_and_loss_are_identical_over_batches() {
     }
 }
 
-#[test]
-fn max_seeded_matches_scalar_including_signed_zero_ties() {
-    let mut rng = XorShift::new(0xFEED);
-    for k in non_scalar_candidates() {
-        for len in LENGTHS {
-            for seed in [f64::NEG_INFINITY, -0.0, 0.0, 2.5, 1e300] {
-                let mut values = vec![0.0; len];
-                fill(&mut rng, &mut values);
-                let want = kernels::scalar().max_seeded(seed, &values);
-                let got = k.max_seeded(seed, &values);
-                // max never reassociates into new values, so even the fused
-                // dispatch must agree bitwise.
-                assert_eq!(
-                    want.to_bits(),
-                    got.to_bits(),
-                    "max_seeded len {len} seed {seed:e}: {} diverged \
-                     (scalar {want:e}, got {got:e})",
-                    k.name()
-                );
-            }
-        }
-    }
-}
-
 /// End-to-end check of the one call site that re-reduces history data:
 /// under windowed retention, overwriting the visible peak with a smaller
 /// same-iteration value forces the store to re-scan the survivors with the
-/// dispatched `max_seeded` kernel, seeded by the evicted peak. Whatever
-/// dispatch is active, the result must equal a naive scan of everything
-/// ever recorded (with the overwrite applied).
+/// `max_seeded` kernel, seeded by the evicted peak. Whatever dispatch is
+/// active, the result must equal a naive scan of everything ever recorded
+/// (with the overwrite applied).
 #[test]
 fn windowed_peak_rescan_is_dispatch_independent() {
     use insitu::collect::{Retention, Sample, SampleHistory};
