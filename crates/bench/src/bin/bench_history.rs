@@ -1,14 +1,17 @@
 //! Regenerates `BENCH_history.json`: wall-clock comparison of the
-//! map-based (pre-refactor `BTreeMap` of interleaved row tuples) and
-//! slot-indexed (struct-of-arrays columns, incremental statistics) sample
-//! stores over the same record+extract workload.
+//! map-based (pre-refactor `BTreeMap` of interleaved row tuples) sample
+//! store and the library's step-major store (one iteration stamp and one
+//! contiguous row per step, incremental statistics) over the same
+//! record+extract workload. The artifact keeps its field names: `slot_ns`
+//! is the library store's time.
 //!
 //! The two stores are arithmetically identical (`bench::histref`'s tests
 //! prove bitwise-equal extracted features and training losses), so the
-//! speedup is purely the storage layout: O(1) slot-addressed records
-//! instead of tree walks, contiguous value columns instead of interleaved
-//! pairs, and incrementally maintained peak/latest profiles instead of
-//! per-extraction rescans. Run from the workspace root:
+//! speedup is purely the storage layout: one row append per step instead
+//! of a tree walk per sample, index arithmetic instead of binary searches
+//! over interleaved pairs, and incrementally maintained peak/latest
+//! profiles instead of per-extraction rescans. Run from the workspace
+//! root:
 //!
 //! ```text
 //! cargo run --release -p bench --bin bench_history
@@ -50,7 +53,7 @@ fn main() {
         });
     }
 
-    let mut report = JsonReport::new("sample+record+extract, map-based vs slot-indexed history")
+    let mut report = JsonReport::new("sample+record+extract, map-based vs step-major history")
         .obj(
             "workload",
             JsonObj::new()

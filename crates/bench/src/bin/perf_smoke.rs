@@ -2,7 +2,7 @@
 //! benchmarks at reduced sizes and fails if any measured number drops below
 //! **50 % of the value committed** in the corresponding `BENCH_*.json`:
 //!
-//! * `BENCH_history.json` — map-based vs slot-indexed sample store,
+//! * `BENCH_history.json` — map-based vs step-major sample store,
 //! * `BENCH_columnar.json` — row-oriented vs columnar mini-batches, plus
 //!   the `"kernel_speedup"` rows (scalar vs dispatched `insitu::kernels`),
 //! * `BENCH_service.json` — wire-served session throughput (steps/sec),
@@ -124,7 +124,7 @@ impl Check {
     }
 }
 
-/// Map-based vs slot-indexed sample store. The location ladder matches the
+/// Map-based vs step-major sample store. The location ladder matches the
 /// committed artifact's cases exactly (only iterations and runs are
 /// reduced), so the measured geomean is compared like for like and the
 /// 2× floor headroom is real.

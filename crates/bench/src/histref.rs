@@ -1,14 +1,15 @@
 //! Map-based reference sample store for the history-layout benchmarks.
 //!
 //! A faithful recreation of `SampleHistory` as it existed **before** the
-//! slot-indexed struct-of-arrays refactor: one `BTreeMap<usize, Vec<(u64,
-//! f64)>>` of interleaved `(iteration, value)` rows, a tree lookup per
-//! recorded sample, per-extraction rescans of whole series
-//! (`peak_per_location`) and freshly allocated profile vectors. The stored
-//! values are identical to the slot store's — verified bitwise by this
-//! module's tests, on extracted features *and* on the training losses of a
-//! pipeline assembled from each store — so the `map` vs `slot` benchmarks
-//! measure exactly the storage layout difference, nothing else.
+//! struct-of-arrays refactors: one `BTreeMap<usize, Vec<(u64, f64)>>` of
+//! interleaved `(iteration, value)` rows, a tree lookup per recorded
+//! sample, per-extraction rescans of whole series (`peak_per_location`)
+//! and freshly allocated profile vectors. The stored values are identical
+//! to the library's step-major store — verified bitwise by this module's
+//! tests, on extracted features *and* on the training losses of a pipeline
+//! assembled from each store — so the `map` vs `slot` benchmarks (`slot`
+//! names the library store, whatever its layout) measure exactly the
+//! storage layout difference, nothing else.
 //!
 //! Kept out of the library's public story on purpose: this exists only so
 //! `src/bin/bench_history.rs` can quantify what the refactor bought
@@ -17,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use insitu::collect::{BatchPool, SampleHistory};
+use insitu::collect::{BatchAssembler, BatchPool, PredictorLayout, SampleHistory};
 use insitu::extract::BreakpointExtractor;
 use insitu::model::{ConvergenceCriteria, IncrementalTrainer, OptimizerKind, TrainerConfig};
 use insitu::IterParam;
@@ -269,48 +270,51 @@ pub fn run_map_pipeline(w: &HistoryWorkload) -> RunDigest {
     )
 }
 
-/// Drives the same workload through the **slot-indexed** store: O(1)
-/// slot-addressed records, the incrementally maintained peak profile and
-/// latest scan, and O(1) regular-cadence predictor reads.
+/// The workload's sampling characteristics: unit-stride locations and
+/// iterations.
+fn characteristics(w: &HistoryWorkload) -> (IterParam, IterParam) {
+    let first = |v: Option<&usize>| *v.expect("non-empty") as u64;
+    let spatial = IterParam::new(first(w.locations.first()), first(w.locations.last()), 1)
+        .expect("valid spatial");
+    let temporal =
+        IterParam::new(0, *w.iterations.last().expect("non-empty"), 1).expect("valid temporal");
+    (spatial, temporal)
+}
+
+/// Drives the same workload through the library's **step-major** store:
+/// one iteration stamp and one contiguous row per step, the incrementally
+/// maintained peak profile and latest scan, and O(1) regular-cadence
+/// predictor reads through the library's assembler.
 pub fn run_slot_pipeline(w: &HistoryWorkload) -> RunDigest {
-    let mut history = SampleHistory::new();
-    history.reserve(&w.locations, w.iterations.len());
-    let slots: Vec<_> = w
-        .locations
-        .iter()
-        .map(|&loc| history.slot_of(loc))
-        .collect();
+    let (spatial, temporal) = characteristics(w);
+    let assembler = BatchAssembler::new(
+        w.order,
+        w.lag,
+        PredictorLayout::SpatioTemporal,
+        spatial,
+        temporal,
+    );
+    let mut history = SampleHistory::new(spatial);
+    history.reserve(w.iterations.len());
     let mut samples = 0usize;
     let mut front_sum = 0u64;
     let mut predictor_sum = 0.0f64;
     let mut predictors = [0.0f64; WORKLOAD_ORDER];
-    let first_loc = w.locations[0];
     for (&iteration, row) in w.iterations.iter().zip(&w.values) {
-        for (&slot, &value) in slots.iter().zip(row) {
-            history.record_in_slot(slot, iteration, value);
-            samples += 1;
-        }
+        history.record_step(iteration, row);
+        samples += row.len();
         let front = history
             .iter_latest()
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
             .map(|(loc, _)| loc)
             .unwrap_or(0);
         front_sum += front as u64;
-        if let Some(lagged) = iteration.checked_sub(w.lag) {
-            for &loc in &w.locations {
-                let ok = (|| {
-                    for (i, slot) in predictors.iter_mut().enumerate() {
-                        let prev = loc.checked_sub(i + 1)?;
-                        if prev < first_loc {
-                            return None;
-                        }
-                        *slot = history.value_at(prev, lagged)?;
-                    }
-                    Some(())
-                })();
-                if ok.is_some() {
-                    predictor_sum += predictors.iter().sum::<f64>();
-                }
+        for &loc in &w.locations {
+            if assembler
+                .write_predictors_for(&history, loc, iteration, &mut predictors)
+                .is_some()
+            {
+                predictor_sum += predictors.iter().sum::<f64>();
             }
         }
         let profile = history.peak_profile();
@@ -325,7 +329,7 @@ pub fn run_slot_pipeline(w: &HistoryWorkload) -> RunDigest {
 
 /// Loss histories of a full assemble+train pipeline fed from each store:
 /// the same `IncrementalTrainer` consumes rows whose predictors were read
-/// out of the map store and out of the slot store. Bitwise-equal histories
+/// out of the map store and out of the library store. Bitwise-equal histories
 /// prove the refactor changed where bytes live, not what the model sees.
 pub fn loss_histories(w: &HistoryWorkload) -> (Vec<f64>, Vec<f64>) {
     const BATCH: usize = 16;
@@ -366,10 +370,8 @@ pub fn loss_histories(w: &HistoryWorkload) -> (Vec<f64>, Vec<f64>) {
     }
     let map_losses = map_trainer.loss_history().to_vec();
 
-    // Slot-fed pipeline over the library's own assembler.
-    let spatial = IterParam::new(1, w.locations.len() as u64, 1).expect("valid spatial");
-    let temporal =
-        IterParam::new(0, *w.iterations.last().expect("non-empty"), 1).expect("valid temporal");
+    // Library-fed pipeline over the library's own collector.
+    let (spatial, temporal) = characteristics(w);
     let mut collector = insitu::collect::Collector::new(
         spatial,
         temporal,
@@ -399,7 +401,7 @@ pub fn assert_pipelines_agree(w: &HistoryWorkload) -> RunDigest {
     let slot = run_slot_pipeline(w);
     assert_eq!(
         map, slot,
-        "map-based and slot-indexed stores diverged on the record+extract \
+        "map-based and step-major stores diverged on the record+extract \
          workload"
     );
     let (map_losses, slot_losses) = loss_histories(w);
@@ -421,7 +423,6 @@ pub fn assert_pipelines_agree(w: &HistoryWorkload) -> RunDigest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use insitu::collect::Sample;
 
     #[test]
     fn stores_agree_bitwise_on_record_extract_and_losses() {
@@ -442,10 +443,10 @@ mod tests {
     #[test]
     fn map_store_matches_old_semantics_on_overwrite() {
         let mut map = MapHistory::new();
-        let mut slot = SampleHistory::new();
+        let mut slot = SampleHistory::new(IterParam::single(1));
         for (it, value) in [(5u64, 1.0f64), (5, 2.0), (7, 0.5), (7, 3.0)] {
             map.record(it, 1, value);
-            slot.record(Sample::new(it, 1, value));
+            slot.record_step(it, &[value]);
         }
         assert_eq!(map.len(), slot.len());
         assert_eq!(map.value_at(1, 5), slot.value_at(1, 5));

@@ -13,7 +13,7 @@
 //! `benches/collection.rs` and `src/bin/bench_columnar.rs` can quantify
 //! what the refactor bought (recorded in `BENCH_columnar.json`).
 
-use insitu::collect::{BatchAssembler, PredictorLayout, Sample, SampleHistory};
+use insitu::collect::{BatchAssembler, PredictorLayout, SampleHistory};
 use insitu::kernels::{self, hsum4, Kernels};
 use insitu::model::{Optimizer, OptimizerKind};
 use insitu::IterParam;
@@ -233,14 +233,16 @@ pub const WORKLOAD_EPOCHS: usize = 4;
 pub fn workload(locations: u64, iterations: u64) -> LayoutWorkload {
     let spatial = IterParam::new(1, locations, 1).expect("valid spatial range");
     let temporal = IterParam::new(0, iterations, 1).expect("valid temporal range");
-    let mut history = SampleHistory::new();
+    let mut history = SampleHistory::new(spatial);
+    let mut row = Vec::with_capacity(locations as usize);
     for it in 0..=iterations {
-        for loc in 1..=locations {
+        row.clear();
+        row.extend((1..=locations).map(|loc| {
             let x = loc as f64;
             let front = it as f64 * 0.1;
-            let value = 10.0 / (1.0 + x) * (-((x - front) * (x - front)) / 50.0).exp();
-            history.record(Sample::new(it, loc as usize, value));
-        }
+            10.0 / (1.0 + x) * (-((x - front) * (x - front)) / 50.0).exp()
+        }));
+        history.record_step(it, &row);
     }
     LayoutWorkload {
         history,
@@ -259,7 +261,7 @@ pub fn workload(locations: u64, iterations: u64) -> LayoutWorkload {
 }
 
 /// Drives the workload through the **row-oriented** pipeline: per-row
-/// `Vec` assembly (via the allocating `predictors_for`), `Vec<BatchRow>`
+/// `Vec` assembly (a fresh predictor `Vec` per row), `Vec<BatchRow>`
 /// batches drained by reallocation, row trainer. Returns
 /// `(batches, last_loss)`.
 pub fn run_row_pipeline(w: &LayoutWorkload) -> (usize, f64) {
@@ -276,11 +278,13 @@ pub fn run_row_pipeline(w: &LayoutWorkload) -> (usize, f64) {
             let Some(target) = w.history.value_at(loc, iteration) else {
                 continue;
             };
-            // The allocating predictors_for is deprecated in the library but
-            // is exactly the per-row-allocation behaviour this reference
-            // pipeline exists to recreate.
-            #[allow(deprecated)]
-            if let Some(inputs) = w.assembler.predictors_for(&w.history, loc, iteration) {
+            // One fresh predictor vector per row: exactly the per-row
+            // allocation this reference pipeline exists to recreate.
+            let mut inputs = vec![0.0; w.order];
+            if w.assembler
+                .write_predictors_for(&w.history, loc, iteration, &mut inputs)
+                .is_some()
+            {
                 batch.push(BatchRow { inputs, target });
             }
         }

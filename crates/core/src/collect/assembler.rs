@@ -9,13 +9,14 @@
 //!
 //! i.e. the predictors are values at *preceding locations* observed `lag`
 //! iterations earlier. [`BatchAssembler`] builds such rows from the
-//! [`SampleHistory`] and writes them **directly into a columnar
+//! step-major [`SampleHistory`] and writes them **directly into a columnar
 //! [`MiniBatch`]** (see the stride convention in
-//! [`minibatch`](crate::collect::MiniBatch)) — no per-row allocation. Two
-//! simpler layouts (purely temporal, purely spatial) are provided for the
-//! ablation studies.
+//! [`minibatch`](crate::collect::MiniBatch)) — no per-row allocation. Each
+//! target iteration resolves the rows it reads once; a row's predictors are
+//! then index arithmetic inside them. Two simpler layouts (purely temporal,
+//! purely spatial) are provided for the ablation studies.
 
-use super::history::{SampleHistory, SlotId};
+use super::history::SampleHistory;
 use super::minibatch::MiniBatch;
 use crate::params::IterParam;
 
@@ -37,19 +38,21 @@ pub enum PredictorLayout {
 /// Builds columnar training rows for target `(location, iteration)` pairs
 /// from the collected history.
 ///
+/// The history must be built from the assembler's spatial characteristic:
+/// the `k`-th location is the `k`-th value of every row.
+///
 /// ```
-/// use insitu::collect::{BatchAssembler, MiniBatch, PredictorLayout, Sample, SampleHistory};
+/// use insitu::collect::{BatchAssembler, MiniBatch, PredictorLayout, SampleHistory};
 /// use insitu::IterParam;
 ///
 /// let spatial = IterParam::new(1, 5, 1).unwrap();
 /// let temporal = IterParam::new(0, 100, 10).unwrap();
 /// let asm = BatchAssembler::new(2, 10, PredictorLayout::SpatioTemporal, spatial, temporal);
 ///
-/// let mut h = SampleHistory::new();
+/// let mut h = SampleHistory::new(spatial);
 /// for it in (0..=100).step_by(10) {
-///     for loc in 1..=5 {
-///         h.record(Sample::new(it, loc, (loc as f64) + it as f64 / 100.0));
-///     }
+///     let row: Vec<f64> = (1..=5).map(|loc| loc as f64 + it as f64 / 100.0).collect();
+///     h.record_step(it, &row);
 /// }
 /// let mut batch = MiniBatch::new(2, 16);
 /// asm.append_rows_for_iteration(&h, 20, &mut batch);
@@ -111,6 +114,14 @@ impl BatchAssembler {
         self.layout
     }
 
+    fn assert_columns_match(&self, history: &SampleHistory) {
+        assert_eq!(
+            history.spatial(),
+            self.spatial,
+            "the history must be built from the assembler's spatial characteristic"
+        );
+    }
+
     /// The lagged iteration that predictors are read from, if it is sampled
     /// and non-negative.
     fn lagged_iteration(&self, iteration: u64) -> Option<u64> {
@@ -127,131 +138,61 @@ impl BatchAssembler {
     /// Resolves where the predictors of every row targeting `iteration` are
     /// read, once per target iteration rather than once per row. `None`
     /// when no row of that iteration can be formed.
-    fn reads_for(&self, iteration: u64) -> Option<Reads> {
-        let step = self.temporal.step();
+    fn reads_for<'h>(&self, history: &'h SampleHistory, iteration: u64) -> Option<Reads<'h>> {
         match self.layout {
-            PredictorLayout::SpatioTemporal => {
-                let lagged = self.lagged_iteration(iteration)?;
-                Some(Reads::Across {
-                    iteration: lagged,
-                    back: ((iteration - lagged) / step) as usize,
-                })
-            }
-            PredictorLayout::Spatial => Some(Reads::Across { iteration, back: 0 }),
+            PredictorLayout::SpatioTemporal => Some(Reads::Across(
+                history.row_at(self.lagged_iteration(iteration)?)?,
+            )),
+            PredictorLayout::Spatial => Some(Reads::Across(history.row_at(iteration)?)),
             PredictorLayout::Temporal => Some(Reads::Along {
                 it_index: self.temporal.index_of(iteration)?,
-                lag_steps: (self.lag / step).max(1) as usize,
+                lag_steps: (self.lag / self.temporal.step()).max(1) as usize,
             }),
         }
     }
 
-    /// The one row routine: writes the predictors of the target at spatial
-    /// index `index` (whose own slot is `own`) into `out`, reading every
-    /// value through [`SampleHistory::probe`]. `slot_at(k)` is the slot of
-    /// the `k`-th location of the spatial characteristic.
-    fn write_row<S>(
+    /// The one row routine: writes the predictors of the target in column
+    /// `index` into `out`.
+    fn write_row(
         &self,
         history: &SampleHistory,
-        reads: Reads,
-        own: Option<SlotId>,
-        index: Option<usize>,
-        slot_at: &S,
+        reads: &Reads<'_>,
+        index: usize,
         out: &mut [f64],
-    ) -> Option<()>
-    where
-        S: Fn(usize) -> Option<SlotId>,
-    {
-        match reads {
-            Reads::Across { iteration, back } => {
-                let index = index?;
-                for (i, slot) in out.iter_mut().enumerate() {
-                    let prev = slot_at(index.checked_sub(i + 1)?)?;
-                    *slot = history.probe(prev, back, iteration)?;
+    ) -> Option<()> {
+        match *reads {
+            Reads::Across(row) => {
+                // The `order` preceding locations, nearest first.
+                let preceding = &row[index.checked_sub(self.order)?..index];
+                for (slot, &value) in out.iter_mut().zip(preceding.iter().rev()) {
+                    *slot = value;
                 }
             }
             Reads::Along {
                 it_index,
                 lag_steps,
             } => {
-                let own = own?;
                 for (i, slot) in out.iter_mut().enumerate() {
                     let back = (i + 1) * lag_steps;
                     let prev_it = self.temporal.nth(it_index.checked_sub(back)?)?;
-                    *slot = history.probe(own, back, prev_it)?;
+                    *slot = history.row_at(prev_it)?[index];
                 }
             }
         }
         Some(())
     }
 
-    /// Appends every row that can be formed for `iteration` across the
-    /// spatial characteristic, resolving slots through `slot_at`. Rows of
-    /// the layouts that read preceding locations at one iteration overlap:
-    /// a row whose neighbour was just appended copies all but its nearest
-    /// predictor from it, so each lagged value is probed once per call.
-    /// The copied values are the very ones `write_row` would read.
-    fn append_rows<S>(
-        &self,
-        history: &SampleHistory,
-        iteration: u64,
-        batch: &mut MiniBatch,
-        slot_at: S,
-    ) -> usize
-    where
-        S: Fn(usize) -> Option<SlotId>,
-    {
-        debug_assert_eq!(
-            batch.order(),
-            self.order,
-            "batch stride must match the assembler order"
-        );
-        let Some(reads) = self.reads_for(iteration) else {
-            return 0;
-        };
-        let mut appended = 0;
-        // Whether the batch's last row is the row of the previous index.
-        let mut carried = false;
-        for index in 0..self.spatial.len() {
-            // The target is the newest sample when the iteration was just
-            // recorded.
-            let target =
-                slot_at(index).and_then(|own| Some((own, history.probe(own, 0, iteration)?)));
-            let Some((own, target)) = target else {
-                carried = false;
-                continue;
-            };
-            carried = batch.push_after(target, |last, out| match reads {
-                // Preceding locations at one iteration: this row reads
-                // location `index - 1` and then exactly what the previous
-                // row read, minus its farthest location.
-                Reads::Across { iteration, back } if carried => {
-                    let (nearest, rest) = out.split_first_mut()?;
-                    *nearest = history.probe(slot_at(index - 1)?, back, iteration)?;
-                    rest.copy_from_slice(&last[..rest.len()]);
-                    Some(())
-                }
-                _ => self.write_row(history, reads, Some(own), Some(index), &slot_at, out),
-            });
-            appended += usize::from(carried);
-        }
-        appended
-    }
-
-    /// The slot of the `index`-th location of the spatial characteristic,
-    /// looked up by location (the wrappers' resolver).
-    fn slot_by_location(&self, history: &SampleHistory, index: usize) -> Option<SlotId> {
-        history.slot_id(self.spatial.nth(index)? as usize)
-    }
-
     /// Writes the predictor values that would be used to *predict*
     /// `V(location, iteration)` into `out` (which must hold exactly `order`
-    /// elements). Returns `None` — leaving `out` in an unspecified state —
-    /// when the history does not yet contain every value the row needs
-    /// (early in the run, or at the low edge of the spatial range).
+    /// elements); the target itself does not need to have been observed.
+    /// Returns `None` — leaving `out` in an unspecified state — when the
+    /// history does not yet contain every value the row needs (early in
+    /// the run, or at the low edge of the spatial range).
     ///
-    /// Location-keyed wrapper over the same allocation-free row routine the
-    /// slot-addressed collector path uses; see also
-    /// [`BatchAssembler::predictors_for`].
+    /// # Panics
+    ///
+    /// Panics if `history` was built from a different spatial
+    /// characteristic.
     pub fn write_predictors_for(
         &self,
         history: &SampleHistory,
@@ -259,61 +200,11 @@ impl BatchAssembler {
         iteration: u64,
         out: &mut [f64],
     ) -> Option<()> {
-        self.write_predictors(history, location, iteration, out, |k| {
-            self.slot_by_location(history, k)
-        })
-    }
-
-    /// [`BatchAssembler::write_predictors_for`] over pre-resolved slots:
-    /// `slots[k]` is the slot of the `k`-th location of the spatial
-    /// characteristic.
-    pub(crate) fn write_predictors_in_slots(
-        &self,
-        history: &SampleHistory,
-        slots: &[SlotId],
-        location: usize,
-        iteration: u64,
-        out: &mut [f64],
-    ) -> Option<()> {
-        self.write_predictors(history, location, iteration, out, |k| slots.get(k).copied())
-    }
-
-    fn write_predictors<S>(
-        &self,
-        history: &SampleHistory,
-        location: usize,
-        iteration: u64,
-        out: &mut [f64],
-        slot_at: S,
-    ) -> Option<()>
-    where
-        S: Fn(usize) -> Option<SlotId>,
-    {
         debug_assert_eq!(out.len(), self.order, "predictor buffer must match order");
-        let reads = self.reads_for(iteration)?;
-        let own = history.slot_id(location);
-        let index = self.spatial.index_of(location as u64);
-        self.write_row(history, reads, own, index, &slot_at, out)
-    }
-
-    /// The predictor vector that would be used to *predict*
-    /// `V(location, iteration)`; the target itself does not need to have
-    /// been observed. Allocating convenience wrapper around
-    /// [`BatchAssembler::write_predictors_for`] for cold paths.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a fresh Vec per call; use the slice-writing \
-                `write_predictors_for`"
-    )]
-    pub fn predictors_for(
-        &self,
-        history: &SampleHistory,
-        location: usize,
-        iteration: u64,
-    ) -> Option<Vec<f64>> {
-        let mut inputs = vec![0.0; self.order];
-        self.write_predictors_for(history, location, iteration, &mut inputs)?;
-        Some(inputs)
+        self.assert_columns_match(history);
+        let reads = self.reads_for(history, iteration)?;
+        let index = self.spatial.index_of(location as u64)?;
+        self.write_row(history, &reads, index, out)
     }
 
     /// Appends every row that can be formed for a given iteration across
@@ -321,49 +212,60 @@ impl BatchAssembler {
     /// written in place — zero per-row allocations). Returns the number of
     /// rows appended.
     ///
-    /// Location-keyed wrapper over the row routine the collector drives
-    /// with its pre-resolved slots.
-    ///
     /// # Panics
     ///
-    /// Panics in debug builds if `batch.order()` differs from the
-    /// assembler's order.
+    /// Panics if `history` was built from a different spatial
+    /// characteristic, and in debug builds if `batch.order()` differs from
+    /// the assembler's order.
     pub fn append_rows_for_iteration(
         &self,
         history: &SampleHistory,
         iteration: u64,
         batch: &mut MiniBatch,
     ) -> usize {
-        self.append_rows(history, iteration, batch, |k| {
-            self.slot_by_location(history, k)
-        })
-    }
-
-    /// [`BatchAssembler::append_rows_for_iteration`] over pre-resolved
-    /// slots: `slots[k]` is the slot of the `k`-th location of the spatial
-    /// characteristic. What the collector calls after recording an
-    /// iteration's samples.
-    pub(crate) fn append_rows_in_slots(
-        &self,
-        history: &SampleHistory,
-        slots: &[SlotId],
-        iteration: u64,
-        batch: &mut MiniBatch,
-    ) -> usize {
-        self.append_rows(history, iteration, batch, |k| slots.get(k).copied())
+        debug_assert_eq!(
+            batch.order(),
+            self.order,
+            "batch stride must match the assembler order"
+        );
+        self.assert_columns_match(history);
+        let Some(targets) = history.row_at(iteration) else {
+            return 0;
+        };
+        let Some(reads) = self.reads_for(history, iteration) else {
+            return 0;
+        };
+        match reads {
+            // Every target with `order` preceding locations forms a row, so
+            // the step's rows are written in one go.
+            Reads::Across(_) => {
+                let targets = targets.get(self.order..).unwrap_or_default();
+                batch.extend_with(targets, |inputs| {
+                    for (out, index) in inputs.chunks_exact_mut(self.order).zip(self.order..) {
+                        let written = self.write_row(history, &reads, index, out);
+                        debug_assert!(written.is_some());
+                    }
+                });
+                targets.len()
+            }
+            Reads::Along { .. } => targets
+                .iter()
+                .enumerate()
+                .filter(|&(index, &target)| {
+                    batch.push_with(target, |out| self.write_row(history, &reads, index, out))
+                })
+                .count(),
+        }
     }
 }
 
 /// Where the predictors of one target iteration are read, resolved once
-/// per call by `BatchAssembler::reads_for`. `back` distances count samples
-/// before the target's newest sample on an unbroken cadence; they only
-/// steer [`SampleHistory::probe`] to the right sample, which verifies the
-/// iteration and falls back to a lookup when the cadence had gaps.
+/// per call by `BatchAssembler::reads_for`.
 #[derive(Debug, Clone, Copy)]
-enum Reads {
-    /// Preceding locations, all at `iteration`.
-    Across { iteration: u64, back: usize },
-    /// The target's own location, `lag_steps`, `2·lag_steps`, … sampled
+enum Reads<'h> {
+    /// Preceding locations, all in one row.
+    Across(&'h [f64]),
+    /// The target's own column, `lag_steps`, `2·lag_steps`, … sampled
     /// iterations before the target's index `it_index`.
     Along { it_index: usize, lag_steps: usize },
 }
@@ -371,17 +273,22 @@ enum Reads {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collect::Sample;
 
-    fn history() -> SampleHistory {
-        // V(l, t) = l + t/100 over locations 1..=8, iterations 0..=200 step 10.
-        let mut h = SampleHistory::new();
-        for it in (0..=200u64).step_by(10) {
-            for loc in 1..=8usize {
-                h.record(Sample::new(it, loc, loc as f64 + it as f64 / 100.0));
-            }
+    /// `V(l, t) = l + t/100` over locations `1..=locations`, iterations
+    /// `0..=last` step 10.
+    fn history_over(locations: u64, last: u64) -> SampleHistory {
+        let mut h = SampleHistory::new(IterParam::new(1, locations, 1).unwrap());
+        for it in (0..=last).step_by(10) {
+            let row: Vec<f64> = (1..=locations)
+                .map(|loc| loc as f64 + it as f64 / 100.0)
+                .collect();
+            h.record_step(it, &row);
         }
         h
+    }
+
+    fn history() -> SampleHistory {
+        history_over(8, 200)
     }
 
     fn assembler(layout: PredictorLayout) -> BatchAssembler {
@@ -469,22 +376,39 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn predictors_can_be_formed_without_observed_target() {
         let h = history();
         let asm = assembler(PredictorLayout::Spatial);
-        // Location 9 itself was never sampled, but its predecessors were.
-        let spatial = IterParam::new(1, 9, 1).unwrap();
+        // Location 9 is outside the spatial range: no row.
+        assert!(row_for(&asm, &h, 9, 50).is_none());
+        // Over locations 1..=9 sampled up to iteration 50, the target
+        // V(9, 70) was never observed, but its predecessors at the lagged
+        // iteration 50 were.
+        let h2 = history_over(9, 50);
         let asm2 = BatchAssembler::new(
             3,
             20,
-            PredictorLayout::Spatial,
-            spatial,
+            PredictorLayout::SpatioTemporal,
+            IterParam::new(1, 9, 1).unwrap(),
             IterParam::new(0, 200, 10).unwrap(),
         );
-        assert!(row_for(&asm, &h, 9, 50).is_none());
-        let predictors = asm2.predictors_for(&h, 9, 50).unwrap();
-        assert_eq!(predictors, vec![8.5, 7.5, 6.5]);
+        assert_eq!(h2.value_at(9, 70), None);
+        let mut predictors = [0.0; 3];
+        asm2.write_predictors_for(&h2, 9, 70, &mut predictors)
+            .unwrap();
+        assert_eq!(predictors, [8.5, 7.5, 6.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "spatial characteristic")]
+    fn a_history_over_other_locations_is_refused() {
+        let mut out = [0.0; 3];
+        assembler(PredictorLayout::Spatial).write_predictors_for(
+            &history_over(9, 50),
+            5,
+            50,
+            &mut out,
+        );
     }
 
     #[test]

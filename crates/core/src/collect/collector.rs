@@ -12,7 +12,7 @@
 //! of buffers with zero per-row heap allocations.
 
 use super::assembler::{BatchAssembler, PredictorLayout};
-use super::history::{Retention, SampleHistory, SlotId};
+use super::history::{Retention, SampleHistory};
 use super::minibatch::{BatchPool, MiniBatch};
 use crate::params::IterParam;
 use crate::provider::VarProvider;
@@ -39,17 +39,17 @@ pub enum CollectionEvent {
     },
 }
 
-/// Cap on the per-location history pre-reservation of a [`Collector`].
+/// Cap on the history's row pre-reservation of a [`Collector`].
 /// Pre-sizing lets steady-state sampling append without reallocating —
-/// each location gets one value per sampled iteration — but a temporal
+/// the history gets one row per sampled iteration — but a temporal
 /// characteristic spanning the whole simulation (millions of iterations)
 /// must not commit worst-case memory up front inside the host application,
 /// especially when early termination means most of it would never be used.
-/// Runs outliving the cap fall back to amortized `Vec` growth (a
-/// per-series allocation every doubling, still nothing per row); windowed
+/// Runs outliving the cap fall back to amortized `Vec` growth (an
+/// allocation every doubling, still nothing per row); windowed
 /// retention additionally caps the reservation at the window's bounded
 /// backing storage.
-const MAX_EAGER_SAMPLES_PER_LOCATION: usize = 4096;
+const MAX_EAGER_STEPS: usize = 4096;
 
 /// Widens a requested [`Retention`] policy to the AR model's lagged reach:
 /// the deepest lagged read any layout performs is `order` strides of
@@ -88,10 +88,7 @@ pub struct Collector {
     /// The spatial characteristic enumerated once, so the *sample* stage can
     /// hand the provider the whole location set in one batch call.
     locations: Vec<usize>,
-    /// The history slot of each sampled location, resolved once at
-    /// construction so the record loop is pure slot-addressed appends.
-    slot_ids: Vec<SlotId>,
-    /// Scratch buffer the provider's batch fill writes into (reused across
+    /// Scratch row the provider's batch fill writes into (reused across
     /// iterations — no per-iteration allocation on the hot path).
     scratch: Vec<f64>,
 }
@@ -146,12 +143,8 @@ impl Collector {
     ) -> Self {
         let locations: Vec<usize> = spatial.iter().map(|loc| loc as usize).collect();
         let retention = widened_retention(retention, order, lag, temporal);
-        let mut history = SampleHistory::with_retention(retention);
-        history.reserve(
-            &locations,
-            temporal.len().min(MAX_EAGER_SAMPLES_PER_LOCATION),
-        );
-        let slot_ids: Vec<SlotId> = locations.iter().map(|&loc| history.slot_of(loc)).collect();
+        let mut history = SampleHistory::with_retention(spatial, retention);
+        history.reserve(temporal.len().min(MAX_EAGER_STEPS));
         let mut pool = BatchPool::new(order, batch_capacity);
         let batch = pool.acquire();
         Self {
@@ -164,7 +157,6 @@ impl Collector {
             iterations_collected: 0,
             scratch: vec![0.0; locations.len()],
             locations,
-            slot_ids,
         }
     }
 
@@ -215,8 +207,8 @@ impl Collector {
     /// The **sample** stage: if `iteration` matches the temporal
     /// characteristic, queries the provider for the whole spatial
     /// characteristic in one batch [`VarProvider::fill`] call and records
-    /// the values in the history. Returns the number of samples recorded
-    /// (`0` for unselected iterations).
+    /// the values in the history as one step. Returns the number of samples
+    /// recorded (`0` for unselected iterations).
     pub fn sample<D: ?Sized, P: VarProvider<D> + ?Sized>(
         &mut self,
         iteration: u64,
@@ -227,9 +219,7 @@ impl Collector {
             return 0;
         }
         provider.fill(domain, &self.locations, &mut self.scratch);
-        for (&slot, &value) in self.slot_ids.iter().zip(&self.scratch) {
-            self.history.record_in_slot(slot, iteration, value);
-        }
+        self.history.record_step(iteration, &self.scratch);
         self.iterations_collected += 1;
         self.locations.len()
     }
@@ -239,12 +229,8 @@ impl Collector {
     /// recycled buffer and returns it. Must be called after
     /// [`Collector::sample`] for the same iteration.
     pub fn assemble(&mut self, iteration: u64) -> Option<MiniBatch> {
-        self.assembler.append_rows_in_slots(
-            &self.history,
-            &self.slot_ids,
-            iteration,
-            &mut self.batch,
-        );
+        self.assembler
+            .append_rows_for_iteration(&self.history, iteration, &mut self.batch);
         if self.batch.is_full() {
             let fresh = self.pool.acquire();
             Some(std::mem::replace(&mut self.batch, fresh))
@@ -291,13 +277,8 @@ impl Collector {
         iteration: u64,
         out: &mut [f64],
     ) -> Option<()> {
-        self.assembler.write_predictors_in_slots(
-            &self.history,
-            &self.slot_ids,
-            location,
-            iteration,
-            out,
-        )
+        self.assembler
+            .write_predictors_for(&self.history, location, iteration, out)
     }
 
     /// Appends the collector's mutable state — history, collected-iteration
@@ -322,7 +303,7 @@ impl Collector {
     ) -> crate::error::Result<CollectorState> {
         use crate::snapshot::corrupt;
 
-        let history = SampleHistory::snapshot_decode(dec)?;
+        let history = SampleHistory::snapshot_decode(dec, self.spatial)?;
         if history.retention() != self.history.retention() {
             return Err(crate::error::Error::SnapshotMismatch {
                 what: format!(
@@ -356,14 +337,8 @@ impl Collector {
     /// [`Collector::snapshot_decode`].
     pub(crate) fn snapshot_apply(&mut self, state: CollectorState) {
         self.history = state.history;
-        // Slot ids are indices into the history's registration order;
-        // re-resolve them against the restored store (registering any
-        // location the snapshot had never seen, exactly like construction).
-        self.slot_ids = self
-            .locations
-            .iter()
-            .map(|&loc| self.history.slot_of(loc))
-            .collect();
+        self.history
+            .reserve(self.temporal.len().min(MAX_EAGER_STEPS));
         self.iterations_collected = state.iterations_collected;
         self.batch.clear();
         let order = self.batch.order();
@@ -522,48 +497,31 @@ mod tests {
     }
 
     #[test]
-    fn restored_foreign_location_keeps_the_representative_exact() {
-        use crate::collect::Sample;
+    fn restored_foreign_location_is_rejected() {
         use crate::snapshot::{Dec, Enc};
 
-        // A snapshot whose history holds location 40, which this collector
-        // (locations 1..=6) never samples, with more samples than any of
-        // its own locations.
-        let mut foreign = SampleHistory::new();
+        // A snapshot of a history over locations 0, 8, …, 40: as many
+        // locations as this collector samples (1..=6), but foreign ones —
+        // 40 among them. Recording can never produce that state here, and
+        // a step-major store has no column to hold it.
+        let mut foreign = SampleHistory::new(IterParam::new(0, 40, 8).unwrap());
         for it in (0..=80u64).step_by(10) {
-            foreign.record(Sample::new(it, 40, 1.0));
-        }
-        for it in (0..=30u64).step_by(10) {
-            for loc in 1..=6 {
-                foreign.record(Sample::new(it, loc, loc as f64));
-            }
+            foreign.record_step(it, &[1.0; 6]);
         }
         let mut enc = Enc::default();
         foreign.snapshot_encode(&mut enc);
-        enc.put_u64(4);
+        enc.put_u64(9);
         enc.put_f64_slice(&[]);
         enc.put_f64_slice(&[]);
-        let mut c = collector();
-        let state = c.snapshot_decode(&mut Dec::new(&enc.buf)).unwrap();
-        c.snapshot_apply(state);
-
-        let provider = |_d: &(), loc: usize| loc as f64;
-        let mut iteration = 40;
-        loop {
-            let h = c.history();
-            let scanned = h.iter_locations().max_by_key(|&loc| h.recorded_of(loc));
-            assert_eq!(h.representative(), scanned, "at iteration {iteration}");
-            if iteration > 100 {
-                break;
-            }
-            c.observe(iteration, &(), &provider);
-            iteration += 10;
-        }
-        // The foreign location led until the collector's own locations
-        // tied it (the largest id won) and then passed it.
-        assert_eq!(c.history().recorded_of(40), 9);
-        assert_eq!(c.history().recorded_of(6), 11);
-        assert_eq!(c.history().representative(), Some(6));
+        let c = collector();
+        assert!(matches!(
+            c.snapshot_decode(&mut Dec::new(&enc.buf)),
+            Err(crate::Error::SnapshotMismatch { .. })
+        ));
+        // The collector's own snapshot still decodes.
+        let mut own = Enc::default();
+        c.snapshot_encode(&mut own);
+        assert!(c.snapshot_decode(&mut Dec::new(&own.buf)).is_ok());
     }
 
     #[test]

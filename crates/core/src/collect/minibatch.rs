@@ -163,27 +163,28 @@ impl MiniBatch {
     where
         F: FnOnce(&mut [f64]) -> Option<()>,
     {
-        self.push_after(target, |_, row| fill(row))
-    }
-
-    /// [`MiniBatch::push_with`] whose `fill` also reads the predictors of
-    /// the last row in the batch (an empty slice when there is none), so an
-    /// assembler can carry values over from one row to the next.
-    pub(crate) fn push_after<F>(&mut self, target: f64, fill: F) -> bool
-    where
-        F: FnOnce(&[f64], &mut [f64]) -> Option<()>,
-    {
         let start = self.inputs.len();
         self.inputs.resize(start + self.order, 0.0);
-        let (earlier, row) = self.inputs.split_at_mut(start);
-        let last = &earlier[start.saturating_sub(self.order)..];
-        if fill(last, row).is_some() {
+        if fill(&mut self.inputs[start..]).is_some() {
             self.targets.push(target);
             true
         } else {
             self.inputs.truncate(start);
             false
         }
+    }
+
+    /// Appends one row per value of `targets`, letting `fill` write all
+    /// their predictors — row-major, `order` values per row, initialized to
+    /// zero — directly into the batch's backing storage.
+    pub(crate) fn extend_with<F>(&mut self, targets: &[f64], fill: F)
+    where
+        F: FnOnce(&mut [f64]),
+    {
+        let start = self.inputs.len();
+        self.inputs.resize(start + targets.len() * self.order, 0.0);
+        fill(&mut self.inputs[start..]);
+        self.targets.extend_from_slice(targets);
     }
 
     /// Removes every row while keeping the allocated storage — the paper's

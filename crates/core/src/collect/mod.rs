@@ -17,12 +17,13 @@
 //!   equals the AR order (row `r` is `inputs[r*order..(r+1)*order]`,
 //!   nearest lag first) plus a parallel `targets: Vec<f64>` — the stride
 //!   convention every trainer kernel iterates with `chunks_exact(order)`;
-//! * [`SampleHistory`] is slot-indexed: a dense `location → slot` map
-//!   built when the collector registers its locations, per-slot
-//!   `iterations`/`values` columns, incrementally-maintained peak/latest
-//!   statistics read by the extractors as borrowed slices, and a
-//!   configurable [`Retention`] policy ([`Retention::Window`] bounds
-//!   per-location memory for indefinitely-running analyses).
+//! * [`SampleHistory`] is step-major: built from the spatial
+//!   characteristic, it keeps one iteration column plus one contiguous
+//!   row per sampled step (one value per location, so a location is a
+//!   column offset), incrementally-maintained peak/latest statistics read
+//!   by the extractors as borrowed slices, and a configurable
+//!   [`Retention`] policy ([`Retention::Window`] bounds memory for
+//!   indefinitely-running analyses).
 //!
 //! Every analysis collects through exactly one [`Collector`] on the
 //! simulation thread. The per-step record and assembly work is a few
@@ -34,13 +35,11 @@ mod assembler;
 mod collector;
 mod history;
 mod minibatch;
-mod sample;
 #[cfg(test)]
 mod slot_assembly_tests;
 
 pub use assembler::{BatchAssembler, PredictorLayout};
 pub(crate) use collector::CollectorState;
 pub use collector::{CollectionEvent, Collector};
-pub use history::{Retention, SampleHistory, SlotId};
+pub use history::{Column, Retention, SampleHistory};
 pub use minibatch::{BatchPool, MiniBatch};
-pub use sample::Sample;

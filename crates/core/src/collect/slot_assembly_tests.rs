@@ -1,11 +1,12 @@
-//! Slot-addressed assembly against a location-keyed reference.
+//! Row-addressed assembly against a location-keyed reference.
 //!
 //! The reference below is the assembler's original row logic: every value
 //! is looked up by `(location, iteration)` through
 //! [`SampleHistory::value_at`], stepping between sampled locations and
-//! iterations with [`IterParam`] arithmetic. The collector's
-//! slot-addressed rows, its forecasting predictors and the public
-//! location-keyed wrappers must all match it bit for bit.
+//! iterations with [`IterParam`] arithmetic. The collector's rows (read
+//! out of once-per-iteration resolved history rows), its forecasting
+//! predictors and the assembler's public entry points must all match it
+//! bit for bit.
 
 use super::{BatchAssembler, Collector, MiniBatch, PredictorLayout, Retention, SampleHistory};
 use crate::params::IterParam;
@@ -35,7 +36,7 @@ fn value(iteration: u64, location: usize) -> f64 {
     ((mixed >> 40) % 97) as f64 * 0.25 - 12.0
 }
 
-/// The location-keyed predictor logic the slot-addressed routine replaced.
+/// The location-keyed predictor logic the row-addressed routine replaced.
 fn reference_predictors(
     layout: PredictorLayout,
     history: &SampleHistory,
@@ -115,8 +116,8 @@ fn assembler(layout: PredictorLayout) -> BatchAssembler {
 }
 
 /// Samples and assembles one iteration, then checks the rows, the
-/// collector's forecasting predictors and both public wrappers against the
-/// reference.
+/// collector's forecasting predictors and the assembler's public entry
+/// points against the reference.
 fn step_and_check(c: &mut Collector, layout: PredictorLayout, iteration: u64, what: &str) {
     let provider = |it: &u64, loc: usize| value(*it, loc);
     c.sample(iteration, &iteration, &provider);
@@ -139,7 +140,7 @@ fn step_and_check(c: &mut Collector, layout: PredictorLayout, iteration: u64, wh
 
     // Forecasting reads, at the newest iteration and a few older ones, for
     // every sampled location plus one outside the spatial range.
-    let (mut want, mut slot_path, mut wrapper) = ([0.0; ORDER], [0.0; ORDER], [0.0; ORDER]);
+    let (mut want, mut collected, mut wrapper) = ([0.0; ORDER], [0.0; ORDER], [0.0; ORDER]);
     for it in [
         iteration,
         iteration.saturating_sub(2),
@@ -147,17 +148,17 @@ fn step_and_check(c: &mut Collector, layout: PredictorLayout, iteration: u64, wh
     ] {
         for loc in spatial().iter().map(|l| l as usize).chain([1, 17]) {
             let reference = reference_predictors(layout, &history, loc, it, &mut want);
-            let via_slots = c.write_predictors_for(loc, it, &mut slot_path);
+            let via_collector = c.write_predictors_for(loc, it, &mut collected);
             let via_wrapper =
                 assembler(layout).write_predictors_for(&history, loc, it, &mut wrapper);
             assert_eq!(
-                via_slots, reference,
-                "{what}: slot predictors ({loc}, {it})"
+                via_collector, reference,
+                "{what}: collector predictors ({loc}, {it})"
             );
             assert_eq!(via_wrapper, reference, "{what}: predictors ({loc}, {it})");
             if reference.is_some() {
                 let want = want.map(f64::to_bits);
-                assert_eq!(slot_path.map(f64::to_bits), want, "{what}: ({loc}, {it})");
+                assert_eq!(collected.map(f64::to_bits), want, "{what}: ({loc}, {it})");
                 assert_eq!(wrapper.map(f64::to_bits), want, "{what}: ({loc}, {it})");
             }
         }

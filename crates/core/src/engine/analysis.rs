@@ -283,8 +283,9 @@ impl<D: ?Sized> Analysis<D> {
                 }
             }
             FeatureKind::DelayTime => {
-                // The SoA history hands the extractor its iteration and
-                // value columns directly — no gather into scratch vectors.
+                // The history hands the extractor its iteration column and
+                // a strided view of the value column — no gather into
+                // scratch vectors.
                 let location = history.representative().unwrap_or(0);
                 let iterations = history.iterations_of(location);
                 let values = history.values_of(location);
@@ -328,11 +329,7 @@ impl<D: ?Sized> Analysis<D> {
     /// sampled locations — the "wave front" broadcast to other ranks in
     /// the LULESH case study.
     pub(crate) fn front_location(&self) -> Option<usize> {
-        self.store
-            .history()
-            .iter_latest()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(loc, _)| loc)
+        self.store.history().front_location()
     }
 
     /// Whether this analysis considers its work done (model converged, or

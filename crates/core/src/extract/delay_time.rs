@@ -1,5 +1,6 @@
 //! Delay-time extraction (white-dwarf detonation case study).
 
+use crate::collect::Column;
 use crate::error::{Error, Result};
 
 /// Result of a delay-time extraction.
@@ -88,14 +89,15 @@ impl DelayTimeExtractor {
     /// Panics if the two slices differ in length.
     pub fn extract(&self, times: &[f64], values: &[f64]) -> Result<DelayTimeResult> {
         assert_eq!(times.len(), values.len(), "times and values must align");
-        self.extract_with_time_axis(values, |idx| times[idx])
+        self.extract_with_time_axis(Column::from(values), |idx| times[idx])
     }
 
-    /// Extracts the delay time directly from a sample history's columnar
-    /// views: the `iterations` column serves as the time axis (converted
-    /// per-index, so no scratch `Vec<f64>` of timestamps is gathered). The
+    /// Extracts the delay time directly from a sample history's views: the
+    /// `iterations` column serves as the time axis (converted per-index, so
+    /// no scratch `Vec<f64>` of timestamps is gathered) and `values` is read
+    /// in place through its stride, in the same order as a slice. The
     /// result is bit-identical to [`DelayTimeExtractor::extract`] over
-    /// `iterations.map(|it| it as f64)`.
+    /// `iterations.map(|it| it as f64)` and `values.to_vec()`.
     ///
     /// # Errors
     ///
@@ -104,7 +106,11 @@ impl DelayTimeExtractor {
     /// # Panics
     ///
     /// Panics if the two columns differ in length.
-    pub fn extract_sampled(&self, iterations: &[u64], values: &[f64]) -> Result<DelayTimeResult> {
+    pub fn extract_sampled(
+        &self,
+        iterations: &[u64],
+        values: Column<'_>,
+    ) -> Result<DelayTimeResult> {
         assert_eq!(
             iterations.len(),
             values.len(),
@@ -135,7 +141,7 @@ impl DelayTimeExtractor {
     /// all inflections preceded all jumps and the last maximum won
     /// (`Iterator::max_by`); each detector keeps its own running best, and
     /// the two are combined by the same rule at the end.
-    fn extract_with_time_axis<F>(&self, values: &[f64], time_of: F) -> Result<DelayTimeResult>
+    fn extract_with_time_axis<F>(&self, values: Column<'_>, time_of: F) -> Result<DelayTimeResult>
     where
         F: Fn(usize) -> f64,
     {
@@ -153,7 +159,7 @@ impl DelayTimeExtractor {
             } else {
                 let lo = i.saturating_sub(half);
                 let hi = (i + half + 1).min(n);
-                values[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
+                (lo..hi).map(|i| values[i]).sum::<f64>() / (hi - lo) as f64
             }
         };
         let margin = half + 1;
@@ -283,7 +289,9 @@ mod tests {
         let iterations: Vec<u64> = (0..100u64).collect();
         let ex = DelayTimeExtractor::new();
         let from_times = ex.extract(&times, &values).unwrap();
-        let from_columns = ex.extract_sampled(&iterations, &values).unwrap();
+        let from_columns = ex
+            .extract_sampled(&iterations, Column::from(&values[..]))
+            .unwrap();
         assert_eq!(from_times.index, from_columns.index);
         assert_eq!(
             from_times.delay_time.to_bits(),
@@ -291,6 +299,18 @@ mod tests {
         );
         assert_eq!(
             from_times.gradient_drop.to_bits(),
+            from_columns.gradient_drop.to_bits()
+        );
+        // The same column read through a stride (the middle value of
+        // three-wide rows) extracts the same bits.
+        let rows: Vec<f64> = values.iter().flat_map(|&v| [-1.0, v, 7.0]).collect();
+        let strided = ex
+            .extract_sampled(&iterations, Column::strided(&rows[1..], 3, values.len()))
+            .unwrap();
+        assert_eq!(strided.index, from_columns.index);
+        assert_eq!(strided.value.to_bits(), from_columns.value.to_bits());
+        assert_eq!(
+            strided.gradient_drop.to_bits(),
             from_columns.gradient_drop.to_bits()
         );
     }
@@ -406,7 +426,7 @@ mod tests {
                         "values {values:?}, half {half}, minimum {minimum}"
                     );
                     let want = reference(half, minimum, &cast, &values);
-                    let got = ex.extract_sampled(&iterations, &values);
+                    let got = ex.extract_sampled(&iterations, Column::from(&values[..]));
                     assert_eq!(result_bits(&got), result_bits(&want));
                     compared += 1;
                 }

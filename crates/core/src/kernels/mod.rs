@@ -1,8 +1,7 @@
 //! Explicit-width SIMD kernels for the three hot loops where SIMD wins,
 //! over a scalar reference that is **bit-identical by construction**.
 //!
-//! [`MiniBatch`](crate::collect::MiniBatch) and
-//! [`SampleHistory`](crate::collect::SampleHistory) keep contiguous
+//! [`MiniBatch`](crate::collect::MiniBatch) keeps contiguous
 //! stride-`order` SoA columns precisely so these loops are
 //! vectorization-shaped. The kernels are
 //!
@@ -20,7 +19,8 @@
 //!   (`OnlineScaler::transform_in_place`),
 //! * [`Kernels::sum_squares`] — the trainer's input-energy and
 //!   gradient-norm reductions,
-//! * [`Kernels::max_seeded`] — the windowed peak re-scan in the slot store.
+//! * [`Kernels::max_seeded`] — the windowed peak re-scan in the sample
+//!   store.
 //!
 //! # The 4-accumulator reduction convention
 //!

@@ -90,7 +90,7 @@ pub use provider::VarProvider;
 
 /// The most commonly used items, re-exported for glob import.
 pub mod prelude {
-    pub use crate::collect::{Collector, MiniBatch, Retention, Sample, SampleHistory};
+    pub use crate::collect::{Collector, MiniBatch, Retention, SampleHistory};
     pub use crate::engine::{
         AnalysisId, Engine, EngineConfig, RegionId, StepReport, StepScope, TrainingMode,
         TrainingProgress,

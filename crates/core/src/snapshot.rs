@@ -1,8 +1,8 @@
 //! Versioned binary snapshots of a running engine.
 //!
 //! A snapshot captures everything an [`Engine`](crate::engine::Engine)
-//! needs to resume **bit-identically**: every analysis' slot store
-//! (iteration/value columns, eviction state, incremental peak/latest
+//! needs to resume **bit-identically**: every analysis' sample store
+//! (iteration column and rows, eviction state, incremental peak/latest
 //! statistics, regular-cadence index), the partially filled mini-batch,
 //! the fitted [`ArModel`](crate::model::ArModel), both online scalers,
 //! the optimizer's internal state (momentum velocity, Adagrad

@@ -152,25 +152,26 @@ fn grad_epoch_and_loss_are_identical_over_batches() {
 /// (with the overwrite applied).
 #[test]
 fn windowed_peak_rescan_is_dispatch_independent() {
-    use insitu::collect::{Retention, Sample, SampleHistory};
+    use insitu::collect::{Retention, SampleHistory};
+    use insitu::IterParam;
 
     let mut rng = XorShift::new(0x5EED);
     for round in 0..32u64 {
-        let mut history = SampleHistory::with_retention(Retention::Window(4));
+        let mut history = SampleHistory::with_retention(IterParam::single(1), Retention::Window(4));
         let mut log: Vec<f64> = Vec::new();
         // Push well past the window so early samples — including a planted
         // spike in some rounds — are evicted into the incremental peak.
         for it in 0..12u64 {
             let v = rng.next_f64() * 10.0 + if it == round % 14 { 1e6 } else { 0.0 };
-            history.record(Sample::new(it, 1, v));
+            history.record_step(it, &[v]);
             log.push(v);
         }
         // Make the newest sample the visible peak, then overwrite it at the
         // same iteration with something smaller: the cold re-scan path.
-        history.record(Sample::new(12, 1, 1e7));
+        history.record_step(12, &[1e7]);
         log.push(1e7);
         let replacement = rng.next_f64();
-        history.record(Sample::new(12, 1, replacement));
+        history.record_step(12, &[replacement]);
         *log.last_mut().unwrap() = replacement;
 
         let want = log.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));

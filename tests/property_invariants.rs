@@ -7,7 +7,7 @@
 //! run checks the identical case set).
 
 use insitu::collect::{
-    BatchAssembler, BatchPool, MiniBatch, PredictorLayout, Retention, Sample, SampleHistory,
+    BatchAssembler, BatchPool, MiniBatch, PredictorLayout, Retention, SampleHistory,
 };
 use insitu::model::{metrics, IncrementalTrainer, OnlineScaler, TrainerConfig};
 use insitu::tracking::{find_local_extrema, moving_average, PeakDetector};
@@ -117,60 +117,36 @@ fn scaler_round_trips_and_matches_batch_moments() {
 
 // ---- sample history --------------------------------------------------------
 
-#[test]
-fn history_preserves_every_recorded_sample() {
-    for case in 0..CASES {
-        let mut rng = Rng::new(0x4004 + case);
-        let count = rng.range_usize(1, 200);
-        let samples: Vec<(u64, usize, f64)> = (0..count)
-            .map(|_| {
-                (
-                    rng.range_u64(0, 200),
-                    rng.range_usize(0, 16),
-                    rng.range_f64(-1e3, 1e3),
-                )
-            })
-            .collect();
-        let mut history = SampleHistory::new();
-        let mut expected: std::collections::BTreeMap<(usize, u64), f64> = Default::default();
-        // Record in iteration order per location, as a simulation would.
-        let mut ordered = samples;
-        ordered.sort_by_key(|(it, loc, _)| (*loc, *it));
-        for (iteration, location, value) in ordered {
-            history.record(Sample::new(iteration, location, value));
-            expected.insert((location, iteration), value);
-        }
-        for ((location, iteration), value) in &expected {
-            assert_eq!(history.value_at(*location, *iteration), Some(*value));
-        }
-        assert_eq!(history.len(), expected.len());
-    }
-}
-
-/// Records the same random regular-cadence samples (with occasional
+/// Records the same random regular-cadence steps (with occasional
 /// duplicate-iteration overwrites) into a [`Retention::Full`] and a
 /// [`Retention::Window`] history and returns them plus the window size.
 fn paired_histories(rng: &mut Rng) -> (SampleHistory, SampleHistory, usize) {
     let window = rng.range_usize(2, 24);
-    let mut full = SampleHistory::new();
-    let mut windowed = SampleHistory::with_retention(Retention::Window(window));
-    let locations = rng.range_usize(1, 6);
+    let locations = rng.range_u64(1, 6);
+    let spatial = IterParam::new(0, locations - 1, 1).unwrap();
+    let mut full = SampleHistory::new(spatial);
+    let mut windowed = SampleHistory::with_retention(spatial, Retention::Window(window));
     let steps = rng.range_u64(1, 60);
     let stride = rng.range_u64(1, 5);
+    let mut row = vec![0.0; locations as usize];
     for it in 0..steps {
         let iteration = it * stride;
-        for loc in 0..locations {
-            let value = rng.range_f64(-100.0, 100.0);
-            full.record(Sample::new(iteration, loc, value));
-            windowed.record(Sample::new(iteration, loc, value));
-            // Occasionally overwrite the just-recorded sample — both stores
-            // must apply the same tie-overwrite semantics, including the
-            // rescan when the overwrite lowers the running peak.
-            if rng.range_usize(0, 5) == 0 {
-                let replacement = rng.range_f64(-100.0, 100.0);
-                full.record(Sample::new(iteration, loc, replacement));
-                windowed.record(Sample::new(iteration, loc, replacement));
+        for value in &mut row {
+            *value = rng.range_f64(-100.0, 100.0);
+        }
+        full.record_step(iteration, &row);
+        windowed.record_step(iteration, &row);
+        // Occasionally overwrite some of the just-recorded samples — both
+        // stores must apply the same tie-overwrite semantics, including the
+        // rescan when the overwrite lowers the running peak.
+        if rng.range_usize(0, 3) == 0 {
+            for value in &mut row {
+                if rng.range_usize(0, 2) == 0 {
+                    *value = rng.range_f64(-100.0, 100.0);
+                }
             }
+            full.record_step(iteration, &row);
+            windowed.record_step(iteration, &row);
         }
     }
     (full, windowed, window)
@@ -193,10 +169,7 @@ fn windowed_history_agrees_with_full_wherever_the_window_covers() {
             let full_values = full.values_of(loc).unwrap();
             let kept = windowed.series_len(loc);
             assert!(kept <= window.max(1));
-            assert_eq!(
-                windowed.values_of(loc).unwrap(),
-                &full_values[full_values.len() - kept..]
-            );
+            assert_eq!(windowed.values_of(loc), full_values.tail(kept));
             assert_eq!(
                 windowed.iterations_of(loc).unwrap(),
                 &full.iterations_of(loc).unwrap()[full_values.len() - kept..]
@@ -241,16 +214,17 @@ fn windowed_assembler_rows_match_full_when_the_window_covers_them() {
         // (Temporal layout); a window that covers it plus the target must
         // reproduce every row the full store produces.
         let window = order * lag_steps as usize + 1 + rng.range_usize(0, 4);
-        let mut full = SampleHistory::new();
-        let mut windowed = SampleHistory::with_retention(Retention::Window(window));
+        let mut full = SampleHistory::new(spatial);
+        let mut windowed = SampleHistory::with_retention(spatial, Retention::Window(window));
         let mut out_full = vec![0.0; order];
         let mut out_windowed = vec![0.0; order];
+        let mut row = vec![0.0; spatial.len()];
         for it in temporal.iter() {
-            for loc in spatial.iter() {
-                let value = rng.range_f64(-10.0, 10.0);
-                full.record(Sample::new(it, loc as usize, value));
-                windowed.record(Sample::new(it, loc as usize, value));
+            for value in &mut row {
+                *value = rng.range_f64(-10.0, 10.0);
             }
+            full.record_step(it, &row);
+            windowed.record_step(it, &row);
             // Assemble this iteration's rows from both stores.
             for loc in spatial.iter() {
                 let a = assembler.write_predictors_for(&full, loc as usize, it, &mut out_full);

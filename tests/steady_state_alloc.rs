@@ -9,8 +9,8 @@
 //! additionally forces a feature extraction (`extract_now`), which reads
 //! the history's incrementally-maintained peak profile as a borrowed
 //! slice — if extraction rescanned or gathered the per-location series
-//! (as the pre-slot-store code did), its allocations would scale with the
-//! location count. If any stage — sample, record, assemble, train,
+//! (as the original map-based store did), its allocations would scale
+//! with the location count. If any stage — sample, record, assemble, train,
 //! extract — allocated per row, the larger configuration would allocate
 //! more; the test asserts the steady-state allocation count of a 100-step
 //! window is *identical* for both sizes, in Inline and Background training
@@ -18,12 +18,18 @@
 //! the extracted-feature status entry, the background job boxes — is
 //! allowed; scaling with rows is not.)
 //!
+//! A `Retention::Window` leg runs the same scenario on a bounded history
+//! and re-samples every iteration with a lowered domain: the history
+//! compacts its rows every window, and each same-iteration overwrite that
+//! lowers a column's peak rescans that column — neither may allocate.
+//!
 //! Keep this file to a **single test**: the counter is process-global, so
 //! concurrently running tests would perturb each other's windows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use insitu::collect::Retention;
 use insitu::engine::{Engine, EngineConfig, TrainingMode};
 use insitu::extract::FeatureKind;
 use insitu::model::{ConvergenceCriteria, OptimizerKind, TrainerConfig};
@@ -80,8 +86,10 @@ const WINDOW_STEPS: u64 = 100;
 /// of batches per window. With `telemetry` the stage-event recorder is armed AND a 1 ns
 /// `DeferExtraction` budget keeps the engine permanently overloaded, so
 /// every window step records stage events *and* a shed decision — all of
-/// which must stay allocation-free.
-fn window_allocations(locations: u64, mode: TrainingMode, telemetry: bool) -> u64 {
+/// which must stay allocation-free. With `windowed` the history keeps a
+/// [`Retention::Window`] and every iteration is sampled twice, the second
+/// time from a halved domain (a peak-lowering overwrite).
+fn window_allocations(locations: u64, mode: TrainingMode, telemetry: bool, windowed: bool) -> u64 {
     let rows_per_iteration = (locations as usize) - ORDER;
     let pool = ThreadPool::new(ParallelConfig::new(2, 2).unwrap());
     let mut config = match mode {
@@ -101,8 +109,14 @@ fn window_allocations(locations: u64, mode: TrainingMode, telemetry: bool) -> u6
         .temporal(IterParam::new(0, 1_000_000, 1).unwrap())
         .feature(FeatureKind::Breakpoint { threshold: 0.05 })
         .lag(5)
-        // One batch every two iterations, at every size.
-        .batch_capacity(2 * rows_per_iteration)
+        .retention(if windowed {
+            Retention::Window(16)
+        } else {
+            Retention::Full
+        })
+        // One batch every two iterations, at every size (a windowed
+        // iteration is sampled, and its rows assembled, twice).
+        .batch_capacity(2 * rows_per_iteration * (1 + usize::from(windowed)))
         .trainer(TrainerConfig {
             order: ORDER,
             optimizer: OptimizerKind::Sgd {
@@ -124,10 +138,18 @@ fn window_allocations(locations: u64, mode: TrainingMode, telemetry: bool) -> u6
     let mut domain = Pulse {
         values: vec![0.0; locations as usize + 4],
     };
-    for it in 0..WARMUP_STEPS {
-        let step = engine.step(it);
+    let mut step = |engine: &mut Engine<Pulse>, it: u64| {
         domain.advance(it);
-        step.complete(&domain);
+        engine.step(it).complete(&domain);
+        if windowed {
+            for v in &mut domain.values {
+                *v *= 0.5;
+            }
+            engine.step(it).complete(&domain);
+        }
+    };
+    for it in 0..WARMUP_STEPS {
+        step(&mut engine, it);
     }
     // Settle all in-flight background work so the window only contains the
     // window's own batches.
@@ -135,9 +157,7 @@ fn window_allocations(locations: u64, mode: TrainingMode, telemetry: bool) -> u6
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for it in WARMUP_STEPS..WARMUP_STEPS + WINDOW_STEPS {
-        let step = engine.step(it);
-        domain.advance(it);
-        step.complete(&domain);
+        step(&mut engine, it);
         // Force the extract stage every step: the break-point extraction
         // reads the borrowed incremental peak profile, so its cost must not
         // scale with the location count either.
@@ -176,13 +196,18 @@ fn window_allocations(locations: u64, mode: TrainingMode, telemetry: bool) -> u6
 
 #[test]
 fn steady_state_allocations_do_not_scale_with_rows() {
+    // Right after spawning this test's thread, the test harness books it
+    // (a few allocations on its own thread). A discarded first run keeps
+    // that bookkeeping out of every measured window.
+    window_allocations(8 + ORDER as u64, TrainingMode::Inline, false, false);
+
     // 8 rows/iteration vs 64 rows/iteration — an 8× difference in the
     // per-row work (800 vs 6400 rows per window). If any stage allocated
     // per row, the large window would allocate thousands more times than
     // the small one.
     for mode in [TrainingMode::Inline, TrainingMode::Background] {
-        let small = window_allocations(8 + ORDER as u64, mode, false);
-        let large = window_allocations(64 + ORDER as u64, mode, false);
+        let small = window_allocations(8 + ORDER as u64, mode, false, false);
+        let large = window_allocations(64 + ORDER as u64, mode, false, false);
         if mode == TrainingMode::Inline {
             // Single-threaded and fully deterministic: the counts must be
             // *identical* despite the 8× row-rate difference.
@@ -228,8 +253,8 @@ fn steady_state_allocations_do_not_scale_with_rows() {
     // difference, and Background stays within the same jitter headroom as
     // its untimed counterpart.
     for mode in [TrainingMode::Inline, TrainingMode::Background] {
-        let small = window_allocations(8 + ORDER as u64, mode, true);
-        let large = window_allocations(64 + ORDER as u64, mode, true);
+        let small = window_allocations(8 + ORDER as u64, mode, true, false);
+        let large = window_allocations(64 + ORDER as u64, mode, true, false);
         if mode == TrainingMode::Inline {
             assert_eq!(
                 small, large,
@@ -250,6 +275,34 @@ fn steady_state_allocations_do_not_scale_with_rows() {
             "telemetry {mode:?}: {small} allocations over {WINDOW_STEPS} \
              steps is more than a small per-step constant — telemetry \
              recording must not allocate"
+        );
+    }
+    // Windowed legs: a bounded history that compacts its rows every window
+    // and rescans a column whenever a same-iteration overwrite lowers its
+    // peak. Both are steady-state work and must be as allocation-free as
+    // the unbounded store's appends.
+    for mode in [TrainingMode::Inline, TrainingMode::Background] {
+        let small = window_allocations(8 + ORDER as u64, mode, false, true);
+        let large = window_allocations(64 + ORDER as u64, mode, false, true);
+        if mode == TrainingMode::Inline {
+            assert_eq!(
+                small, large,
+                "windowed {mode:?}: steady-state allocations scale with the \
+                 row count ({small} for 8 rows/step vs {large} for 64 \
+                 rows/step over {WINDOW_STEPS} steps)"
+            );
+        } else {
+            assert!(
+                large <= small + WINDOW_STEPS,
+                "windowed {mode:?}: steady-state allocations scale with the \
+                 row count ({small} vs {large} over {WINDOW_STEPS} steps)"
+            );
+        }
+        assert!(
+            small <= 20 * WINDOW_STEPS,
+            "windowed {mode:?}: {small} allocations over {WINDOW_STEPS} \
+             steps (two engine steps each) is more than a small per-step \
+             constant"
         );
     }
 }
