@@ -1089,6 +1089,55 @@ mod tests {
         assert_eq!(h, restored);
     }
 
+    /// The record-time representative against the scan it replaced.
+    fn assert_representative(h: &SampleHistory, what: &str) {
+        let scanned = h.iter_locations().max_by_key(|&loc| h.recorded_of(loc));
+        assert_eq!(h.representative(), scanned, "{what}");
+    }
+
+    #[test]
+    fn representative_tracks_the_most_recorded_location() {
+        for retention in [Retention::Full, Retention::Window(3)] {
+            let mut h = SampleHistory::with_retention(spatial(1, 4, 1), retention);
+            h.reserve(8);
+            assert_representative(&h, "empty");
+            // A small LCG drives records, overwrites, out-of-order arrivals,
+            // clears and snapshot round trips.
+            let mut state = 0x2545_F491_4F6C_DD1Du64;
+            let mut next = |bound: u64| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) % bound
+            };
+            let mut iteration = 0u64;
+            for op in 0..600 {
+                match next(40) {
+                    0 => {
+                        h.clear();
+                        assert_representative(&h, "after clear");
+                    }
+                    1 => {
+                        h = round_trip(&h);
+                        assert_representative(&h, "after decode");
+                    }
+                    roll => {
+                        // Mostly forward; sometimes the same iteration (an
+                        // overwrite) or an older one (out of order).
+                        iteration = match roll {
+                            2..=4 => iteration,
+                            5 => iteration.saturating_sub(next(4)),
+                            _ => iteration + 1 + next(2),
+                        };
+                        let row: Vec<f64> = (0..4).map(|_| next(100) as f64).collect();
+                        h.record_step(iteration, &row);
+                    }
+                }
+                assert_representative(&h, &format!("{retention:?} op {op}"));
+            }
+        }
+    }
+
     #[test]
     fn representative_ties_go_to_the_largest_location() {
         // Every step records every location, so the counts always tie and

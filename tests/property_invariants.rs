@@ -117,6 +117,37 @@ fn scaler_round_trips_and_matches_batch_moments() {
 
 // ---- sample history --------------------------------------------------------
 
+#[test]
+fn history_preserves_every_recorded_sample() {
+    for case in 0..CASES {
+        let mut rng = Rng::new(0x4004 + case);
+        let begin = rng.range_u64(0, 16);
+        let step = rng.range_u64(1, 4);
+        let locations = rng.range_u64(1, 17);
+        let spatial = IterParam::new(begin, begin + (locations - 1) * step, step).unwrap();
+        // Random iterations with repeats, recorded in iteration order as a
+        // simulation would: gaps break the regular cadence and a repeated
+        // iteration overwrites the step recorded just before it.
+        let count = rng.range_usize(1, 40);
+        let mut iterations: Vec<u64> = (0..count).map(|_| rng.range_u64(0, 200)).collect();
+        iterations.sort_unstable();
+        let mut history = SampleHistory::new(spatial);
+        let mut expected: std::collections::BTreeMap<(usize, u64), f64> = Default::default();
+        let mut row = vec![0.0; locations as usize];
+        for iteration in iterations {
+            for (value, location) in row.iter_mut().zip(spatial.iter()) {
+                *value = rng.range_f64(-1e3, 1e3);
+                expected.insert((location as usize, iteration), *value);
+            }
+            history.record_step(iteration, &row);
+        }
+        for ((location, iteration), value) in &expected {
+            assert_eq!(history.value_at(*location, *iteration), Some(*value));
+        }
+        assert_eq!(history.len(), expected.len());
+    }
+}
+
 /// Records the same random regular-cadence steps (with occasional
 /// duplicate-iteration overwrites) into a [`Retention::Full`] and a
 /// [`Retention::Window`] history and returns them plus the window size.
