@@ -8,8 +8,10 @@
 //! * `BENCH_service.json` — wire-served session throughput (steps/sec),
 //! * `BENCH_snapshot.json` — checkpoint serialize/restore throughput (MB/s).
 //!
-//! Two absolute ceilings ride along: telemetry-on at most 1.05× telemetry-off,
-//! and background training at most 1.25× inline, on the same pulse engine.
+//! Three absolute ceilings ride along: telemetry-on at most 1.05×
+//! telemetry-off and background training at most 1.25× inline, on the same
+//! pulse engine, and delay-time extraction at most 2× dearer per step at the
+//! end of a 1 600-step run than near its start.
 //!
 //! The kernel floor is only enforced when this host's dispatch matches the
 //! recorded `"kernels"` string — a scalar host cannot be held to an AVX2
@@ -181,6 +183,89 @@ const TELEMETRY_CEILING: f64 = 1.05;
 /// of the inline one. Absolute, like the telemetry ceiling.
 const BACKGROUND_CEILING: f64 = 1.25;
 
+/// Delay-time extraction must cost O(1) per step: the engine resumes its
+/// carried pass, so a step at the end of a long `Retention::Full` run
+/// extracts about as cheaply as one near its start. Re-running the pass over
+/// the whole series every step reads about 10× on [`run_extract_growth`]'s
+/// run. Absolute, like the telemetry ceiling.
+const EXTRACT_GROWTH_CEILING: f64 = 2.0;
+
+/// Steps of the delay-time run behind [`EXTRACT_GROWTH_CEILING`].
+const EXTRACT_STEPS: u64 = 1_600;
+
+/// One `Retention::Full` delay-time engine over a steadily rising 8-location
+/// signal, stage clocks armed, run for [`EXTRACT_STEPS`] steps. Its trainer
+/// converges on the first batch, so every later step extracts. Returns the
+/// engine's own `Stage::Extract` mean ns over the last 100 steps divided by
+/// the mean over steps 100–200.
+fn run_extract_growth() -> f64 {
+    use insitu::engine::Engine;
+    use insitu::extract::FeatureKind;
+    use insitu::model::{ConvergenceCriteria, OptimizerKind, TrainerConfig};
+    use insitu::region::AnalysisSpec;
+    use insitu::telemetry::Stage;
+    use insitu::IterParam;
+
+    let spec = AnalysisSpec::builder()
+        .name("rise")
+        .provider(|domain: &Vec<f64>, loc: usize| domain.get(loc).copied().unwrap_or(0.0))
+        .spatial(IterParam::new(1, 8, 1).expect("valid spatial range"))
+        .temporal(IterParam::new(0, EXTRACT_STEPS, 1).expect("valid temporal range"))
+        .feature(FeatureKind::DelayTime)
+        .lag(1)
+        .batch_capacity(16)
+        .trainer(TrainerConfig {
+            order: 3,
+            optimizer: OptimizerKind::Sgd { learning_rate: 0.1 },
+            epochs_per_batch: 2,
+            convergence: ConvergenceCriteria {
+                loss_threshold: 0.0,
+                patience: usize::MAX,
+                max_batches: 1,
+            },
+        })
+        .build()
+        .expect("valid spec");
+    let mut config = EngineConfig::inline();
+    config.telemetry.enabled = Some(true);
+    let mut engine: Engine<Vec<f64>> = Engine::with_config(config);
+    let region = engine.add_region("rise").expect("region");
+    engine.add_analysis(region, spec).expect("analysis");
+
+    let mut domain = vec![0.0f64; 12];
+    let mut extract_ns = Vec::with_capacity(EXTRACT_STEPS as usize);
+    for iteration in 0..EXTRACT_STEPS {
+        let rise = (iteration as f64 / 400.0).tanh();
+        for (loc, v) in domain.iter_mut().enumerate() {
+            *v = loc as f64 * rise;
+        }
+        let report = engine.step(iteration).complete(&domain);
+        extract_ns.push(report.stage_nanos(Stage::Extract));
+    }
+    assert!(
+        engine
+            .status(region)
+            .expect("status")
+            .feature("rise")
+            .is_some(),
+        "the delay-time run must extract its feature"
+    );
+    let mean = |steps: &[u64]| steps.iter().sum::<u64>() as f64 / steps.len() as f64;
+    let early = mean(&extract_ns[100..200]);
+    let late = mean(&extract_ns[extract_ns.len() - 100..]);
+    assert!(
+        early > 0.0,
+        "the delay-time run must extract from step 100 on"
+    );
+    late / early
+}
+
+/// The median late/early extraction-cost ratio over [`PAIRS`] runs, each
+/// pairing its own early and late windows (see [`run_extract_growth`]).
+fn measure_extract_growth() -> f64 {
+    median((0..PAIRS).map(|_| run_extract_growth()).collect())
+}
+
 /// Drives the tightest loop telemetry touches — a pure in-process engine,
 /// 256 locations × 200 iterations — under `config` (with the stage clocks
 /// pinned on or off by `timed`), returning the terminal features so the
@@ -236,7 +321,7 @@ fn run_pulse_leg(
     engine.status(region).expect("status").features.clone()
 }
 
-/// Interleaved pairs behind the two absolute ceilings.
+/// Interleaved pairs (or paired runs) behind the absolute ceilings.
 const PAIRS: usize = 21;
 
 /// Wall-clock ratio `candidate / base`: the median of per-pair ratios over
@@ -248,19 +333,25 @@ fn paired_ratio<T>(base: impl Fn() -> T, candidate: impl Fn() -> T) -> f64 {
         leg();
         start.elapsed().as_nanos() as f64
     };
-    let mut ratios: Vec<f64> = (0..PAIRS)
-        .map(|pair| {
-            if pair % 2 == 0 {
-                let base_ns = wall_ns(&base);
-                wall_ns(&candidate) / base_ns
-            } else {
-                let candidate_ns = wall_ns(&candidate);
-                candidate_ns / wall_ns(&base)
-            }
-        })
-        .collect();
+    median(
+        (0..PAIRS)
+            .map(|pair| {
+                if pair % 2 == 0 {
+                    let base_ns = wall_ns(&base);
+                    wall_ns(&candidate) / base_ns
+                } else {
+                    let candidate_ns = wall_ns(&candidate);
+                    candidate_ns / wall_ns(&base)
+                }
+            })
+            .collect(),
+    )
+}
+
+/// The median of per-pair ratios.
+fn median(mut ratios: Vec<f64>) -> f64 {
     ratios.sort_by(|a, b| a.partial_cmp(b).expect("ratios are finite"));
-    ratios[PAIRS / 2]
+    ratios[ratios.len() / 2]
 }
 
 /// Telemetry-on vs telemetry-off wall-clock ratio (on/off; 1.0 = free).
@@ -392,12 +483,14 @@ fn main() {
         );
     }
 
-    // Telemetry overhead and background placement: absolute ceilings, not
-    // committed floors — "arming the stage clocks is free within noise" and
-    // "background training never costs more than inline" hold on every
-    // host, so there is nothing machine-specific to skip on.
+    // Telemetry overhead, background placement and extraction growth:
+    // absolute ceilings, not committed floors — "arming the stage clocks is
+    // free within noise", "background training never costs more than
+    // inline" and "extraction stays O(1) per step" hold on every host, so
+    // there is nothing machine-specific to skip on.
     let telemetry_ratio = measure_telemetry_ratio();
     let background_ratio = measure_background_ratio();
+    let extract_growth = measure_extract_growth();
 
     let mut failed = false;
     for check in &checks {
@@ -440,6 +533,20 @@ fn main() {
         );
     }
     failed |= !background_ok;
+    let extract_ok = extract_growth <= EXTRACT_GROWTH_CEILING;
+    println!(
+        "{:<32} ceiling   {EXTRACT_GROWTH_CEILING:>9.3}x  measured {extract_growth:>9.3}x  {}",
+        "delay-time extract, late/early",
+        if extract_ok { "ok" } else { "REGRESSED" },
+    );
+    if !extract_ok {
+        eprintln!(
+            "perf-smoke: delay-time extraction cost {extract_growth:.3}x as much per \
+             step after {EXTRACT_STEPS} steps as after 100–200 (ceiling \
+             {EXTRACT_GROWTH_CEILING}x) — the pass is re-run over the whole series"
+        );
+    }
+    failed |= !extract_ok;
     if failed {
         eprintln!(
             "perf-smoke: a measured value fell below {}x of its committed \

@@ -26,7 +26,8 @@
 //!   profile the break-point and outlier extractors read, in location
 //!   order, updated in place as steps arrive;
 //! * [`SampleHistory::latest_of`] / [`SampleHistory::iter_latest`] — the
-//!   newest row (the per-step "wave front" scan);
+//!   newest row, whose largest value's location (the "wave front" the
+//!   engine broadcasts) is tracked as it is recorded;
 //! * [`SampleHistory::representative`] — the location with the most
 //!   recorded samples, ties to the largest id. Every column is recorded on
 //!   every step, so that is the largest location once any step exists.
@@ -198,6 +199,24 @@ fn on_progression(visible: &[u64], first: u64, stride: u64, evicted: usize) -> b
         })
 }
 
+/// Whether `value` displaces the running maximum `held` under
+/// `Iterator::max_by`'s rule: the last maximum wins, and incomparable (NaN)
+/// values count as equal.
+fn displaces(held: f64, value: f64) -> bool {
+    held.partial_cmp(&value) != Some(Ordering::Greater)
+}
+
+/// The column of `row`'s largest value, the last one on ties.
+fn front_of(row: &[f64]) -> usize {
+    (0..row.len()).fold(0, |front, column| {
+        if displaces(row[front], row[column]) {
+            column
+        } else {
+            front
+        }
+    })
+}
+
 /// All samples collected so far: one row per sampled step, one column per
 /// location of the spatial characteristic.
 ///
@@ -239,6 +258,13 @@ pub struct SampleHistory {
     evicted_peak: Vec<f64>,
     /// Reused gather buffer for that rescan.
     rescan: Vec<f64>,
+    /// Column of the largest value in the newest row (the last one on
+    /// ties), kept at record time; meaningful once a step exists.
+    front: usize,
+    /// Bumped by every change other than appending a new newest row (an
+    /// overwrite, an eviction, `clear`): a reader that carries state
+    /// derived from the rows keeps it only while this is unchanged.
+    revision: u64,
 }
 
 /// Logical content equality: two histories are equal when they have the
@@ -284,6 +310,8 @@ impl SampleHistory {
                 .collect(),
             evicted_peak: vec![f64::NEG_INFINITY; width],
             rescan: Vec::new(),
+            front: 0,
+            revision: 0,
         }
     }
 
@@ -361,11 +389,16 @@ impl SampleHistory {
 
         self.iterations.push(iteration);
         self.values.extend_from_slice(row);
-        for (entry, &value) in self.profile.iter_mut().zip(row) {
+        let mut front = 0;
+        for (column, (entry, &value)) in self.profile.iter_mut().zip(row).enumerate() {
             if value > entry.1 {
                 entry.1 = value;
             }
+            if displaces(row[front], value) {
+                front = column;
+            }
         }
+        self.front = front;
         if let Some(window) = self.retention.window() {
             if self.visible_steps() > window {
                 self.evict_oldest(window);
@@ -375,8 +408,10 @@ impl SampleHistory {
 
     /// Same-iteration overwrite of the newest row (never an evicted one).
     fn overwrite_newest(&mut self, row: &[f64]) {
+        self.revision = self.revision.wrapping_add(1);
         let width = self.width;
         let newest = self.values.len() - width;
+        self.front = front_of(row);
         for (column, &value) in row.iter().enumerate() {
             let old = std::mem::replace(&mut self.values[newest + column], value);
             let peak = &mut self.profile[column].1;
@@ -402,6 +437,7 @@ impl SampleHistory {
 
     /// Evicts the oldest visible row, folding it into the evicted peaks.
     fn evict_oldest(&mut self, window: usize) {
+        self.revision = self.revision.wrapping_add(1);
         let width = self.width;
         let oldest = &self.values[self.start * width..(self.start + 1) * width];
         for (peak, &value) in self.evicted_peak.iter_mut().zip(oldest) {
@@ -574,12 +610,20 @@ impl SampleHistory {
     }
 
     /// The location of the largest newest value (the last one on ties) —
-    /// the "wave front" the LULESH case study broadcasts. One scan over
-    /// the newest row.
+    /// the "wave front" the LULESH case study broadcasts. Kept at record
+    /// time, so O(1).
     pub(crate) fn front_location(&self) -> Option<usize> {
-        self.iter_latest()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal))
-            .map(|(location, _)| location)
+        self.peak_profile()
+            .get(self.front)
+            .map(|&(location, _)| location)
+    }
+
+    /// Counts every change to the held rows other than appending a new
+    /// newest row: a same-iteration overwrite, a window eviction, `clear`.
+    /// While it is unchanged, every row a reader saw is still in place at
+    /// the same index, so state derived from them can be carried forward.
+    pub(crate) fn revision(&self) -> u64 {
+        self.revision
     }
 
     /// The most recent `count` values observed at `location` (oldest
@@ -615,6 +659,8 @@ impl SampleHistory {
             entry.1 = f64::NEG_INFINITY;
         }
         self.evicted_peak.fill(f64::NEG_INFINITY);
+        self.front = 0;
+        self.revision = self.revision.wrapping_add(1);
     }
 
     /// Appends the history to a snapshot payload in the version-1 layout:
@@ -810,6 +856,7 @@ impl SampleHistory {
         for row in 0..rows {
             h.values.extend(columns.iter().map(|column| column[row]));
         }
+        h.front = h.latest_row().map_or(0, front_of);
         Ok(h)
     }
 }

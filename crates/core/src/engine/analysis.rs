@@ -6,8 +6,8 @@ use parsim::ThreadPool;
 
 use crate::collect::{Collector, CollectorState, MiniBatch, SampleHistory};
 use crate::extract::{
-    BreakpointExtractor, BreakpointResult, DelayTimeExtractor, DelayTimeResult, FeatureKind,
-    OutlierExtractor, OutlierReport,
+    BreakpointExtractor, BreakpointResult, DelayTimeExtractor, DelayTimeResult, DelayTimeScan,
+    FeatureKind, OutlierExtractor, OutlierReport,
 };
 use crate::model::IncrementalTrainer;
 use crate::region::{AnalysisMethod, AnalysisSpec, FeatureValue};
@@ -93,6 +93,10 @@ pub(crate) struct Analysis<D: ?Sized> {
     pub(crate) store: Collector,
     slot: TrainerSlot,
     feature: Option<FeatureValue>,
+    /// The delay-time pass carried between extractions. Derived from the
+    /// history, so never serialized; reset whenever the history is
+    /// replaced.
+    delay_scan: DelayTimeScan,
     /// Reusable predictor buffer (`order` slots) for the per-step
     /// prediction at the representative location.
     predictor_scratch: Vec<f64>,
@@ -131,6 +135,7 @@ impl<D: ?Sized> Analysis<D> {
             store,
             slot: TrainerSlot::Idle(Box::new(trainer)),
             feature: None,
+            delay_scan: DelayTimeScan::default(),
             predictor_scratch: vec![0.0; order],
             batches_trained: 0,
             train_ewma_ns: 0,
@@ -283,18 +288,14 @@ impl<D: ?Sized> Analysis<D> {
                 }
             }
             FeatureKind::DelayTime => {
-                // The history hands the extractor its iteration column and
-                // a strided view of the value column — no gather into
-                // scratch vectors.
+                // The extractor reads the history's iteration column and a
+                // strided view of the value column in place, and resumes the
+                // carried pass while the series has only grown by appends.
                 let location = history.representative().unwrap_or(0);
-                let iterations = history.iterations_of(location);
-                let values = history.values_of(location);
-                iterations.zip(values).and_then(|(iterations, values)| {
-                    DelayTimeExtractor::new()
-                        .extract_sampled(iterations, values)
-                        .ok()
-                        .map(FeatureValue::DelayTime)
-                })
+                DelayTimeExtractor::new()
+                    .extract_resumed(&mut self.delay_scan, history, location)
+                    .and_then(Result::ok)
+                    .map(FeatureValue::DelayTime)
             }
             FeatureKind::Outliers { threshold } => {
                 let profile = history.peak_profile();
@@ -430,6 +431,7 @@ impl<D: ?Sized> Analysis<D> {
         self.store.snapshot_apply(state.store);
         self.slot = TrainerSlot::Idle(Box::new(state.trainer));
         self.feature = state.feature;
+        self.delay_scan = DelayTimeScan::default();
         self.batches_trained = state.batches_trained;
         // The placement estimates are diagnostics, not state: they restart
         // empty, like telemetry.

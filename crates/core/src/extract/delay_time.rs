@@ -1,6 +1,6 @@
 //! Delay-time extraction (white-dwarf detonation case study).
 
-use crate::collect::Column;
+use crate::collect::{Column, SampleHistory};
 use crate::error::{Error, Result};
 
 /// Result of a delay-time extraction.
@@ -27,9 +27,14 @@ pub struct DelayTimeResult {
 /// gradient) and jumps between consecutive gradients — ranks them by
 /// gradient drop and reports the timestamp of the winning sample.
 ///
-/// Extraction is one streaming pass over the series that allocates nothing,
-/// so an engine can re-run it on the simulation thread every step. It is
-/// bit-identical to composing the public
+/// Extraction is one streaming pass over the series that allocates
+/// nothing, and the pass is resumable: an engine keeps its state between
+/// steps, folds each new sample into it once and re-reads only the few
+/// newest samples whose smoothing window is still open, so extracting on
+/// the simulation thread every step costs O(half-window) a step rather than
+/// a pass over the whole series. [`DelayTimeExtractor::extract`] and
+/// [`DelayTimeExtractor::extract_sampled`] run the same pass from an empty
+/// state. Either way the result is bit-identical to composing the public
 /// [`moving_average`](crate::tracking::moving_average),
 /// [`find_inflections`](crate::tracking::find_inflections) and
 /// [`gradients`](crate::tracking::gradients) passes the same way.
@@ -89,7 +94,9 @@ impl DelayTimeExtractor {
     /// Panics if the two slices differ in length.
     pub fn extract(&self, times: &[f64], values: &[f64]) -> Result<DelayTimeResult> {
         assert_eq!(times.len(), values.len(), "times and values must align");
-        self.extract_with_time_axis(Column::from(values), |idx| times[idx])
+        self.resume(&mut DelayTimeScan::default(), Column::from(values), |idx| {
+            times[idx]
+        })
     }
 
     /// Extracts the delay time directly from a sample history's views: the
@@ -116,11 +123,44 @@ impl DelayTimeExtractor {
             values.len(),
             "iterations and values must align"
         );
-        self.extract_with_time_axis(values, |idx| iterations[idx] as f64)
+        self.resume(&mut DelayTimeScan::default(), values, |idx| {
+            iterations[idx] as f64
+        })
     }
 
-    /// Shared kernel: locates the strongest regime change in `values` and
-    /// reads the timestamp of the winning index off `time_of`.
+    /// Extracts the delay time of `location`'s series in `history`,
+    /// resuming the pass carried in `scan` instead of re-running it over the
+    /// whole series. `None` while the location holds no samples.
+    ///
+    /// The state is kept while `location` and the history's revision are
+    /// unchanged — the series has then only grown by appends — and restarts
+    /// otherwise, so the result is bit-identical to
+    /// [`DelayTimeExtractor::extract_sampled`] over the same
+    /// [`iterations_of`](SampleHistory::iterations_of) and
+    /// [`values_of`](SampleHistory::values_of) views. Restoring a snapshot
+    /// into the history replaces it wholesale: start again from a fresh
+    /// [`DelayTimeScan`] then.
+    pub(crate) fn extract_resumed(
+        &self,
+        scan: &mut DelayTimeScan,
+        history: &SampleHistory,
+        location: usize,
+    ) -> Option<Result<DelayTimeResult>> {
+        let key = Some((location, history.revision()));
+        if scan.key != key {
+            *scan = DelayTimeScan {
+                key,
+                ..DelayTimeScan::default()
+            };
+        }
+        let iterations = history.iterations_of(location)?;
+        let values = history.values_of(location)?;
+        Some(self.resume(scan, values, |idx| iterations[idx] as f64))
+    }
+
+    /// The pass: locates the strongest regime change in `values` and reads
+    /// the timestamp of the winning index off `time_of`, folding only the
+    /// steps `scan` has not settled yet.
     ///
     /// One streaming pass over the smoothed series `s` (the
     /// [`moving_average`](crate::tracking::moving_average) of `values`) and
@@ -141,17 +181,39 @@ impl DelayTimeExtractor {
     /// all inflections preceded all jumps and the last maximum won
     /// (`Iterator::max_by`); each detector keeps its own running best, and
     /// the two are combined by the same rule at the end.
-    fn extract_with_time_axis<F>(&self, values: Column<'_>, time_of: F) -> Result<DelayTimeResult>
+    ///
+    /// Step `i` reads `s[i - 1..=i + 2]` and tests `i` against the jump
+    /// range `half + 1..n - half - 2`. For `i < n - half - 2` neither
+    /// changes when samples are appended — none of those smoothed samples
+    /// has its window truncated at the series end, and the jump membership
+    /// is final — so those steps are settled: they are folded into `scan`
+    /// once. The remaining `≤ half + 1` tail steps are folded into a copy
+    /// of the carried bests on every call. Both ranges run through one
+    /// rolling window, so a pass from an empty state reads every smoothed
+    /// sample exactly once, like a single loop.
+    fn resume<F>(
+        &self,
+        scan: &mut DelayTimeScan,
+        values: Column<'_>,
+        time_of: F,
+    ) -> Result<DelayTimeResult>
     where
         F: Fn(usize) -> f64,
     {
         let n = values.len();
+        if n < scan.len {
+            *scan = DelayTimeScan {
+                key: scan.key,
+                ..DelayTimeScan::default()
+            };
+        }
         if n < 5 {
             return Err(Error::NotEnoughData {
                 available: n,
                 required: 5,
             });
         }
+        scan.len = n;
         let half = self.smoothing_half_window;
         let smoothed = |i: usize| {
             if half == 0 {
@@ -165,8 +227,6 @@ impl DelayTimeExtractor {
         let margin = half + 1;
         let jumps = margin..(n - 1).saturating_sub(margin);
 
-        let mut best_inflection: Option<(usize, f64)> = None;
-        let mut best_jump: Option<(usize, f64)> = None;
         let offer = |best: &mut Option<(usize, f64)>, index: usize, drop: f64| {
             if drop >= self.minimum_gradient_drop {
                 *best = Some(match *best {
@@ -175,22 +235,31 @@ impl DelayTimeExtractor {
                 });
             }
         };
-        // Rolling window s[i - 1], s[i], s[i + 1], s[i + 2].
-        let (mut s0, mut s1, mut s2) = (smoothed(0), smoothed(1), smoothed(2));
-        for i in 1..n - 2 {
-            let s3 = smoothed(i + 2);
-            let (g_prev, g, g_next) = (s1 - s0, s2 - s1, s3 - s2);
-            let (k2, k3) = (g - g_prev, g_next - g);
-            if (k2 > 0.0 && k3 < 0.0) || (k2 < 0.0 && k3 > 0.0) {
-                offer(&mut best_inflection, i + 1, (g - g_next).abs());
+        // Rolling window s[i - 1], s[i], s[i + 1], carried from the settled
+        // steps into the tail.
+        let first = scan.next.max(1);
+        let (mut s0, mut s1, mut s2) = (smoothed(first - 1), smoothed(first), smoothed(first + 1));
+        let mut fold = |steps: std::ops::Range<usize>, bests: &mut Bests| {
+            for i in steps {
+                let s3 = smoothed(i + 2);
+                let (g_prev, g, g_next) = (s1 - s0, s2 - s1, s3 - s2);
+                let (k2, k3) = (g - g_prev, g_next - g);
+                if (k2 > 0.0 && k3 < 0.0) || (k2 < 0.0 && k3 > 0.0) {
+                    offer(&mut bests.inflection, i + 1, (g - g_next).abs());
+                }
+                if jumps.contains(&i) {
+                    offer(&mut bests.jump, i, (g - g_prev).abs());
+                }
+                (s0, s1, s2) = (s1, s2, s3);
             }
-            if jumps.contains(&i) {
-                offer(&mut best_jump, i, (g - g_prev).abs());
-            }
-            (s0, s1, s2) = (s1, s2, s3);
-        }
+        };
+        let settled = n.saturating_sub(half + 2).max(first);
+        fold(first..settled, &mut scan.bests);
+        scan.next = settled;
+        let mut bests = scan.bests;
+        fold(settled..n - 2, &mut bests);
 
-        let best = match (best_inflection, best_jump) {
+        let best = match (bests.inflection, bests.jump) {
             (Some(inflection), Some(jump)) if last_max_keeps(inflection, jump) => Some(inflection),
             (inflection, jump) => jump.or(inflection),
         };
@@ -204,6 +273,29 @@ impl DelayTimeExtractor {
             gradient_drop: drop,
         })
     }
+}
+
+/// The running best `(index, drop)` of each detector.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Bests {
+    inflection: Option<(usize, f64)>,
+    jump: Option<(usize, f64)>,
+}
+
+/// The carried state of a resumable delay-time pass over one growing
+/// series: how far the settled steps are folded and the running bests over
+/// them (see [`DelayTimeExtractor::extract_resumed`]). A few words, derived
+/// from the series and valid for one extractor configuration; the default
+/// state is the empty pass.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct DelayTimeScan {
+    /// The `(location, history revision)` the state was folded from.
+    key: Option<(usize, u64)>,
+    /// First step not folded yet (the pass's steps start at 1).
+    next: usize,
+    /// Series length of the last call.
+    len: usize,
+    bests: Bests,
 }
 
 /// `Iterator::max_by`'s rule for a running best `held` and the next
@@ -433,6 +525,153 @@ mod tests {
             }
         }
         assert_eq!(compared, 4_000 * 9);
+    }
+
+    /// A fresh pass over the history's views: what a resumed extraction
+    /// must reproduce bit for bit.
+    fn fresh(
+        ex: &DelayTimeExtractor,
+        h: &SampleHistory,
+        location: usize,
+    ) -> Option<Result<DelayTimeResult>> {
+        let iterations = h.iterations_of(location)?;
+        Some(ex.extract_sampled(iterations, h.values_of(location)?))
+    }
+
+    #[test]
+    fn resumed_extraction_matches_a_fresh_pass_after_every_operation() {
+        use crate::collect::Retention;
+        use crate::snapshot::{Dec, Enc};
+        use crate::IterParam;
+
+        let encode = |h: &SampleHistory| {
+            let mut enc = Enc::default();
+            h.snapshot_encode(&mut enc);
+            enc.buf
+        };
+        let decode = |bytes: &[u8], spatial: IterParam| {
+            let mut dec = Dec::new(bytes);
+            let h = SampleHistory::snapshot_decode(&mut dec, spatial).unwrap();
+            dec.finish().unwrap();
+            h
+        };
+        let palette = [1e300, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut state = 0x51_7CC1_B727_220Au64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        let extractors: Vec<DelayTimeExtractor> = [0, 1, 2]
+            .into_iter()
+            .flat_map(|half| {
+                [0.0, 0.75, 2.0].map(|minimum| {
+                    DelayTimeExtractor::new()
+                        .with_smoothing(half)
+                        .with_minimum_gradient_drop(minimum)
+                })
+            })
+            .collect();
+        let spatial = IterParam::new(1, 3, 1).unwrap();
+        let (mut compared, mut resumed) = (0, 0);
+        for case in 0..24 {
+            let retention = match case % 3 {
+                0 => Retention::Window(1 + next(12) as usize),
+                _ => Retention::Full,
+            };
+            let poisoned = case % 4 == 1;
+            let mut h = SampleHistory::with_retention(spatial, retention);
+            let mut scans = vec![DelayTimeScan::default(); extractors.len()];
+            let mut saved = encode(&h);
+            let mut location = 3;
+            let mut iteration = 0u64;
+            let mut trend = 0.0;
+            for op in 0..300 {
+                let roll = next(100);
+                match roll {
+                    0 => h.clear(),
+                    // A restore replaces the history wholesale, and the
+                    // analysis restarts its carried pass (`snapshot_apply`).
+                    1..=2 => {
+                        h = decode(&encode(&h), spatial);
+                        scans.fill(DelayTimeScan::default());
+                    }
+                    3 => {
+                        h = decode(&saved, spatial);
+                        scans.fill(DelayTimeScan::default());
+                    }
+                    4 => saved = encode(&h),
+                    5 => location = 1 + next(3) as usize,
+                    _ => {
+                        iteration = match roll {
+                            // Same iteration: an overwrite.
+                            6..=13 => iteration,
+                            // An older iteration.
+                            14..=16 => iteration.saturating_sub(1 + next(4)),
+                            // A gap.
+                            17..=24 => iteration + 2 + next(3),
+                            _ => iteration + 1,
+                        };
+                        // A knee-shaped trend with noise, so both detectors
+                        // fire, sometimes poisoned or tied.
+                        trend += if iteration < 60 { 1.0 } else { 0.1 };
+                        let row: Vec<f64> = (0..3)
+                            .map(|_| match next(20) {
+                                0 if poisoned => palette[next(4) as usize],
+                                1..=3 => trend,
+                                _ => trend + next(8) as f64 * 0.25,
+                            })
+                            .collect();
+                        h.record_step(iteration, &row);
+                    }
+                }
+                // The engine extracts only once an analysis is done: let
+                // some operations pile up between extractions.
+                if next(3) == 0 {
+                    continue;
+                }
+                for (ex, scan) in extractors.iter().zip(&mut scans) {
+                    let carried = scan.key == Some((location, h.revision())) && scan.next > 1;
+                    let got = ex.extract_resumed(scan, &h, location);
+                    let want = fresh(ex, &h, location);
+                    assert_eq!(
+                        got.as_ref().map(result_bits),
+                        want.as_ref().map(result_bits),
+                        "case {case} ({retention:?}) op {op} roll {roll}, {ex:?}"
+                    );
+                    compared += 1;
+                    resumed += usize::from(carried);
+                }
+            }
+        }
+        assert!(compared > 24 * 150 * extractors.len());
+        // Most extractions must actually have resumed a carried pass.
+        assert!(resumed * 2 > compared, "resumed {resumed} of {compared}");
+    }
+
+    #[test]
+    fn a_clear_between_extractions_restarts_the_pass() {
+        // The cleared series regrows past its old length before the next
+        // extraction, so only the revision tells the carried pass is stale.
+        let mut h = SampleHistory::new(crate::IterParam::single(0));
+        let ex = DelayTimeExtractor::new();
+        let mut scan = DelayTimeScan::default();
+        for it in 0..8u64 {
+            h.record_step(it, &[if it < 4 { 5.0 * it as f64 } else { 20.0 }]);
+        }
+        let before = ex.extract_resumed(&mut scan, &h, 0).unwrap().unwrap();
+        h.clear();
+        for it in 0..12u64 {
+            h.record_step(it, &[0.1 * it as f64 + if it > 8 { 3.0 } else { 0.0 }]);
+        }
+        let got = ex.extract_resumed(&mut scan, &h, 0);
+        let want = fresh(&ex, &h, 0);
+        assert_eq!(
+            got.as_ref().map(result_bits),
+            want.as_ref().map(result_bits)
+        );
+        assert_ne!(got.unwrap().unwrap().index, before.index);
     }
 
     #[test]

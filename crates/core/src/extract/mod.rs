@@ -18,6 +18,7 @@ mod delay_time;
 mod outlier;
 
 pub use breakpoint::{BreakpointExtractor, BreakpointResult};
+pub(crate) use delay_time::DelayTimeScan;
 pub use delay_time::{DelayTimeExtractor, DelayTimeResult};
 pub use outlier::{OutlierExtractor, OutlierReport};
 

@@ -79,7 +79,6 @@ pub mod model;
 pub mod params;
 pub mod provider;
 pub mod region;
-pub mod report;
 pub mod snapshot;
 pub mod telemetry;
 pub mod tracking;

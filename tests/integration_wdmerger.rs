@@ -2,6 +2,8 @@
 //! the delay-time pipeline of the paper's second case study.
 
 use insitu::collect::PredictorLayout;
+use insitu::extract::DelayTimeExtractor;
+use insitu::region::FeatureValue;
 use insitu_repro::prelude::*;
 
 fn engine_for(config: &WdMergerConfig) -> (Engine<WdMergerSim>, RegionId) {
@@ -145,4 +147,99 @@ fn early_termination_after_detonation_saves_steps() {
     });
     assert!(summary.detonated);
     assert!(summary.steps < config.steps);
+}
+
+/// The delay-time feature's bits, or `None` when none was extracted.
+fn delay_bits(feature: Option<&FeatureValue>) -> Option<[u64; 4]> {
+    feature.map(|feature| {
+        let FeatureValue::DelayTime(d) = feature else {
+            panic!("a delay-time analysis extracted {feature:?}");
+        };
+        [
+            d.delay_time.to_bits(),
+            d.index as u64,
+            d.value.to_bits(),
+            d.gradient_drop.to_bits(),
+        ]
+    })
+}
+
+/// Checks every analysis' status feature against a fresh extraction over
+/// its history: an analysis whose trainer has converged extracts on every
+/// step, so its feature must be exactly that fresh pass; any other keeps
+/// the feature it had.
+fn assert_features_match_fresh_passes(
+    engine: &Engine<WdMergerSim>,
+    region: RegionId,
+    previous: &mut [Option<[u64; 4]>],
+    what: &str,
+) -> usize {
+    let mut extracted = 0;
+    for (index, variable) in DiagnosticVariable::all().into_iter().enumerate() {
+        let analysis = engine.analysis_id(region, index).unwrap();
+        let feature = delay_bits(engine.status(region).unwrap().feature(variable.name()));
+        if engine.trainer(analysis).unwrap().is_converged() {
+            let history = engine.history(analysis).unwrap();
+            let location = history.representative().unwrap();
+            let fresh = DelayTimeExtractor::new()
+                .extract_sampled(
+                    history.iterations_of(location).unwrap(),
+                    history.values_of(location).unwrap(),
+                )
+                .expect("a converged wdmerger series yields a delay time");
+            assert_eq!(
+                feature,
+                delay_bits(Some(&FeatureValue::DelayTime(fresh))),
+                "{what}: {} differs from a fresh pass",
+                variable.name()
+            );
+            extracted += 1;
+        } else {
+            assert_eq!(feature, previous[index], "{what}: {}", variable.name());
+        }
+        previous[index] = feature;
+    }
+    extracted
+}
+
+#[test]
+fn carried_delay_time_passes_match_fresh_passes_every_step() {
+    let config = WdMergerConfig::with_resolution(12);
+    let mut sim = WdMergerSim::new(config);
+    let (mut engine, region) = engine_for(&config);
+    let mut restored: Option<Engine<WdMergerSim>> = None;
+    let mut saved = (Vec::new(), [None; 4]);
+    let (mut previous, mut previous_restored) = ([None; 4], [None; 4]);
+    let mut extracted = 0;
+    sim.run_with(|s, step| {
+        engine.step(step).complete(s);
+        let what = format!("step {step}");
+        extracted += assert_features_match_fresh_passes(&engine, region, &mut previous, &what);
+        if let Some(restored) = &mut restored {
+            restored.step(step).complete(s);
+            let what = format!("restored, step {step}");
+            assert_features_match_fresh_passes(restored, region, &mut previous_restored, &what);
+            if step < 3 * config.steps / 4 {
+                assert_eq!(previous_restored, previous, "{what}: restored run diverged");
+            } else if step == 3 * config.steps / 4 {
+                // Rewind the running copy to the mid-run snapshot: its
+                // histories shrink, and the later steps append after a gap.
+                restored.restore(&saved.0).unwrap();
+                previous_restored = saved.1;
+            }
+        } else if step == config.steps / 2 {
+            // Restore mid-run into a fresh engine; it continues alongside.
+            saved = (engine.snapshot(), previous);
+            let (mut fresh, _) = engine_for(&config);
+            fresh.restore(&saved.0).unwrap();
+            previous_restored = previous;
+            restored = Some(fresh);
+        }
+        true
+    });
+    assert!(restored.is_some(), "the run must reach the restore point");
+    assert!(
+        extracted > config.steps as usize,
+        "the analyses must extract on most steps, extracted {extracted} times"
+    );
 }

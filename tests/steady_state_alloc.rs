@@ -23,6 +23,12 @@
 //! compacts its rows every window, and each same-iteration overwrite that
 //! lowers a column's peak rescans that column — neither may allocate.
 //!
+//! A delay-time leg runs the same scenario with a `FeatureKind::DelayTime`
+//! analysis over a `Retention::Full` history, so every forced extraction
+//! resumes the carried pass; every tenth iteration is re-sampled from a
+//! lowered domain, and that overwrite restarts the pass. Neither may
+//! allocate.
+//!
 //! Keep this file to a **single test**: the counter is process-global, so
 //! concurrently running tests would perturb each other's windows.
 
@@ -77,6 +83,19 @@ impl Pulse {
 }
 
 const ORDER: usize = 3;
+
+/// Which analysis and history a measured window drives.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Leg {
+    /// A break-point analysis over a [`Retention::Full`] history.
+    Full,
+    /// A break-point analysis over a [`Retention::Window`], every iteration
+    /// sampled twice, the second time from a halved domain.
+    Windowed,
+    /// A delay-time analysis over a [`Retention::Full`] history, every
+    /// tenth iteration sampled twice, the second time from a halved domain.
+    DelayTime,
+}
 const WARMUP_STEPS: u64 = 200;
 const WINDOW_STEPS: u64 = 100;
 
@@ -86,10 +105,10 @@ const WINDOW_STEPS: u64 = 100;
 /// of batches per window. With `telemetry` the stage-event recorder is armed AND a 1 ns
 /// `DeferExtraction` budget keeps the engine permanently overloaded, so
 /// every window step records stage events *and* a shed decision — all of
-/// which must stay allocation-free. With `windowed` the history keeps a
-/// [`Retention::Window`] and every iteration is sampled twice, the second
-/// time from a halved domain (a peak-lowering overwrite).
-fn window_allocations(locations: u64, mode: TrainingMode, telemetry: bool, windowed: bool) -> u64 {
+/// which must stay allocation-free. `leg` picks the analysis, the
+/// retention and which iterations are sampled twice (see [`Leg`]).
+fn window_allocations(locations: u64, mode: TrainingMode, telemetry: bool, leg: Leg) -> u64 {
+    let windowed = leg == Leg::Windowed;
     let rows_per_iteration = (locations as usize) - ORDER;
     let pool = ThreadPool::new(ParallelConfig::new(2, 2).unwrap());
     let mut config = match mode {
@@ -107,7 +126,11 @@ fn window_allocations(locations: u64, mode: TrainingMode, telemetry: bool, windo
         .provider(|d: &Pulse, loc: usize| d.values.get(loc).copied().unwrap_or(0.0))
         .spatial(IterParam::new(1, locations, 1).unwrap())
         .temporal(IterParam::new(0, 1_000_000, 1).unwrap())
-        .feature(FeatureKind::Breakpoint { threshold: 0.05 })
+        .feature(if leg == Leg::DelayTime {
+            FeatureKind::DelayTime
+        } else {
+            FeatureKind::Breakpoint { threshold: 0.05 }
+        })
         .lag(5)
         .retention(if windowed {
             Retention::Window(16)
@@ -141,7 +164,7 @@ fn window_allocations(locations: u64, mode: TrainingMode, telemetry: bool, windo
     let mut step = |engine: &mut Engine<Pulse>, it: u64| {
         domain.advance(it);
         engine.step(it).complete(&domain);
-        if windowed {
+        if windowed || (leg == Leg::DelayTime && it.is_multiple_of(10)) {
             for v in &mut domain.values {
                 *v *= 0.5;
             }
@@ -160,7 +183,8 @@ fn window_allocations(locations: u64, mode: TrainingMode, telemetry: bool, windo
         step(&mut engine, it);
         // Force the extract stage every step: the break-point extraction
         // reads the borrowed incremental peak profile, so its cost must not
-        // scale with the location count either.
+        // scale with the location count either; the delay-time extraction
+        // resumes (or, after an overwrite, restarts) its carried pass.
         engine.extract_now(region).unwrap();
     }
     engine.drain();
@@ -175,7 +199,7 @@ fn window_allocations(locations: u64, mode: TrainingMode, telemetry: bool, windo
     );
     assert!(
         status.feature("velocity").is_some(),
-        "the per-step extract_now must have extracted the breakpoint"
+        "the per-step extract_now must have extracted the feature"
     );
     if telemetry {
         // The 1 ns budget must have overloaded every post-warm-up step, so
@@ -199,15 +223,15 @@ fn steady_state_allocations_do_not_scale_with_rows() {
     // Right after spawning this test's thread, the test harness books it
     // (a few allocations on its own thread). A discarded first run keeps
     // that bookkeeping out of every measured window.
-    window_allocations(8 + ORDER as u64, TrainingMode::Inline, false, false);
+    window_allocations(8 + ORDER as u64, TrainingMode::Inline, false, Leg::Full);
 
     // 8 rows/iteration vs 64 rows/iteration — an 8× difference in the
     // per-row work (800 vs 6400 rows per window). If any stage allocated
     // per row, the large window would allocate thousands more times than
     // the small one.
     for mode in [TrainingMode::Inline, TrainingMode::Background] {
-        let small = window_allocations(8 + ORDER as u64, mode, false, false);
-        let large = window_allocations(64 + ORDER as u64, mode, false, false);
+        let small = window_allocations(8 + ORDER as u64, mode, false, Leg::Full);
+        let large = window_allocations(64 + ORDER as u64, mode, false, Leg::Full);
         if mode == TrainingMode::Inline {
             // Single-threaded and fully deterministic: the counts must be
             // *identical* despite the 8× row-rate difference.
@@ -253,8 +277,8 @@ fn steady_state_allocations_do_not_scale_with_rows() {
     // difference, and Background stays within the same jitter headroom as
     // its untimed counterpart.
     for mode in [TrainingMode::Inline, TrainingMode::Background] {
-        let small = window_allocations(8 + ORDER as u64, mode, true, false);
-        let large = window_allocations(64 + ORDER as u64, mode, true, false);
+        let small = window_allocations(8 + ORDER as u64, mode, true, Leg::Full);
+        let large = window_allocations(64 + ORDER as u64, mode, true, Leg::Full);
         if mode == TrainingMode::Inline {
             assert_eq!(
                 small, large,
@@ -282,8 +306,8 @@ fn steady_state_allocations_do_not_scale_with_rows() {
     // peak. Both are steady-state work and must be as allocation-free as
     // the unbounded store's appends.
     for mode in [TrainingMode::Inline, TrainingMode::Background] {
-        let small = window_allocations(8 + ORDER as u64, mode, false, true);
-        let large = window_allocations(64 + ORDER as u64, mode, false, true);
+        let small = window_allocations(8 + ORDER as u64, mode, false, Leg::Windowed);
+        let large = window_allocations(64 + ORDER as u64, mode, false, Leg::Windowed);
         if mode == TrainingMode::Inline {
             assert_eq!(
                 small, large,
@@ -304,5 +328,48 @@ fn steady_state_allocations_do_not_scale_with_rows() {
              steps (two engine steps each) is more than a small per-step \
              constant"
         );
+    }
+    // Delay-time legs, untimed and timed: every forced extraction folds
+    // the newest sample into the carried pass, and every tenth iteration's
+    // overwrite restarts it with a full pass. Both are steady-state work.
+    for telemetry in [false, true] {
+        for mode in [TrainingMode::Inline, TrainingMode::Background] {
+            let small = window_allocations(8 + ORDER as u64, mode, telemetry, Leg::DelayTime);
+            let large = window_allocations(64 + ORDER as u64, mode, telemetry, Leg::DelayTime);
+            if mode == TrainingMode::Inline {
+                assert_eq!(
+                    small, large,
+                    "delay-time {mode:?} (telemetry {telemetry}): steady-state \
+                     allocations scale with the row count ({small} for 8 \
+                     rows/step vs {large} for 64 rows/step over {WINDOW_STEPS} \
+                     steps)"
+                );
+                // Per engine step, the delay-time window may cost no more
+                // than the break-point one: its only extra work is the
+                // re-sampled iterations' engine steps, so one allocation
+                // per resumed or restarted pass would show here.
+                let full = window_allocations(8 + ORDER as u64, mode, telemetry, Leg::Full);
+                let resampled = WINDOW_STEPS / 10;
+                assert!(
+                    small <= full + resampled * full.div_ceil(WINDOW_STEPS),
+                    "delay-time {mode:?} (telemetry {telemetry}): {small} \
+                     allocations vs {full} for the break-point window — the \
+                     carried delay-time pass allocates"
+                );
+            } else {
+                assert!(
+                    large <= small + WINDOW_STEPS,
+                    "delay-time {mode:?} (telemetry {telemetry}): steady-state \
+                     allocations scale with the row count ({small} vs {large} \
+                     over {WINDOW_STEPS} steps)"
+                );
+            }
+            assert!(
+                small <= 10 * WINDOW_STEPS,
+                "delay-time {mode:?} (telemetry {telemetry}): {small} \
+                 allocations over {WINDOW_STEPS} steps is more than a small \
+                 per-step constant"
+            );
+        }
     }
 }
