@@ -663,10 +663,10 @@ impl SampleHistory {
         self.revision = self.revision.wrapping_add(1);
     }
 
-    /// Appends the history to a snapshot payload in the version-1 layout:
-    /// retention, then one per-location record per column (the shared
-    /// iteration column, cadence and eviction fields repeated in each),
-    /// then the peak profile.
+    /// Appends the history to a snapshot payload, in the store's own
+    /// layout: retention, the spatial characteristic, the eviction and
+    /// cadence state, the visible iteration column and its rows, then one
+    /// peak and one evicted peak per column.
     pub(crate) fn snapshot_encode(&self, enc: &mut crate::snapshot::Enc) {
         match self.retention {
             Retention::Full => enc.put_u8(0),
@@ -675,42 +675,32 @@ impl SampleHistory {
                 enc.put_usize(n);
             }
         }
-        enc.put_usize(self.len());
-        enc.put_usize(self.width);
-        let sampled = !self.is_empty();
-        for (column, &(location, peak)) in self.profile.iter().enumerate() {
-            enc.put_usize(location);
-            enc.put_u64_slice(&self.iterations);
-            enc.put_usize(self.iterations.len());
-            for row in self.values.chunks_exact(self.width) {
-                enc.put_f64(row[column]);
-            }
-            enc.put_usize(self.start);
-            enc.put_usize(self.evicted);
+        enc.put_u64(self.spatial.begin());
+        enc.put_u64(self.spatial.end());
+        enc.put_u64(self.spatial.step());
+        enc.put_usize(self.evicted);
+        enc.put_u64(self.first_iteration);
+        enc.put_u64(self.stride);
+        enc.put_bool(self.regular);
+        enc.put_u64_slice(self.visible_iterations());
+        enc.put_f64_slice(self.visible_values());
+        for &(_, peak) in &self.profile {
             enc.put_f64(peak);
-            enc.put_f64(self.evicted_peak[column]);
-            enc.put_u64(self.first_iteration);
-            enc.put_u64(self.stride);
-            enc.put_bool(self.regular);
-            enc.put_opt_usize(sampled.then_some(column));
         }
-        let profile = self.peak_profile();
-        enc.put_usize(profile.len());
-        for &(location, peak) in profile {
-            enc.put_usize(location);
+        for &peak in &self.evicted_peak {
             enc.put_f64(peak);
         }
     }
 
     /// Decodes a history written by [`SampleHistory::snapshot_encode`] for
-    /// the configured `spatial` characteristic, rebuilding the rows from
-    /// the per-location records.
+    /// the configured `spatial` characteristic. The visible rows become
+    /// the whole physical store (`start = 0`).
     ///
-    /// Fails closed on any payload lockstep recording cannot produce:
-    /// records that differ in iteration column, `start`, `evicted`, cadence
-    /// or length, or that leave the configured location order, are
+    /// Fails closed on any payload recording cannot produce: rows that do
+    /// not fill the iteration column, totals that overflow, a regular
+    /// column off its progression, or more rows than a window holds are
     /// [`Error::SnapshotCorrupt`](crate::Error::SnapshotCorrupt); a
-    /// different location set is
+    /// different spatial characteristic is
     /// [`Error::SnapshotMismatch`](crate::Error::SnapshotMismatch).
     pub(crate) fn snapshot_decode(
         dec: &mut crate::snapshot::Dec<'_>,
@@ -723,138 +713,41 @@ impl SampleHistory {
             1 => Retention::Window(dec.take_usize()?),
             t => return Err(corrupt(format!("invalid retention tag {t}"))),
         };
-        let total = dec.take_usize()?;
-        let records = dec.take_usize()?;
-        // Fixed fields per record: location, two column lengths, start,
-        // evicted, two peaks, first_iteration, stride (8 bytes each) plus
-        // the regular flag and the profile-pos option tag.
-        dec.check_count(records, 9 * 8 + 2)?;
-        let mismatch = |what: String| crate::error::Error::SnapshotMismatch { what };
-        if records != spatial.len() {
-            return Err(mismatch(format!(
-                "snapshot samples {records} locations, the analysis samples {}",
-                spatial.len()
-            )));
+        let recorded_spatial = (dec.take_u64()?, dec.take_u64()?, dec.take_u64()?);
+        if recorded_spatial != (spatial.begin(), spatial.end(), spatial.step()) {
+            return Err(crate::error::Error::SnapshotMismatch {
+                what: format!(
+                    "snapshot samples locations {recorded_spatial:?}, the analysis samples {spatial:?}"
+                ),
+            });
         }
         let mut h = Self::with_retention(spatial, retention);
-        let width = h.width;
-        let mut columns: Vec<Vec<f64>> = Vec::with_capacity(records);
-        let mut profile_pos = Vec::with_capacity(records);
-        for column in 0..records {
-            let location = dec.take_usize()?;
-            let iterations = dec.take_u64_vec()?;
-            let values = dec.take_f64_vec()?;
-            let start = dec.take_usize()?;
-            let evicted = dec.take_usize()?;
-            let peak = dec.take_f64()?;
-            let evicted_peak = dec.take_f64()?;
-            let first_iteration = dec.take_u64()?;
-            let stride = dec.take_u64()?;
-            let regular = dec.take_bool()?;
-            profile_pos.push(dec.take_opt_usize()?);
-            match spatial.index_of(location as u64) {
-                Some(index) if index == column => {}
-                Some(_) => return Err(corrupt("location records leave the spatial order")),
-                None => {
-                    return Err(mismatch(format!(
-                        "snapshot samples location {location} outside the analysis' spatial \
-                         characteristic"
-                    )))
-                }
-            }
-            if iterations.len() != values.len() {
-                return Err(corrupt("location record columns are not parallel"));
-            }
-            if column == 0 {
-                if start > values.len() {
-                    return Err(corrupt(
-                        "location record start index past the end of its columns",
-                    ));
-                }
-                if regular
-                    && !on_progression(&iterations[start..], first_iteration, stride, evicted)
-                {
-                    return Err(corrupt(
-                        "regular location record's iterations leave its progression",
-                    ));
-                }
-                h.iterations = iterations;
-                h.start = start;
-                h.evicted = evicted;
-                h.first_iteration = first_iteration;
-                h.stride = stride;
-                h.regular = regular;
-            } else {
-                if iterations.len() != h.iterations.len() {
-                    return Err(corrupt("location records differ in length"));
-                }
-                if iterations != h.iterations {
-                    return Err(corrupt(
-                        "location records differ in their iteration columns",
-                    ));
-                }
-                if (start, evicted) != (h.start, h.evicted) {
-                    return Err(corrupt("location records differ in their eviction state"));
-                }
-                if (first_iteration, stride, regular) != (h.first_iteration, h.stride, h.regular) {
-                    return Err(corrupt("location records differ in their cadence"));
-                }
-            }
-            h.profile[column].1 = peak;
-            h.evicted_peak[column] = evicted_peak;
-            columns.push(values);
+        h.evicted = dec.take_usize()?;
+        h.first_iteration = dec.take_u64()?;
+        h.stride = dec.take_u64()?;
+        h.regular = dec.take_bool()?;
+        h.iterations = dec.take_u64_vec()?;
+        h.values = dec.take_f64_vec()?;
+        for entry in &mut h.profile {
+            entry.1 = dec.take_f64()?;
         }
-        let profile_len = dec.take_usize()?;
-        dec.check_count(profile_len, 16)?;
-        let mut profile = Vec::with_capacity(profile_len);
-        for _ in 0..profile_len {
-            let location = dec.take_usize()?;
-            let peak = dec.take_f64()?;
-            if let Some(&(last, _)) = profile.last() {
-                if location <= last {
-                    return Err(corrupt("peak profile is not sorted by location"));
-                }
-            }
-            profile.push((location, peak));
+        for peak in &mut h.evicted_peak {
+            *peak = dec.take_f64()?;
         }
 
-        // Cross-check the bookkeeping the rest of the store relies on.
-        let recorded = h
-            .evicted
-            .checked_add(h.visible_steps())
-            .ok_or_else(|| corrupt("sample totals overflow"))?;
-        for (column, pos) in profile_pos.into_iter().enumerate() {
-            let (location, peak) = h.profile[column];
-            match pos {
-                None if recorded == 0 => {}
-                None => return Err(corrupt("sampled location missing from the peak profile")),
-                Some(_) if recorded == 0 => {
-                    return Err(corrupt("unsampled location anchored in the peak profile"))
-                }
-                Some(pos) => {
-                    let anchored = profile
-                        .get(pos)
-                        .is_some_and(|&(loc, p)| loc == location && p.to_bits() == peak.to_bits());
-                    if !anchored {
-                        return Err(corrupt("location peak disagrees with the peak profile"));
-                    }
-                }
-            }
-        }
-        if profile.len() != if recorded == 0 { 0 } else { width } {
-            return Err(corrupt(
-                "peak profile length disagrees with the sampled locations",
-            ));
-        }
-        if recorded.checked_mul(width) != Some(total) {
-            return Err(corrupt("sample total disagrees with the location records"));
-        }
-
-        // Interleave the per-location columns into rows.
         let rows = h.iterations.len();
-        h.values = Vec::with_capacity(rows * width);
-        for row in 0..rows {
-            h.values.extend(columns.iter().map(|column| column[row]));
+        if rows.checked_mul(h.width) != Some(h.values.len()) {
+            return Err(corrupt("rows do not fill the iteration column"));
+        }
+        h.evicted
+            .checked_add(rows)
+            .and_then(|recorded| recorded.checked_mul(h.width))
+            .ok_or_else(|| corrupt("sample totals overflow"))?;
+        if h.regular && !on_progression(&h.iterations, h.first_iteration, h.stride, h.evicted) {
+            return Err(corrupt("regular iteration column leaves its progression"));
+        }
+        if retention.window().is_some_and(|window| rows > window) {
+            return Err(corrupt("windowed store holds more rows than its window"));
         }
         h.front = h.latest_row().map_or(0, front_of);
         Ok(h)
@@ -1119,8 +1012,7 @@ mod tests {
         assert_eq!(h, restored);
         // Internal bookkeeping (not covered by the logical PartialEq) must
         // also match so recording continues identically after restore.
-        assert_eq!(h.iterations, restored.iterations);
-        assert_eq!(h.start, restored.start);
+        assert_eq!(h.visible_iterations(), restored.visible_iterations());
         assert_eq!(h.stride, restored.stride);
         assert_eq!(h.regular, restored.regular);
         let bits = |peaks: &[f64]| peaks.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
@@ -1200,218 +1092,112 @@ mod tests {
         assert_eq!(h.representative(), None);
     }
 
-    #[test]
-    fn snapshot_decode_rejects_a_regular_slot_off_its_progression() {
-        // Two samples at one iteration on a "regular" slot with stride 0:
-        // a state recording can never reach, where a positional lookup
-        // and a binary search would disagree.
-        let mut enc = Enc::default();
-        enc.put_u8(0); // Retention::Full
-        enc.put_usize(2); // total
-        enc.put_usize(1); // one slot
-        enc.put_usize(1); // location
-        enc.put_u64_slice(&[5, 5]);
-        enc.put_f64_slice(&[1.0, 2.0]);
-        enc.put_usize(0); // start
-        enc.put_usize(0); // evicted
-        enc.put_f64(2.0); // peak
-        enc.put_f64(f64::NEG_INFINITY); // evicted peak
-        enc.put_u64(5); // first iteration
-        enc.put_u64(0); // stride
-        enc.put_bool(true); // regular
-        enc.put_opt_usize(Some(0));
-        enc.put_usize(1);
-        enc.put_usize(1);
-        enc.put_f64(2.0);
-        let err = decode(&enc.buf, IterParam::single(1)).unwrap_err();
-        assert!(err.to_string().contains("progression"), "{err}");
-    }
-
-    #[test]
-    fn snapshot_decode_rejects_inconsistent_payloads() {
-        // Torn columns: iteration and value columns of different lengths.
-        let mut enc = Enc::default();
-        enc.put_u8(0); // Retention::Full
-        enc.put_usize(1); // total
-        enc.put_usize(1); // one slot
-        enc.put_usize(5); // location
-        enc.put_u64_slice(&[1, 2]);
-        enc.put_f64_slice(&[1.0]);
-        assert!(decode(&enc.buf, IterParam::single(5)).is_err());
-
-        // Disagreeing total.
-        let mut good = SampleHistory::new(IterParam::single(1));
-        good.record_step(5, &[2.0]);
-        let bytes = encode(&good);
-        let mut tampered = Enc::default();
-        tampered.put_u8(0);
-        tampered.put_usize(7); // wrong total
-        tampered.buf.extend_from_slice(&bytes[9..]);
-        assert!(decode(&tampered.buf, IterParam::single(1)).is_err());
-    }
-
-    /// One decoded version-1 location record, for crafting payloads that
-    /// lockstep recording cannot produce.
+    /// A history record over locations 1..=3, built field by field to
+    /// craft payloads that recording cannot produce.
     #[derive(Clone)]
     struct Record {
-        location: usize,
-        iterations: Vec<u64>,
-        values: Vec<f64>,
-        start: usize,
+        window: Option<usize>,
+        locations: (u64, u64, u64),
         evicted: usize,
-        peak: f64,
-        evicted_peak: f64,
         first_iteration: u64,
         stride: u64,
         regular: bool,
-        profile_pos: Option<usize>,
+        iterations: Vec<u64>,
+        values: Vec<f64>,
     }
 
-    /// A recorded history's payload, split into its parts.
-    struct Payload {
-        head: Vec<u8>,
-        records: Vec<Record>,
-        profile: Vec<(usize, f64)>,
-    }
-
-    impl Payload {
-        fn of(h: &SampleHistory) -> Self {
-            let bytes = encode(h);
-            let mut dec = Dec::new(&bytes);
-            let tag = dec.take_u8().unwrap();
-            let head_len = if tag == 0 { 9 } else { 17 };
-            let mut dec = Dec::new(&bytes[head_len..]);
-            let count = dec.take_usize().unwrap();
-            let records = (0..count)
-                .map(|_| Record {
-                    location: dec.take_usize().unwrap(),
-                    iterations: dec.take_u64_vec().unwrap(),
-                    values: dec.take_f64_vec().unwrap(),
-                    start: dec.take_usize().unwrap(),
-                    evicted: dec.take_usize().unwrap(),
-                    peak: dec.take_f64().unwrap(),
-                    evicted_peak: dec.take_f64().unwrap(),
-                    first_iteration: dec.take_u64().unwrap(),
-                    stride: dec.take_u64().unwrap(),
-                    regular: dec.take_bool().unwrap(),
-                    profile_pos: dec.take_opt_usize().unwrap(),
-                })
-                .collect();
-            let profile = (0..dec.take_usize().unwrap())
-                .map(|_| (dec.take_usize().unwrap(), dec.take_f64().unwrap()))
-                .collect();
-            dec.finish().unwrap();
+    impl Record {
+        /// Steps 0 and 2 of `valid_history`.
+        fn valid() -> Self {
             Self {
-                head: bytes[..head_len].to_vec(),
-                records,
-                profile,
+                window: None,
+                locations: (1, 3, 1),
+                evicted: 0,
+                first_iteration: 0,
+                stride: 2,
+                regular: true,
+                iterations: vec![0, 2],
+                values: vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
             }
         }
 
         fn bytes(&self) -> Vec<u8> {
             let mut enc = Enc::default();
-            enc.buf.extend_from_slice(&self.head);
-            enc.put_usize(self.records.len());
-            for r in &self.records {
-                enc.put_usize(r.location);
-                enc.put_u64_slice(&r.iterations);
-                enc.put_f64_slice(&r.values);
-                enc.put_usize(r.start);
-                enc.put_usize(r.evicted);
-                enc.put_f64(r.peak);
-                enc.put_f64(r.evicted_peak);
-                enc.put_u64(r.first_iteration);
-                enc.put_u64(r.stride);
-                enc.put_bool(r.regular);
-                enc.put_opt_usize(r.profile_pos);
+            match self.window {
+                None => enc.put_u8(0),
+                Some(n) => {
+                    enc.put_u8(1);
+                    enc.put_usize(n);
+                }
             }
-            enc.put_usize(self.profile.len());
-            for &(location, peak) in &self.profile {
-                enc.put_usize(location);
-                enc.put_f64(peak);
+            enc.put_u64(self.locations.0);
+            enc.put_u64(self.locations.1);
+            enc.put_u64(self.locations.2);
+            enc.put_usize(self.evicted);
+            enc.put_u64(self.first_iteration);
+            enc.put_u64(self.stride);
+            enc.put_bool(self.regular);
+            enc.put_u64_slice(&self.iterations);
+            enc.put_f64_slice(&self.values);
+            for column in 0..3 {
+                let column = self.values.iter().skip(column).step_by(3);
+                enc.put_f64(column.fold(f64::NEG_INFINITY, |a, &b| a.max(b)));
+            }
+            for _ in 0..3 {
+                enc.put_f64(f64::NEG_INFINITY);
             }
             enc.buf
         }
     }
 
-    /// Locations 1..=3 under `Window(3)`, eight steps: evicted rows, a
-    /// non-zero `start` and distinct per-location peaks.
-    fn windowed() -> SampleHistory {
-        let mut h = SampleHistory::with_retention(spatial(1, 3, 1), Retention::Window(3));
-        for it in 0..8u64 {
-            let row: Vec<f64> = (1..=3).map(|loc| ((it * loc) % 5) as f64).collect();
-            h.record_step(it * 2, &row);
-        }
-        assert!(h.start > 0 && h.evicted > 0);
+    fn valid_history() -> SampleHistory {
+        let mut h = SampleHistory::new(spatial(1, 3, 1));
+        h.record_step(0, &[1.0, 2.0, 3.0]);
+        h.record_step(2, &[4.0, 5.0, 6.0]);
         h
     }
 
-    fn assert_rejected(payload: &Payload, spatial: IterParam, corrupt: bool, what: &str) {
-        match decode(&payload.bytes(), spatial) {
-            Err(crate::Error::SnapshotCorrupt { .. }) if corrupt => {}
-            Err(crate::Error::SnapshotMismatch { .. }) if !corrupt => {}
-            other => panic!("{what}: expected a typed rejection, got {other:?}"),
+    #[test]
+    fn snapshot_decode_rejects_states_recording_cannot_reach() {
+        assert_eq!(Record::valid().bytes(), encode(&valid_history()));
+        type Edit = fn(&mut Record);
+        let cases: [(&str, Edit, &str); 8] = [
+            ("the recorded record", |_| {}, "decodes"),
+            (
+                "rows short of the column",
+                |r| r.values.truncate(5),
+                "corrupt",
+            ),
+            (
+                "a regular column off its progression",
+                |r| r.iterations[1] = 3,
+                "corrupt",
+            ),
+            (
+                "an overflowing total",
+                |r| r.evicted = usize::MAX,
+                "corrupt",
+            ),
+            (
+                "more rows than the window",
+                |r| r.window = Some(1),
+                "corrupt",
+            ),
+            ("a full window", |r| r.window = Some(2), "decodes"),
+            ("a wider spatial set", |r| r.locations.1 = 4, "mismatch"),
+            ("a shifted spatial set", |r| r.locations.0 = 2, "mismatch"),
+        ];
+        for (what, edit, want) in cases {
+            let mut record = Record::valid();
+            edit(&mut record);
+            let got = match decode(&record.bytes(), spatial(1, 3, 1)) {
+                Ok(_) => "decodes",
+                Err(crate::Error::SnapshotCorrupt { .. }) => "corrupt",
+                Err(crate::Error::SnapshotMismatch { .. }) => "mismatch",
+                Err(other) => panic!("{what}: untyped rejection {other}"),
+            };
+            assert_eq!(got, want, "{what}");
         }
-    }
-
-    #[test]
-    fn snapshot_payload_helpers_rebuild_the_recorded_bytes() {
-        let h = windowed();
-        let payload = Payload::of(&h);
-        assert_eq!(payload.bytes(), encode(&h));
-        assert_eq!(decode(&payload.bytes(), h.spatial()).unwrap(), h);
-    }
-
-    #[test]
-    fn snapshot_decode_rejects_differing_iteration_columns() {
-        let mut payload = Payload::of(&windowed());
-        let last = payload.records[1].iterations.len() - 1;
-        payload.records[1].iterations[last] += 1;
-        assert_rejected(&payload, spatial(1, 3, 1), true, "iteration column");
-    }
-
-    #[test]
-    fn snapshot_decode_rejects_differing_start_or_evicted() {
-        let mut payload = Payload::of(&windowed());
-        payload.records[2].start -= 1;
-        assert_rejected(&payload, spatial(1, 3, 1), true, "start");
-        let mut payload = Payload::of(&windowed());
-        payload.records[1].evicted += 1;
-        assert_rejected(&payload, spatial(1, 3, 1), true, "evicted");
-        let mut payload = Payload::of(&windowed());
-        payload.records[2].stride += 1;
-        assert_rejected(&payload, spatial(1, 3, 1), true, "cadence");
-    }
-
-    #[test]
-    fn snapshot_decode_rejects_differing_lengths() {
-        let mut payload = Payload::of(&windowed());
-        payload.records[1].iterations.pop();
-        payload.records[1].values.pop();
-        assert_rejected(&payload, spatial(1, 3, 1), true, "length");
-    }
-
-    #[test]
-    fn snapshot_decode_rejects_a_foreign_location() {
-        let h = windowed();
-        let mut payload = Payload::of(&h);
-        payload.records[2].location = 40;
-        payload.profile[2].0 = 40;
-        assert_rejected(&payload, h.spatial(), false, "foreign location");
-        // A snapshot of a different location set is rejected the same way.
-        assert_rejected(&Payload::of(&h), spatial(1, 4, 1), false, "wider set");
-        assert_rejected(&Payload::of(&h), spatial(2, 4, 1), false, "shifted set");
-    }
-
-    #[test]
-    fn snapshot_decode_rejects_slots_out_of_spatial_order() {
-        let h = windowed();
-        let mut payload = Payload::of(&h);
-        payload.records.swap(0, 2);
-        for (pos, record) in payload.records.iter_mut().enumerate() {
-            record.profile_pos = Some(pos);
-        }
-        assert_rejected(&payload, h.spatial(), true, "order");
     }
 
     /// A location's series under the original per-location slot semantics,

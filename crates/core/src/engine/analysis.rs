@@ -363,9 +363,6 @@ impl<D: ?Sized> Analysis<D> {
     /// snapshotting, so at a snapshot point the slot is always idle (which
     /// is also why it is not serialized).
     pub(crate) fn snapshot_encode(&self, enc: &mut Enc) {
-        // Store tag 0 is the collector; `snapshot_decode` rejects tag 1,
-        // the retired sharded store.
-        enc.put_u8(0);
         self.store.snapshot_encode(enc);
         self.slot
             .trainer()
@@ -378,12 +375,6 @@ impl<D: ?Sized> Analysis<D> {
                 put_feature(enc, f);
             }
         }
-        // The representative location and the sample count it belongs to:
-        // derived from the history (and rebuilt from it on decode), written
-        // so the record layout stays the same.
-        let history = self.store.history();
-        enc.put_opt_usize(history.representative());
-        enc.put_usize(history.len());
         enc.put_usize(self.batches_trained);
     }
 
@@ -391,24 +382,13 @@ impl<D: ?Sized> Analysis<D> {
     /// [`Analysis::snapshot_encode`] against this (identically configured)
     /// analysis, without touching it.
     pub(crate) fn snapshot_decode(&self, dec: &mut Dec<'_>) -> crate::error::Result<AnalysisState> {
-        let store = match dec.take_u8()? {
-            0 => self.store.snapshot_decode(dec)?,
-            1 => {
-                return Err(crate::error::Error::SnapshotMismatch {
-                    what: "snapshot of a sharded store; sharded collection is retired".into(),
-                })
-            }
-            t => return Err(corrupt(format!("invalid store tag {t}"))),
-        };
+        let store = self.store.snapshot_decode(dec)?;
         let trainer = IncrementalTrainer::snapshot_decode(self.spec.trainer, dec)?;
         let feature = match dec.take_u8()? {
             0 => None,
             1 => Some(take_feature(dec)?),
             t => return Err(corrupt(format!("invalid feature option tag {t}"))),
         };
-        // The derived representative and its sample count: read and ignored.
-        dec.take_opt_usize()?;
-        dec.take_usize()?;
         let batches_trained = dec.take_usize()?;
         Ok(AnalysisState {
             store,

@@ -80,9 +80,7 @@ use crate::model::IncrementalTrainer;
 use crate::region::{
     AnalysisSpec, ExitAction, FeatureValue, NullBroadcaster, RegionStatus, StatusBroadcaster,
 };
-use crate::snapshot::{
-    corrupt, parse_container, Container, Dec, Enc, SECTION_ENGINE, SECTION_REGION,
-};
+use crate::snapshot::{parse_container, Container, Dec, Enc};
 use crate::telemetry::{self, Recorder, ShedPolicy, Stage, StepBudget, TelemetryConfig};
 
 use analysis::{put_feature, take_feature, Analysis, AnalysisState};
@@ -255,18 +253,16 @@ impl AnalysisId {
 /// returned by [`Engine::poll`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrainingProgress {
-    /// Training jobs currently running on workers.
+    /// Training jobs currently running on workers. A batch that fills
+    /// while a job is in flight trains after it on the simulation thread
+    /// instead of queueing.
     pub in_flight: usize,
-    /// Full batches queued behind an in-flight job. Always 0: a batch that
-    /// fills while a job is in flight trains after it on the simulation
-    /// thread instead of queueing.
-    pub queued: usize,
 }
 
 impl TrainingProgress {
     /// Whether all training has caught up with collection.
     pub fn is_idle(&self) -> bool {
-        self.in_flight == 0 && self.queued == 0
+        self.in_flight == 0
     }
 }
 
@@ -648,13 +644,6 @@ impl<D: ?Sized> Engine<D> {
     pub fn snapshot(&mut self) -> Vec<u8> {
         self.drain();
         let mut container = Container::new();
-        let mut enc = Enc::default();
-        enc.put_usize(self.regions.len());
-        // Two retired fan-out counters, kept as zeros so the engine
-        // section's layout is unchanged.
-        enc.put_u64(0);
-        enc.put_u64(0);
-        container.section(SECTION_ENGINE, enc);
         let timed = self.timed;
         let iteration = self.regions.first().map_or(0, |r| r.status.iteration);
         for region in &mut self.regions {
@@ -673,7 +662,7 @@ impl<D: ?Sized> Engine<D> {
                         .record(Stage::Snapshot, iteration, snapshot_ns);
                 }
             }
-            container.section(SECTION_REGION, enc);
+            container.section(enc);
         }
         container.finish()
     }
@@ -696,44 +685,21 @@ impl<D: ?Sized> Engine<D> {
     ///   version.
     /// * [`Error::SnapshotMismatch`] — a well-formed snapshot of a
     ///   *differently configured* engine (region/analysis names or counts,
-    ///   retention or trainer shape differ), or of the retired sharded
-    ///   store.
+    ///   spatial characteristic, retention or trainer shape differ).
     pub fn restore(&mut self, bytes: &[u8]) -> Result<()> {
         let sections = parse_container(bytes)?;
-        let Some(((first_id, engine_payload), region_sections)) = sections.split_first() else {
-            return Err(corrupt("snapshot has no sections"));
-        };
-        if *first_id != SECTION_ENGINE {
-            return Err(corrupt(format!(
-                "first section id {first_id} is not the engine section"
-            )));
-        }
-        let mut dec = Dec::new(engine_payload);
-        let region_count = dec.take_usize()?;
-        // The two retired fan-out counters: read and ignored.
-        dec.take_u64()?;
-        dec.take_u64()?;
-        dec.finish()?;
-        if region_count != region_sections.len() {
-            return Err(corrupt(format!(
-                "engine section declares {region_count} regions but snapshot has {} region \
-                 sections",
-                region_sections.len()
-            )));
-        }
-        if region_count != self.regions.len() {
+        if sections.len() != self.regions.len() {
             return Err(Error::SnapshotMismatch {
                 what: format!(
-                    "snapshot has {region_count} regions, engine has {}",
+                    "snapshot has {} regions, engine has {}",
+                    sections.len(),
                     self.regions.len()
                 ),
             });
         }
-        let mut decoded: Vec<(RegionStatus, Vec<AnalysisState>)> = Vec::with_capacity(region_count);
-        for (region, (id, payload)) in self.regions.iter().zip(region_sections) {
-            if *id != SECTION_REGION {
-                return Err(corrupt(format!("unexpected section id {id}")));
-            }
+        let mut decoded: Vec<(RegionStatus, Vec<AnalysisState>)> =
+            Vec::with_capacity(sections.len());
+        for (region, payload) in self.regions.iter().zip(sections) {
             let mut dec = Dec::new(payload);
             let name = dec.take_str()?;
             if name != region.name {
@@ -1271,7 +1237,6 @@ mod tests {
             domain.advance(it);
             step.complete(&domain);
         }
-        assert_eq!(engine.poll().queued, 0);
         engine.shutdown();
         // Drain only refreshes the status here: nothing is left to train.
         engine.drain();

@@ -73,8 +73,8 @@ pub enum Error {
         supported: u32,
     },
     /// A structurally valid snapshot does not fit the engine it is being
-    /// restored into (different region/analysis layout, model order, a
-    /// retired store backend, ...).
+    /// restored into (different region/analysis layout, spatial
+    /// characteristic, model order, ...).
     SnapshotMismatch {
         /// Human readable description of the disagreement.
         what: String,

@@ -638,11 +638,11 @@ mod tests {
         trainer.snapshot_encode(&mut enc);
         let bytes = {
             let mut c = crate::snapshot::Container::new();
-            c.section(crate::snapshot::SECTION_ENGINE, enc);
+            c.section(enc);
             c.finish()
         };
         let sections = crate::snapshot::parse_container(&bytes).unwrap();
-        let mut dec = crate::snapshot::Dec::new(sections[0].1);
+        let mut dec = crate::snapshot::Dec::new(sections[0]);
         let mut restored = IncrementalTrainer::snapshot_decode(config, &mut dec).unwrap();
         dec.finish().unwrap();
 
@@ -667,14 +667,14 @@ mod tests {
         trainer.snapshot_encode(&mut enc);
         let bytes = {
             let mut c = crate::snapshot::Container::new();
-            c.section(crate::snapshot::SECTION_ENGINE, enc);
+            c.section(enc);
             c.finish()
         };
         let sections = crate::snapshot::parse_container(&bytes).unwrap();
 
         // Wrong order: the coefficient count no longer fits.
         let wrong_order = TrainerConfig { order: 4, ..config };
-        let mut dec = crate::snapshot::Dec::new(sections[0].1);
+        let mut dec = crate::snapshot::Dec::new(sections[0]);
         assert!(matches!(
             IncrementalTrainer::snapshot_decode(wrong_order, &mut dec),
             Err(Error::SnapshotMismatch { .. })
@@ -689,7 +689,7 @@ mod tests {
             },
             ..config
         };
-        let mut dec = crate::snapshot::Dec::new(sections[0].1);
+        let mut dec = crate::snapshot::Dec::new(sections[0]);
         assert!(matches!(
             IncrementalTrainer::snapshot_decode(wrong_optimizer, &mut dec),
             Err(Error::SnapshotMismatch { .. })

@@ -13,7 +13,7 @@
 //! overlays a snapshot onto an engine that was re-built from the same
 //! specs (the serve crate does exactly this from its wire `SessionSpec`).
 //!
-//! # Container format (version 1)
+//! # Container format (version 2)
 //!
 //! All integers are little-endian; every `f64` is stored as its raw IEEE
 //! bit pattern (`to_bits`), so NaN payloads, signed zeros and subnormals
@@ -21,23 +21,37 @@
 //!
 //! ```text
 //! [magic   8 bytes]  "ISNPSHT\0"
-//! [version u32]      1
-//! [count   u32]      number of sections
+//! [version u32]      2
+//! [count   u32]      number of sections: one per region, in registration order
 //! count × sections, each:
-//!   [id       u16]   section kind (1 = engine header, 2 = region)
+//!   [id       u16]   section kind (2 = region)
 //!   [len      u64]   payload byte length
 //!   [checksum u64]   FNV-1a 64 over the payload
 //!   [payload  len bytes]
 //! ```
 //!
+//! Lengths and counts are `u64`; an option is a `u8` tag (0 = none,
+//! 1 = some) followed by the value; a string or slice is its length
+//! followed by its elements. A region payload holds:
+//!
+//! ```text
+//! region:    name, status, analysis count, then per analysis: name, analysis
+//! analysis:  history, collector batch, trainer, feature (option), batches_trained
+//! history:   retention (tag, window size for Window(n)),
+//!            spatial (begin, end, step), evicted, first_iteration, stride,
+//!            regular, visible iteration column, its rows as one f64 run,
+//!            one peak per column, one evicted peak per column
+//! collector: iterations collected, the filling batch's inputs and targets
+//! ```
+//!
 //! The stream must end exactly after the last section. Readers reject —
 //! with typed [`Error`] values, never a panic — bad
-//! magic, unknown versions, oversized or torn sections, checksum
-//! mismatches, unknown section ids, trailing bytes, and payloads whose
-//! internal structure is inconsistent. Restore is **fail-closed**: the
-//! whole snapshot is decoded and validated into intermediate state before
-//! the first engine field is touched, so a corrupt file leaves the engine
-//! exactly as it was.
+//! magic, unknown versions (version 1 included), oversized or torn
+//! sections, checksum mismatches, unknown section ids, trailing bytes, and
+//! payloads whose internal structure is inconsistent. Restore is
+//! **fail-closed**: the whole snapshot is decoded and validated into
+//! intermediate state before the first engine field is touched, so a
+//! corrupt file leaves the engine exactly as it was.
 //!
 //! # Example
 //!
@@ -93,13 +107,10 @@ use crate::error::{Error, Result};
 pub const MAGIC: [u8; 8] = *b"ISNPSHT\0";
 
 /// The (single) container version this build writes and reads.
-pub const VERSION: u32 = 1;
-
-/// Section id of the engine header (counts + engine-level counters).
-pub(crate) const SECTION_ENGINE: u16 = 1;
+pub const VERSION: u32 = 2;
 
 /// Section id of one region's state (repeated, in registration order).
-pub(crate) const SECTION_REGION: u16 = 2;
+const SECTION_REGION: u16 = 2;
 
 /// Upper bound on a single section payload (64 MiB): large enough for any
 /// realistic analysis state, small enough that a corrupt length field
@@ -303,8 +314,8 @@ impl<'a> Dec<'a> {
 
 // ---- container -------------------------------------------------------------
 
-/// Writes the container: header, then each `(id, payload)` section with its
-/// length prefix and checksum.
+/// Writes the container: header, then each region payload as a section
+/// with its id, length prefix and checksum.
 pub(crate) struct Container {
     out: Vec<u8>,
     count: u32,
@@ -319,9 +330,9 @@ impl Container {
         Self { out, count: 0 }
     }
 
-    pub(crate) fn section(&mut self, id: u16, payload: Enc) {
+    pub(crate) fn section(&mut self, payload: Enc) {
         self.count += 1;
-        self.out.extend_from_slice(&id.to_le_bytes());
+        self.out.extend_from_slice(&SECTION_REGION.to_le_bytes());
         self.out
             .extend_from_slice(&(payload.buf.len() as u64).to_le_bytes());
         self.out
@@ -337,8 +348,8 @@ impl Container {
 
 /// Parses and fully validates the container: magic, version, section
 /// framing, per-section checksums and exact termination. Returns the
-/// sections as `(id, payload)` borrows.
-pub(crate) fn parse_container(bytes: &[u8]) -> Result<Vec<(u16, &[u8])>> {
+/// region payloads as borrows, in order.
+pub(crate) fn parse_container(bytes: &[u8]) -> Result<Vec<&[u8]>> {
     if bytes.len() < 16 {
         return Err(corrupt("shorter than the fixed header"));
     }
@@ -374,10 +385,10 @@ pub(crate) fn parse_container(bytes: &[u8]) -> Result<Vec<(u16, &[u8])>> {
         if fnv1a64(payload) != checksum {
             return Err(corrupt(format!("checksum mismatch in section id {id}")));
         }
-        if !matches!(id, SECTION_ENGINE | SECTION_REGION) {
+        if id != SECTION_REGION {
             return Err(corrupt(format!("unknown section id {id}")));
         }
-        sections.push((id, payload));
+        sections.push(payload);
         pos += len;
     }
     if pos != bytes.len() {
@@ -402,12 +413,11 @@ mod tests {
         let mut payload = Enc::default();
         payload.put_u64(7);
         payload.put_f64(-0.0);
-        c.section(SECTION_ENGINE, payload);
+        c.section(payload);
         let bytes = c.finish();
         let sections = parse_container(&bytes).unwrap();
         assert_eq!(sections.len(), 1);
-        assert_eq!(sections[0].0, SECTION_ENGINE);
-        let mut dec = Dec::new(sections[0].1);
+        let mut dec = Dec::new(sections[0]);
         assert_eq!(dec.take_u64().unwrap(), 7);
         assert_eq!(dec.take_f64().unwrap().to_bits(), (-0.0f64).to_bits());
         dec.finish().unwrap();
@@ -418,7 +428,7 @@ mod tests {
         let mut c = Container::new();
         let mut payload = Enc::default();
         payload.put_u64(7);
-        c.section(SECTION_REGION, payload);
+        c.section(payload);
         let good = c.finish();
 
         // Truncated anywhere.

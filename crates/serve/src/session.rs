@@ -269,30 +269,6 @@ mod tests {
         assert!(!served.is_empty(), "the workload extracts a feature");
     }
 
-    /// An `OpenSession` frame from a client that still fills the retired
-    /// shard-count slot opens the same inline session as one that does not.
-    #[test]
-    fn legacy_shard_count_opens_the_plain_session() {
-        let mut bytes = Vec::new();
-        crate::wire::Frame::OpenSession(spec()).encode(&mut bytes);
-        // The spec, and with it the frame, ends in the u32 shard slot.
-        let slot = bytes.len() - 4;
-        bytes[slot..].copy_from_slice(&3u32.to_le_bytes());
-        let crate::wire::Frame::OpenSession(legacy) =
-            crate::wire::Frame::decode(&bytes[4..]).unwrap()
-        else {
-            panic!("an OpenSession frame decodes as one");
-        };
-        assert_eq!(legacy, spec());
-
-        let mut plain = Session::open(&spec()).unwrap();
-        let mut reopened = Session::open(&legacy).unwrap();
-        drive(&mut plain, 90);
-        drive(&mut reopened, 90);
-        assert_eq!(plain.extract(), reopened.extract());
-        assert_eq!(plain.poll(), reopened.poll());
-    }
-
     #[test]
     fn step_acks_report_per_step_sample_deltas() {
         let mut session = Session::open(&spec()).unwrap();

@@ -990,9 +990,6 @@ fn put_spec(buf: &mut Vec<u8>, spec: &SessionSpec) {
             put_u64(buf, n as u64);
         }
     }
-    // The retired shard-count slot: always 0, kept so the frame layout
-    // is unchanged.
-    put_u32(buf, 0);
 }
 
 fn put_feature(buf: &mut Vec<u8>, feature: &FeatureValue) {
@@ -1187,9 +1184,6 @@ fn take_spec(cur: &mut Cursor<'_>) -> Result<SessionSpec, WireError> {
         1 => Retention::Window(cur.take_u64()? as usize),
         _ => return Err(WireError::Malformed("unknown retention policy")),
     };
-    // The retired shard-count slot: read so existing clients' frames
-    // still decode, then discarded.
-    cur.take_u32()?;
     Ok(SessionSpec {
         name,
         spatial,

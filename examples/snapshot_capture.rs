@@ -2,8 +2,8 @@
 //! `tests/golden/snapshot.bin`.
 //!
 //! Runs the fixed pulse scenario of `tests/golden_snapshot.rs` to its
-//! checkpoint boundary and writes the engine's snapshot container to the
-//! committed file. The snapshot encoding is fully deterministic (fixed
+//! checkpoint boundary and writes the engine's snapshot container — format
+//! version 2 — to the committed file. The snapshot encoding is fully deterministic (fixed
 //! section order, little-endian, `f64::to_bits`), so CI's `golden-drift`
 //! job regenerates the fixture and `git diff --exit-code`s it against
 //! the checked-in copy: any change to the byte format shows up as a
@@ -91,7 +91,9 @@ fn main() {
     let blob = engine.snapshot();
     std::fs::write(GOLDEN_PATH, &blob).expect("write golden snapshot fixture");
     println!(
-        "wrote {GOLDEN_PATH}: {} bytes (scenario: pulse, split at step {SPLIT})",
-        blob.len()
+        "wrote {GOLDEN_PATH}: {} bytes, format version {} (scenario: pulse, split at step \
+         {SPLIT})",
+        blob.len(),
+        insitu::snapshot::VERSION
     );
 }

@@ -2,7 +2,7 @@
 //!
 //! `tests/golden/snapshot.bin` was captured by
 //! `examples/snapshot_capture.rs`: the fixed pulse scenario checkpointed
-//! at step 150. This test is the compatibility contract for the snapshot
+//! at step 150, in snapshot format version 2. This test is the compatibility contract for the snapshot
 //! format — every future revision of the engine must still accept the
 //! committed container, resurrect the session it describes, and finish
 //! the run bit-identically to never having stopped. If this test fails,

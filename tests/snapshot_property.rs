@@ -8,8 +8,8 @@
 //!    random checkpoint boundary, snapshot + restore + continue is
 //!    bit-identical to never having stopped.
 //! 2. **Fail-closed**: random damage to a valid snapshot — truncation,
-//!    bit flips, version bumps, trailing garbage, a record of the retired
-//!    sharded store — is rejected with a typed error and leaves the target
+//!    bit flips, trailing garbage, a future or the retired version-1
+//!    header — is rejected with a typed error and leaves the target
 //!    engine untouched and usable.
 
 use insitu::collect::Retention;
@@ -153,40 +153,6 @@ impl Pulse {
     }
 }
 
-/// FNV-1a 64, the snapshot container's section checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
-        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// Rewrites the store tag byte of the `velocity` analysis record and
-/// re-checksums its region section, so the container itself stays valid.
-fn with_store_tag(blob: &[u8], tag: u8) -> Vec<u8> {
-    const HEADER: usize = 16; // magic, version, section count
-    let record: Vec<u8> = [&8u64.to_le_bytes()[..], b"velocity"].concat();
-    let mut out = blob.to_vec();
-    let mut at = HEADER;
-    while at < out.len() {
-        let id = u16::from_le_bytes(out[at..at + 2].try_into().unwrap());
-        let len = u64::from_le_bytes(out[at + 2..at + 10].try_into().unwrap()) as usize;
-        let payload = at + 18..at + 18 + len;
-        if id == 2 {
-            // The analysis record follows the region status, whose feature
-            // list may repeat the name: the last match is the record.
-            let name = out[payload.clone()]
-                .windows(record.len())
-                .rposition(|w| w == record)
-                .expect("the region section holds the analysis record");
-            out[payload.start + name + record.len()] = tag;
-            let checksum = fnv1a64(&out[payload.clone()]);
-            out[at + 10..at + 18].copy_from_slice(&checksum.to_le_bytes());
-        }
-        at = payload.end;
-    }
-    out
-}
-
 fn drive(engine: &mut Engine<Pulse>, range: std::ops::Range<u64>) {
     let mut domain = Pulse::new();
     for it in range {
@@ -276,12 +242,18 @@ fn damaged_snapshots_fail_closed_with_typed_errors() {
         mutated[at] ^= 1 << rng.range_usize(0, 8);
         reject(&mutated, "bit flip", &mut target);
     }
-    // A future version is refused with the version error specifically.
-    let mut future = blob.clone();
-    future[8..12].copy_from_slice(&99u32.to_le_bytes());
-    match target.restore(&future) {
-        Err(Error::SnapshotVersion { found, .. }) => assert_eq!(found, 99),
-        other => panic!("version bump: expected SnapshotVersion, got {other:?}"),
+    // A future version and the retired version 1 are refused with the
+    // version error specifically.
+    for version in [99u32, 1] {
+        let mut stamped = blob.clone();
+        stamped[8..12].copy_from_slice(&version.to_le_bytes());
+        match target.restore(&stamped) {
+            Err(Error::SnapshotVersion { found, supported }) => {
+                assert_eq!((found, supported), (version, 2))
+            }
+            other => panic!("version {version}: expected SnapshotVersion, got {other:?}"),
+        }
+        assert_eq!(target.status(region).unwrap(), &untouched);
     }
     // Trailing garbage is corruption, not ignored padding.
     let mut padded = blob.clone();
@@ -290,14 +262,6 @@ fn damaged_snapshots_fail_closed_with_typed_errors() {
     // Degenerate inputs.
     reject(&[], "empty file", &mut target);
     reject(b"ISNPSHT\0", "magic only", &mut target);
-    // Store tag 0 is the only backend; tag 1, the retired sharded store,
-    // is a configuration mismatch rather than corruption.
-    assert_eq!(with_store_tag(&blob, 0), blob, "the store tag is 0");
-    match target.restore(&with_store_tag(&blob, 1)) {
-        Err(Error::SnapshotMismatch { .. }) => {}
-        other => panic!("sharded store tag: expected SnapshotMismatch, got {other:?}"),
-    }
-    assert_eq!(target.status(region).unwrap(), &untouched);
 
     // After surviving all of that, the engine still works: the pristine
     // blob restores and the run completes.
