@@ -1157,47 +1157,101 @@ mod tests {
         h
     }
 
-    #[test]
-    fn snapshot_decode_rejects_states_recording_cannot_reach() {
+    /// How the decoder treats `Record::valid()` after `edit`, for the
+    /// analysis over locations 1..=3.
+    fn decode_edited(edit: impl FnOnce(&mut Record)) -> &'static str {
         assert_eq!(Record::valid().bytes(), encode(&valid_history()));
-        type Edit = fn(&mut Record);
-        let cases: [(&str, Edit, &str); 8] = [
-            ("the recorded record", |_| {}, "decodes"),
-            (
-                "rows short of the column",
-                |r| r.values.truncate(5),
-                "corrupt",
-            ),
-            (
-                "a regular column off its progression",
-                |r| r.iterations[1] = 3,
-                "corrupt",
-            ),
-            (
-                "an overflowing total",
-                |r| r.evicted = usize::MAX,
-                "corrupt",
-            ),
-            (
-                "more rows than the window",
-                |r| r.window = Some(1),
-                "corrupt",
-            ),
-            ("a full window", |r| r.window = Some(2), "decodes"),
-            ("a wider spatial set", |r| r.locations.1 = 4, "mismatch"),
-            ("a shifted spatial set", |r| r.locations.0 = 2, "mismatch"),
-        ];
-        for (what, edit, want) in cases {
-            let mut record = Record::valid();
-            edit(&mut record);
-            let got = match decode(&record.bytes(), spatial(1, 3, 1)) {
-                Ok(_) => "decodes",
-                Err(crate::Error::SnapshotCorrupt { .. }) => "corrupt",
-                Err(crate::Error::SnapshotMismatch { .. }) => "mismatch",
-                Err(other) => panic!("{what}: untyped rejection {other}"),
-            };
-            assert_eq!(got, want, "{what}");
+        let mut record = Record::valid();
+        edit(&mut record);
+        match decode(&record.bytes(), spatial(1, 3, 1)) {
+            Ok(_) => "decodes",
+            Err(crate::Error::SnapshotCorrupt { .. }) => "corrupt",
+            Err(crate::Error::SnapshotMismatch { .. }) => "mismatch",
+            Err(other) => panic!("untyped rejection {other}"),
         }
+    }
+
+    #[test]
+    fn snapshot_decode_rejects_differing_lengths() {
+        assert_eq!(decode_edited(|_| {}), "decodes", "the recorded record");
+        assert_eq!(
+            decode_edited(|r| r.values.truncate(5)),
+            "corrupt",
+            "rows short of the column"
+        );
+        assert_eq!(
+            decode_edited(|r| r.values.push(7.0)),
+            "corrupt",
+            "rows past the column"
+        );
+        assert_eq!(
+            decode_edited(|r| {
+                r.iterations.push(4);
+                r.values.truncate(4);
+            }),
+            "corrupt",
+            "a longer column over the same rows"
+        );
+    }
+
+    #[test]
+    fn snapshot_decode_rejects_a_foreign_location() {
+        assert_eq!(
+            decode_edited(|r| r.locations.1 = 4),
+            "mismatch",
+            "a wider spatial set"
+        );
+        assert_eq!(
+            decode_edited(|r| r.locations.0 = 2),
+            "mismatch",
+            "a shifted spatial set"
+        );
+        assert_eq!(
+            decode_edited(|r| r.locations = (1, 5, 2)),
+            "mismatch",
+            "a sparser spatial set"
+        );
+    }
+
+    #[test]
+    fn snapshot_decode_rejects_a_regular_slot_off_its_progression() {
+        assert_eq!(
+            decode_edited(|r| r.iterations[1] = 3),
+            "corrupt",
+            "a regular column off its progression"
+        );
+        assert_eq!(
+            decode_edited(|r| r.first_iteration = 1),
+            "corrupt",
+            "a regular column off its recorded origin"
+        );
+        assert_eq!(
+            decode_edited(|r| {
+                r.iterations[1] = 3;
+                r.regular = false;
+            }),
+            "decodes",
+            "an irregular column needs no progression"
+        );
+    }
+
+    #[test]
+    fn snapshot_decode_rejects_inconsistent_payloads() {
+        assert_eq!(
+            decode_edited(|r| r.evicted = usize::MAX),
+            "corrupt",
+            "an overflowing total"
+        );
+        assert_eq!(
+            decode_edited(|r| r.window = Some(1)),
+            "corrupt",
+            "more rows than the window"
+        );
+        assert_eq!(
+            decode_edited(|r| r.window = Some(2)),
+            "decodes",
+            "a full window"
+        );
     }
 
     /// A location's series under the original per-location slot semantics,
