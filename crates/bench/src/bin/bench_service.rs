@@ -5,7 +5,9 @@
 //! Every rung runs in verify mode — each session's wire-served features
 //! are compared bit for bit against an in-process engine fed the
 //! identical stream — so a recorded number is also a correctness proof.
-//! `BENCH_QUICK=1` runs the short ladder for CI smoke. Run from the
+//! Each rung runs three times and is recorded as the median run with the
+//! slowest and fastest rate. `BENCH_QUICK=1` runs the short ladder once
+//! for CI smoke. Run from the
 //! workspace root:
 //!
 //! ```text
@@ -26,7 +28,7 @@ fn main() {
     std::fs::write(service::ARTIFACT, &json)
         .unwrap_or_else(|e| panic!("write {}: {e}", service::ARTIFACT));
     println!("{json}");
-    for r in &reports {
+    for r in reports.iter().flatten() {
         println!(
             "sessions {:>5}: {:>10.0} steps/sec, {:>4} busy bounces, {} verified",
             r.sessions, r.session_steps_per_sec, r.busy_bounces, r.verified

@@ -33,6 +33,10 @@ pub const MUX_SESSIONS: usize = 4096;
 /// Client threads driving the multiplexed rung's connections.
 pub const MUX_CLIENT_THREADS: usize = 32;
 
+/// Runs of each rung in the full ladder; the artifact records their
+/// median and spread.
+pub const REPEATS: usize = 3;
+
 /// The workload every rung replays (sessions count varies per rung).
 pub fn workload() -> LoadgenConfig {
     LoadgenConfig {
@@ -69,17 +73,22 @@ pub fn run_mux_rung(sessions: usize, client_threads: usize) -> Result<LoadgenRep
 }
 
 /// Runs the full ladder (or the quick one) plus the multiplexed rung,
-/// and returns the rendered artifact alongside the reports.
-pub fn run_ladder(quick: bool) -> Result<(String, Vec<LoadgenReport>), String> {
+/// each rung [`REPEATS`] times (once when quick), and returns the
+/// rendered artifact alongside every rung's runs.
+pub fn run_ladder(quick: bool) -> Result<(String, Vec<Vec<LoadgenReport>>), String> {
     let rungs: &[usize] = if quick { &QUICK_LADDER } else { &LADDER };
+    let repeats = if quick { 1 } else { REPEATS };
+    let repeat = |run: &dyn Fn() -> Result<LoadgenReport, String>| -> Result<Vec<_>, String> {
+        (0..repeats).map(|_| run()).collect()
+    };
     let mut reports = Vec::with_capacity(rungs.len() + 1);
     for &sessions in rungs {
-        reports.push(run_rung(sessions)?);
+        reports.push(repeat(&|| run_rung(sessions))?);
     }
     if quick {
-        reports.push(run_mux_rung(128, 8)?);
+        reports.push(repeat(&|| run_mux_rung(128, 8))?);
     } else {
-        reports.push(run_mux_rung(MUX_SESSIONS, MUX_CLIENT_THREADS)?);
+        reports.push(repeat(&|| run_mux_rung(MUX_SESSIONS, MUX_CLIENT_THREADS))?);
     }
     Ok((loadgen::render_json(&workload(), &reports), reports))
 }
@@ -107,27 +116,43 @@ mod tests {
     #[test]
     fn the_artifact_records_one_case_per_rung() {
         let workload = workload();
-        let reports: Vec<LoadgenReport> = LADDER
+        let run = |sessions: usize, rate: f64| LoadgenReport {
+            sessions,
+            connections: workload.connections,
+            client_threads: workload.connections,
+            steps: workload.steps,
+            elapsed_ns: 1_000_000,
+            session_steps_per_sec: rate,
+            busy_bounces: 0,
+            verified: sessions,
+            feature_events: 0,
+            stats: None,
+        };
+        let rungs: Vec<Vec<LoadgenReport>> = LADDER
             .iter()
-            .map(|&sessions| LoadgenReport {
-                sessions,
-                connections: workload.connections,
-                client_threads: workload.connections,
-                steps: workload.steps,
-                elapsed_ns: 1_000_000,
-                session_steps_per_sec: 1000.0,
-                busy_bounces: 0,
-                verified: sessions,
-                feature_events: 0,
-                stats: None,
+            .map(|&sessions| {
+                vec![
+                    run(sessions, 900.0),
+                    run(sessions, 1200.0),
+                    run(sessions, 1000.0),
+                ]
             })
             .collect();
-        let json = loadgen::render_json(&workload, &reports);
-        let cases = json
+        let json = loadgen::render_json(&workload, &rungs);
+        let cases: Vec<&str> = json
             .lines()
             .filter(|line| line.contains("\"steps_per_sec\":"))
-            .count();
-        assert_eq!(cases, LADDER.len());
+            .collect();
+        assert_eq!(cases.len(), LADDER.len());
+        for case in cases {
+            assert!(case.contains("\"repeats\": 3"), "{case}");
+            assert!(
+                case.contains("\"steps_per_sec\": 1000.0,"),
+                "median: {case}"
+            );
+            assert!(case.contains("\"steps_per_sec_min\": 900.0,"), "{case}");
+            assert!(case.contains("\"steps_per_sec_max\": 1200.0}"), "{case}");
+        }
         assert!(json.contains("\"available_parallelism\":"));
     }
 }

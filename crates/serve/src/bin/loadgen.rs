@@ -24,10 +24,12 @@
 //! produce features bit-identical to an uninterrupted run.
 //!
 //! With no target flag the server is hosted in-process on an ephemeral
-//! port, which is how `BENCH_service.json` is recorded:
+//! port, which is also how `bench_service` records `BENCH_service.json`
+//! (three runs a rung, plus the connections ≫ threads rung); `--json`
+//! writes one run a rung in the same format:
 //!
 //! ```text
-//! cargo run --release -p serve --bin loadgen -- --ladder --json BENCH_service.json
+//! cargo run --release -p serve --bin loadgen -- --ladder --json service.json
 //! ```
 //!
 //! `--idle-smoke N` is the fixed-thread-count proof: it self-hosts a
@@ -170,7 +172,8 @@ fn main() {
     }
 
     if let Some(path) = json {
-        let rendered = render_json(&config, &reports);
+        let rungs: Vec<Vec<LoadgenReport>> = reports.into_iter().map(|r| vec![r]).collect();
+        let rendered = render_json(&config, &rungs);
         std::fs::write(&path, &rendered).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
         println!("{rendered}");
     }

@@ -11,7 +11,7 @@
 //! them as they arrive, and [`Client::take_events`] drains the stash.
 
 use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -19,39 +19,8 @@ use std::time::Duration;
 
 use insitu::region::FeatureValue;
 
-use crate::wire::{
-    read_frame, write_frame, Frame, SessionSpec, SessionStatus, SessionTelemetry, WireError,
-};
-
-enum Stream {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Stream {
-    fn split(&self) -> std::io::Result<(Box<dyn std::io::Read>, Box<dyn Write>)> {
-        Ok(match self {
-            Stream::Tcp(s) => (
-                Box::new(s.try_clone()?) as Box<dyn std::io::Read>,
-                Box::new(s.try_clone()?) as Box<dyn Write>,
-            ),
-            Stream::Unix(s) => (Box::new(s.try_clone()?), Box::new(s.try_clone()?)),
-        })
-    }
-
-    fn set_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => {
-                s.set_read_timeout(timeout)?;
-                s.set_write_timeout(timeout)
-            }
-            Stream::Unix(s) => {
-                s.set_read_timeout(timeout)?;
-                s.set_write_timeout(timeout)
-            }
-        }
-    }
-}
+use crate::reactor::Stream;
+use crate::wire::{read_frame, Frame, SessionSpec, SessionStatus, SessionTelemetry, WireError};
 
 /// A server-pushed feature report, received out-of-band on a subscribed
 /// connection and stashed until [`Client::take_events`] drains it.
@@ -68,13 +37,12 @@ pub struct FeatureEvent {
 /// One connection to an analysis server, able to multiplex any number of
 /// sessions.
 pub struct Client {
-    /// The underlying socket, retained for deadline control; all I/O
-    /// goes through the buffered clone halves below.
-    stream: Stream,
-    reader: BufReader<Box<dyn std::io::Read>>,
-    writer: BufWriter<Box<dyn Write>>,
+    /// The connection's one socket: replies are read through this
+    /// buffer, requests are written straight into the socket it wraps.
+    reader: BufReader<Stream>,
     scratch_in: Vec<u8>,
-    scratch_out: Vec<u8>,
+    /// Requests encoded but not yet written; one write sends them all.
+    outgoing: Vec<u8>,
     events: VecDeque<FeatureEvent>,
 }
 
@@ -89,12 +57,12 @@ impl Client {
     pub fn connect_tcp(addr: SocketAddr) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Self::new(Stream::Tcp(stream))
+        Ok(Self::new(Stream::Tcp(stream)))
     }
 
     /// Connects over a Unix domain socket.
     pub fn connect_unix(path: &Path) -> std::io::Result<Self> {
-        Self::new(Stream::Unix(UnixStream::connect(path)?))
+        Ok(Self::new(Stream::Unix(UnixStream::connect(path)?)))
     }
 
     /// [`Client::connect_tcp`] with bounded retry: failed attempts back
@@ -113,16 +81,13 @@ impl Client {
         retry_connect(attempts, || Self::connect_unix(path))
     }
 
-    fn new(stream: Stream) -> std::io::Result<Self> {
-        let (read, write) = stream.split()?;
-        Ok(Self {
-            stream,
-            reader: BufReader::new(read),
-            writer: BufWriter::new(write),
+    fn new(stream: Stream) -> Self {
+        Self {
+            reader: BufReader::new(stream),
             scratch_in: Vec::new(),
-            scratch_out: Vec::new(),
+            outgoing: Vec::new(),
             events: VecDeque::new(),
-        })
+        }
     }
 
     /// Applies a read **and** write deadline to the connection (`None`
@@ -134,14 +99,29 @@ impl Client {
     /// [`Client::connect_tcp_retry`]) and resurrect sessions from their
     /// last snapshot with [`Client::restore`].
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.stream.set_timeout(timeout)
+        match self.reader.get_ref() {
+            Stream::Tcp(s) => {
+                s.set_read_timeout(timeout)?;
+                s.set_write_timeout(timeout)
+            }
+            Stream::Unix(s) => {
+                s.set_read_timeout(timeout)?;
+                s.set_write_timeout(timeout)
+            }
+        }
     }
 
     /// Sends one frame without waiting for a reply.
     pub fn send(&mut self, frame: &Frame) -> Result<(), WireError> {
-        write_frame(&mut self.writer, frame, &mut self.scratch_out)?;
-        self.writer.flush()?;
-        Ok(())
+        frame.encode(&mut self.outgoing);
+        self.write_outgoing()
+    }
+
+    /// Writes every encoded request to the socket in one go.
+    fn write_outgoing(&mut self) -> Result<(), WireError> {
+        let written = self.reader.get_ref().write_all(&self.outgoing);
+        self.outgoing.clear();
+        Ok(written?)
     }
 
     /// Reads the next reply frame; a server hang-up is an error here
@@ -274,18 +254,15 @@ impl Client {
         let mut backoff = BACKOFF_BASE;
         while !pending.is_empty() {
             for &session in &pending {
-                write_frame(
-                    &mut self.writer,
-                    &Frame::StepSamples {
-                        session,
-                        iteration,
-                        locations: locations.to_vec(),
-                        values: values_of(session),
-                    },
-                    &mut self.scratch_out,
-                )?;
+                Frame::StepSamples {
+                    session,
+                    iteration,
+                    locations: locations.to_vec(),
+                    values: values_of(session),
+                }
+                .encode(&mut self.outgoing);
             }
-            self.writer.flush()?;
+            self.write_outgoing()?;
             let mut retry = Vec::new();
             for _ in 0..pending.len() {
                 match self.recv_reply()? {

@@ -278,11 +278,15 @@ pub fn run_self_hosted_unix(
     report
 }
 
-/// Renders the `BENCH_service.json` artifact for a ladder of reports.
-/// The `steps_per_sec` entries and the recorded `available_parallelism`
-/// are what `perf_smoke` parses for its service-throughput floor, so this
-/// renderer is the single owner of the format.
-pub fn render_json(workload: &LoadgenConfig, reports: &[LoadgenReport]) -> String {
+/// Renders the `BENCH_service.json` artifact for a ladder: one case per
+/// rung, each given as its repeated runs. A case records the run with the
+/// median session-steps/sec, the repeat count, and the slowest and the
+/// fastest run's rate as its spread.
+///
+/// # Panics
+///
+/// If a rung has no runs.
+pub fn render_json(workload: &LoadgenConfig, rungs: &[Vec<LoadgenReport>]) -> String {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::from("{\n");
     json.push_str(
@@ -294,7 +298,8 @@ pub fn render_json(workload: &LoadgenConfig, reports: &[LoadgenReport]) -> Strin
     ));
     json.push_str(&format!("  \"available_parallelism\": {cores},\n"));
     json.push_str(
-        "  \"note\": \"recorded on the host named by the parallelism field above; on a 1-core \
+        "  \"note\": \"recorded on the host named by the parallelism field above; each case \
+         is the median of its repeats, with the slowest and fastest run's rate; on a 1-core \
          host the ladder is concurrency-starved and perf_smoke skips its service-throughput \
          floor instead of comparing against it\",\n",
     );
@@ -303,17 +308,26 @@ pub fn render_json(workload: &LoadgenConfig, reports: &[LoadgenReport]) -> Strin
         insitu::kernels::active()
     ));
     json.push_str("  \"cases\": [\n");
-    for (i, r) in reports.iter().enumerate() {
+    for (i, runs) in rungs.iter().enumerate() {
+        let mut sorted: Vec<&LoadgenReport> = runs.iter().collect();
+        sorted.sort_by(|a, b| a.session_steps_per_sec.total_cmp(&b.session_steps_per_sec));
+        let (Some(slowest), Some(fastest)) = (sorted.first(), sorted.last()) else {
+            panic!("rung {i} has no runs");
+        };
+        let r = sorted[sorted.len() / 2];
         json.push_str(&format!(
-            "    {{\"sessions\": {}, \"connections\": {}, \"client_threads\": {}, \"elapsed_ns\": {}, \"busy_bounces\": {}, \"verified\": {}, \"steps_per_sec\": {:.1}}}{}\n",
+            "    {{\"sessions\": {}, \"connections\": {}, \"client_threads\": {}, \"elapsed_ns\": {}, \"busy_bounces\": {}, \"verified\": {}, \"repeats\": {}, \"steps_per_sec\": {:.1}, \"steps_per_sec_min\": {:.1}, \"steps_per_sec_max\": {:.1}}}{}\n",
             r.sessions,
             r.connections,
             r.client_threads,
             r.elapsed_ns,
             r.busy_bounces,
             r.verified,
+            runs.len(),
             r.session_steps_per_sec,
-            if i + 1 < reports.len() { "," } else { "" }
+            slowest.session_steps_per_sec,
+            fastest.session_steps_per_sec,
+            if i + 1 < rungs.len() { "," } else { "" }
         ));
     }
     json.push_str("  ]\n}\n");

@@ -11,7 +11,7 @@
 //!  accept thread ──intake──► event thread 0 ── slab of ConnState
 //!                └─intake──► event thread 1 ── slab of ConnState
 //!                                 │ readable: read → FrameAssembler → on_frame
-//!                                 │ writable: drain ConnHandle outbuf
+//!                                 │ writable / dirty: flush ConnHandle outbuf
 //!                                 ▼
 //!                          ConnEvents handler (the server's router)
 //! ```
@@ -20,15 +20,22 @@
 //! reassembly of `[len][kind][payload]` frames across arbitrary read
 //! boundaries, with the frame-size cap enforced on the length prefix
 //! *before* any body is buffered — and a [`ConnHandle`] whose outbuf any
-//! thread may append replies to. Writes are opportunistic: a reply is
-//! pushed straight into the socket while it accepts bytes, and only the
-//! unflushed remainder parks in the outbuf, waking the owning event
-//! thread (via a self-pipe) to arm write interest and finish the flush
-//! when the peer drains. A peer that stops reading past the outbuf cap is
-//! torn down rather than buffered without bound; a peer that stalls
-//! *mid-frame* past the idle timeout is torn down by the sweep (frame-
-//! aligned idle connections are left alone — idling is not a protocol
-//! violation).
+//! thread may append replies to. A reply is a queue operation: `send`
+//! encodes into the outbuf and nothing reaches the socket until someone
+//! calls [`ConnHandle::flush`], so a batch of replies costs one `write()`.
+//! Worker lanes flush the connections they replied on when their queue
+//! runs dry (or after a bounded number of commands); the event thread
+//! flushes what its own callbacks queued at the end of each readiness
+//! batch. A remainder the socket will not take parks in the outbuf and
+//! the owning event thread (woken via a self-pipe) finishes it under
+//! write interest when the peer drains. A peer that stops reading past
+//! the outbuf cap is torn down rather than buffered without bound; a
+//! peer that stalls *mid-frame* past the idle timeout is torn down by the
+//! sweep (frame-aligned idle connections are left alone — idling is not
+//! a protocol violation).
+//!
+//! Each connection is one descriptor: the event thread reads and the
+//! flushing thread writes through the same shared socket.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -59,15 +66,6 @@ pub enum Stream {
 }
 
 impl Stream {
-    /// Duplicates the descriptor (shared file description, so readiness
-    /// and shutdown state are common to both halves).
-    pub fn try_clone(&self) -> io::Result<Stream> {
-        Ok(match self {
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
-            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
-        })
-    }
-
     /// Switches the descriptor's non-blocking flag.
     pub fn set_nonblocking(&self, on: bool) -> io::Result<()> {
         match self {
@@ -85,28 +83,37 @@ impl Stream {
     }
 }
 
-impl Read for Stream {
+/// Reads through a shared reference, so one descriptor serves a reader
+/// and a writer on different threads.
+impl Read for &Stream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Unix(s) => s.read(buf),
+            Stream::Tcp(s) => (&*s).read(buf),
+            Stream::Unix(s) => (&*s).read(buf),
         }
     }
 }
 
-impl Write for Stream {
+/// Writes through a shared reference (see the `Read` impl).
+impl Write for &Stream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self {
-            Stream::Tcp(s) => s.write(buf),
-            Stream::Unix(s) => s.write(buf),
+            Stream::Tcp(s) => (&*s).write(buf),
+            Stream::Unix(s) => (&*s).write(buf),
         }
     }
 
     fn flush(&mut self) -> io::Result<()> {
         match self {
-            Stream::Tcp(s) => s.flush(),
-            Stream::Unix(s) => s.flush(),
+            Stream::Tcp(s) => (&*s).flush(),
+            Stream::Unix(s) => (&*s).flush(),
         }
+    }
+}
+
+impl Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        (&*self).read(buf)
     }
 }
 
@@ -199,7 +206,9 @@ impl FrameAssembler {
 ///
 /// All three callbacks run on the event thread owning the connection;
 /// they must not block for long (route to a worker, reply via
-/// [`ConnHandle::send`], return).
+/// [`ConnHandle::send`], return). Replies queued from `on_frame` and
+/// `on_decode_error` are flushed by the reactor at the end of the
+/// readiness batch; callers need not flush them.
 pub trait ConnEvents: Send + Sync + 'static {
     /// A complete frame arrived.
     fn on_frame(&self, conn: &Arc<ConnHandle>, frame: Frame);
@@ -216,9 +225,11 @@ pub trait ConnEvents: Send + Sync + 'static {
 /// Buffered output for one connection: bytes encoded but not yet
 /// accepted by the socket.
 struct OutBuf {
-    /// Write-half clone of the socket; `None` once the connection is
-    /// torn down (late sends become no-ops).
-    sock: Option<Stream>,
+    /// The connection's socket, shared with the event thread's read
+    /// side; `None` once the connection is torn down (late sends and
+    /// flushes become no-ops, and the descriptor closes with the event
+    /// thread's reference).
+    sock: Option<Arc<Stream>>,
     buf: Vec<u8>,
     /// Bytes of `buf` already written to the socket.
     sent: usize,
@@ -232,7 +243,7 @@ impl OutBuf {
     /// Pushes buffered bytes into the socket until done or `WouldBlock`.
     /// `Ok(true)` means fully drained.
     fn drain(&mut self) -> io::Result<bool> {
-        let Some(sock) = self.sock.as_mut() else {
+        let Some(mut sock) = self.sock.as_deref() else {
             return Ok(true);
         };
         while self.sent < self.buf.len() {
@@ -278,34 +289,65 @@ pub struct ConnHandle {
 }
 
 impl ConnHandle {
-    /// Encodes `frame` onto the connection. While the socket accepts
-    /// bytes the write completes inline; a blocked remainder parks in
-    /// the outbuf and the owning event thread finishes it under write
-    /// readiness. Returns `false` if the connection is already gone.
+    fn new(token: usize, shard: Arc<ShardShared>, sock: Arc<Stream>, cap: usize) -> Self {
+        Self {
+            token,
+            shard,
+            out: Mutex::new(OutBuf {
+                sock: Some(sock),
+                buf: Vec::new(),
+                sent: 0,
+                broken: false,
+                cap,
+            }),
+            dirty: AtomicBool::new(false),
+            sessions: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Queues `frame` on the connection's outbuf. Nothing reaches the
+    /// socket until [`ConnHandle::flush`], so replies queued together go
+    /// out in one write, in queue order. A peer already more than the
+    /// outbuf cap behind is cut instead: the frame is dropped and the
+    /// owning event thread tears the connection down. Returns `false` if
+    /// the connection is already gone.
     pub fn send(&self, frame: &Frame) -> bool {
         let mut out = self.out.lock().expect("conn outbuf");
         if out.sock.is_none() || out.broken {
             return false;
         }
-        let was_empty = out.pending() == 0;
-        frame.encode(&mut out.buf);
-        if was_empty {
-            match out.drain() {
-                Ok(_) => {}
-                Err(_) => out.broken = true,
-            }
+        if out.pending() <= out.cap {
+            frame.encode(&mut out.buf);
+            return true;
         }
-        if out.pending() > out.cap {
-            // The peer has stopped reading: shed it rather than buffer
-            // without bound.
-            out.broken = true;
-        }
-        let needs_event_thread = out.broken || out.pending() > 0;
+        // The peer has stopped reading: shed it rather than buffer
+        // without bound.
+        out.broken = true;
         drop(out);
-        if needs_event_thread {
+        self.mark_dirty();
+        true
+    }
+
+    /// Writes everything queued into the socket while it accepts bytes.
+    /// A remainder the socket will not take (or a write error) goes to
+    /// the owning event thread, which finishes it under write readiness
+    /// (or tears the connection down).
+    pub fn flush(&self) {
+        let mut out = self.out.lock().expect("conn outbuf");
+        if out.broken || out.pending() == 0 {
+            return;
+        }
+        let drained = match out.drain() {
+            Ok(drained) => drained,
+            Err(_) => {
+                out.broken = true;
+                false
+            }
+        };
+        drop(out);
+        if !drained {
             self.mark_dirty();
         }
-        true
     }
 
     /// Requests teardown: best-effort flush of anything buffered (so a
@@ -479,8 +521,8 @@ impl Drop for Reactor {
 
 /// Per-connection state owned by its event thread.
 struct ConnState {
-    /// Read half (the registered descriptor).
-    sock: Stream,
+    /// The registered descriptor, shared with the handle's outbuf.
+    sock: Arc<Stream>,
     asm: FrameAssembler,
     handle: Arc<ConnHandle>,
     /// Whether write interest is currently armed with the poller.
@@ -500,9 +542,6 @@ struct EventThread {
 
 impl EventThread {
     fn admit(&mut self, sock: Stream, shard: &Arc<ShardShared>) {
-        let Ok(write_half) = sock.try_clone() else {
-            return;
-        };
         let token = match self.free.pop() {
             Some(t) => t,
             None => {
@@ -518,19 +557,13 @@ impl EventThread {
             self.free.push(token);
             return;
         }
-        let handle = Arc::new(ConnHandle {
+        let sock = Arc::new(sock);
+        let handle = Arc::new(ConnHandle::new(
             token,
-            shard: Arc::clone(shard),
-            out: Mutex::new(OutBuf {
-                sock: Some(write_half),
-                buf: Vec::new(),
-                sent: 0,
-                broken: false,
-                cap: self.cfg.outbuf_cap,
-            }),
-            dirty: AtomicBool::new(false),
-            sessions: Mutex::new(Vec::new()),
-        });
+            Arc::clone(shard),
+            Arc::clone(&sock),
+            self.cfg.outbuf_cap,
+        ));
         self.slab[token] = Some(ConnState {
             sock,
             asm: FrameAssembler::new(),
@@ -540,8 +573,9 @@ impl EventThread {
         });
     }
 
-    /// Removes a connection: deregisters, best-effort flushes and drops
-    /// the write half, fires `on_close`, recycles the token.
+    /// Removes a connection: deregisters, best-effort flushes, detaches
+    /// the socket from the handle (closing the descriptor when the state
+    /// drops), fires `on_close`, recycles the token.
     fn teardown(&mut self, token: usize) {
         let Some(state) = self.slab.get_mut(token).and_then(Option::take) else {
             return;
@@ -562,15 +596,17 @@ impl EventThread {
     }
 
     /// Services read readiness: bounded reads, incremental reassembly,
-    /// frame dispatch, stall-clock upkeep.
-    fn readable(&mut self, token: usize, scratch: &mut [u8]) {
+    /// frame dispatch, stall-clock upkeep. Returns whether the connection
+    /// is still open, in which case the caller flushes whatever the
+    /// dispatch queued on it.
+    fn readable(&mut self, token: usize, scratch: &mut [u8]) -> bool {
         let Some(state) = self.slab.get_mut(token).and_then(Option::as_mut) else {
-            return;
+            return false;
         };
         let mut dead = false;
         let mut fatal = None;
         for _ in 0..MAX_READS_PER_EVENT {
-            match state.sock.read(scratch) {
+            match (&*state.sock).read(scratch) {
                 Ok(0) => {
                     dead = true;
                     break;
@@ -607,13 +643,18 @@ impl EventThread {
             let handle = Arc::clone(&state.handle);
             self.events.on_decode_error(&handle, err, true);
             self.teardown(token);
+            false
         } else if dead {
             self.teardown(token);
+            false
+        } else {
+            true
         }
     }
 
-    /// Services write readiness / dirty requests: drains the outbuf and
-    /// keeps poller write interest in sync with whether bytes remain.
+    /// Services write readiness, dirty requests and the flush after a
+    /// read: drains the outbuf and keeps poller write interest in sync
+    /// with whether bytes remain.
     fn flush(&mut self, token: usize) {
         let Some(state) = self.slab.get_mut(token).and_then(Option::as_mut) else {
             return;
@@ -723,10 +764,11 @@ fn event_loop(
             if ev.token == WAKER_TOKEN {
                 continue;
             }
-            if ev.readable {
-                et.readable(ev.token, &mut scratch);
-            }
-            if ev.writable {
+            // A connection just read from is flushed too: replies its
+            // frames queued here (`Busy`, unknown session, decode errors)
+            // go out with the batch, without a self-pipe wake.
+            let open = ev.readable && et.readable(ev.token, &mut scratch);
+            if open || ev.writable {
                 flush_queue.push_back(ev.token);
             }
         }
@@ -835,5 +877,164 @@ mod tests {
         .expect("framed");
         assert_eq!(done, 1);
         assert!(!asm.mid_frame());
+    }
+
+    fn ack(session: u64) -> Frame {
+        Frame::StepAck {
+            session,
+            iteration: session,
+            samples: 1,
+            batches_trained: 0,
+        }
+    }
+
+    /// A handle over `sock` outside any reactor; its wakes go to a pipe
+    /// nobody reads.
+    fn detached(sock: UnixStream) -> (ConnHandle, Arc<ShardShared>, UnixStream) {
+        let (waker, wake_rx) = UnixStream::pair().expect("waker pair");
+        waker.set_nonblocking(true).expect("nonblocking waker");
+        let shard = Arc::new(ShardShared {
+            intake: Mutex::new(Vec::new()),
+            dirty: Mutex::new(Vec::new()),
+            waker,
+        });
+        sock.set_nonblocking(true).expect("nonblocking socket");
+        let handle = ConnHandle::new(0, Arc::clone(&shard), Arc::new(Stream::Unix(sock)), 1 << 20);
+        (handle, shard, wake_rx)
+    }
+
+    #[test]
+    fn queued_replies_reach_the_peer_only_on_flush_in_queue_order() {
+        let (ours, mut peer) = UnixStream::pair().expect("pair");
+        peer.set_nonblocking(true).expect("nonblocking peer");
+        let (conn, shard, _wake_rx) = detached(ours);
+        let frames: Vec<Frame> = (0..5).map(ack).collect();
+        for frame in &frames {
+            assert!(conn.send(frame));
+        }
+        let mut buf = [0u8; 4096];
+        let err = peer
+            .read(&mut buf)
+            .expect_err("nothing written before the flush");
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+
+        conn.flush();
+        let n = peer.read(&mut buf).expect("flushed bytes");
+        let mut asm = FrameAssembler::new();
+        let mut got = Vec::new();
+        asm.feed(&buf[..n], |r| got.push(r.expect("decode")))
+            .expect("framed");
+        assert_eq!(
+            got, frames,
+            "one flush delivers every reply, in queue order"
+        );
+        assert!(!asm.mid_frame());
+        let err = peer.read(&mut buf).expect_err("nothing left over");
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert!(
+            shard.dirty.lock().unwrap().is_empty(),
+            "a flush the socket took whole needs no event thread"
+        );
+    }
+
+    /// Replies to `Poll { session }`: every third session is answered
+    /// `Busy` straight from the event thread, the rest are handed to a
+    /// lane thread that acks them and flushes when its queue runs dry.
+    /// Both record each reply in `order` under the lock they queue it
+    /// under, so `order` is the outbuf's queue order.
+    struct SplitReplies {
+        lane: Mutex<std::sync::mpsc::Sender<(Arc<ConnHandle>, u64)>>,
+        order: Arc<Mutex<Vec<u64>>>,
+    }
+
+    impl ConnEvents for SplitReplies {
+        fn on_frame(&self, conn: &Arc<ConnHandle>, frame: Frame) {
+            let Frame::Poll { session } = frame else {
+                panic!("unexpected request {frame:?}");
+            };
+            if session % 3 == 0 {
+                let mut order = self.order.lock().unwrap();
+                conn.send(&Frame::Busy { session, depth: 1 });
+                order.push(session);
+            } else {
+                let lane = self.lane.lock().unwrap();
+                lane.send((Arc::clone(conn), session)).unwrap();
+            }
+        }
+
+        fn on_decode_error(&self, _: &Arc<ConnHandle>, err: WireError, _: bool) {
+            panic!("unexpected decode error {err}");
+        }
+
+        fn on_close(&self, _: &Arc<ConnHandle>) {}
+    }
+
+    #[test]
+    fn event_thread_and_lane_replies_keep_their_queue_order() {
+        const REQUESTS: u64 = 300;
+        let (tx, rx) = std::sync::mpsc::channel::<(Arc<ConnHandle>, u64)>();
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let lane = {
+            let order = Arc::clone(&order);
+            std::thread::spawn(move || {
+                let mut touched: Option<Arc<ConnHandle>> = None;
+                loop {
+                    let next = match rx.try_recv() {
+                        Err(std::sync::mpsc::TryRecvError::Empty) => {
+                            if let Some(conn) = touched.take() {
+                                conn.flush();
+                            }
+                            rx.recv().ok()
+                        }
+                        received => received.ok(),
+                    };
+                    let Some((conn, session)) = next else {
+                        break;
+                    };
+                    let mut order = order.lock().unwrap();
+                    conn.send(&ack(session));
+                    order.push(session);
+                    touched = Some(conn);
+                }
+            })
+        };
+        let events = Arc::new(SplitReplies {
+            lane: Mutex::new(tx),
+            order: Arc::clone(&order),
+        });
+        let reactor = Reactor::start(ReactorConfig::default(), events).expect("reactor");
+        let (ours, mut peer) = UnixStream::pair().expect("pair");
+        reactor.register(Stream::Unix(ours)).expect("register");
+
+        let mut requests = Vec::new();
+        for session in 0..REQUESTS {
+            Frame::Poll { session }.encode(&mut requests);
+        }
+        peer.write_all(&requests).expect("requests");
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let mut scratch = Vec::new();
+        let wire: Vec<u64> = (0..REQUESTS)
+            .map(
+                |_| match crate::wire::read_frame(&mut peer, &mut scratch).expect("reply") {
+                    Some(Frame::Busy { session, .. }) => {
+                        assert_eq!(session % 3, 0);
+                        session
+                    }
+                    Some(Frame::StepAck { session, .. }) => {
+                        assert_ne!(session % 3, 0);
+                        session
+                    }
+                    other => panic!("unexpected reply {other:?}"),
+                },
+            )
+            .collect();
+        reactor.shutdown();
+        drop(reactor);
+        lane.join().expect("lane thread");
+        assert_eq!(wire, *order.lock().unwrap(), "wire order is queue order");
+        let mut sorted = wire.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..REQUESTS).collect::<Vec<_>>(), "one reply each");
     }
 }

@@ -48,6 +48,15 @@
 //! per-session FIFO — and therefore bit-identical extraction — is
 //! preserved. [`Server::migrations`] counts completed handoffs.
 //!
+//! **Replies are batched per lane**: a lane queues each reply on its
+//! connection's outbuf and flushes every connection it replied on when
+//! its command queue runs dry (or after a bounded number of commands), so
+//! a burst of steps from one client costs one socket write, not one per
+//! `StepAck`. Replies the router sends from the event thread (`Busy`,
+//! unknown session, protocol errors) are flushed by the reactor at the
+//! end of its readiness batch. Every reply goes through the one outbuf
+//! in queue order, so per-connection order is unchanged.
+//!
 //! **Subscriptions stream features**: a client that sends
 //! [`Frame::Subscribe`] gets a [`Frame::FeatureEvent`] pushed whenever a
 //! processed step changes the session's extracted features (the engine
@@ -74,7 +83,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -527,8 +536,11 @@ impl Router {
             .enumerate()
             .map(|(i, d)| (i, d.load(Ordering::Relaxed)))
             .min_by_key(|&(_, depth)| depth)?;
-        // Hysteresis: only migrate across a real imbalance, so lanes
-        // under uniformly heavy load never shuffle sessions around.
+        // Hysteresis: only migrate across an imbalance of at least the
+        // depth gate. This damps migration but does not stop it under
+        // uniform load: a client's burst lands on one lane's queue before
+        // the others', so momentary gaps cross the gate and sessions do
+        // move between equally loaded lanes.
         if best == entry.lane || here < best_depth + depth_gate {
             return None;
         }
@@ -759,19 +771,19 @@ fn reply_unknown(conn: &Arc<ConnHandle>, session: u64) {
 }
 
 fn reply_error(conn: &Arc<ConnHandle>, session: u64, code: ErrorCode, msg: &str) {
-    conn.send(&Frame::ErrorReply {
+    conn.send(&error_frame(session, code, msg));
+}
+
+fn error_frame(session: u64, code: ErrorCode, msg: &str) -> Frame {
+    Frame::ErrorReply {
         session,
         code,
         message: msg.to_string(),
-    });
+    }
 }
 
 fn unknown_session(session: u64) -> Frame {
-    Frame::ErrorReply {
-        session,
-        code: ErrorCode::UnknownSession,
-        message: "no such session".to_string(),
-    }
+    error_frame(session, ErrorCode::UnknownSession, "no such session")
 }
 
 /// Folds one observation into a service-time EWMA (α = 1/8), clamped
@@ -786,6 +798,35 @@ fn ewma_update(cell: &AtomicU64, sample_ns: u64) {
     cell.store(new, Ordering::Relaxed);
 }
 
+/// Most commands a lane handles between two flushes of its replies: a
+/// lane flushes when its queue runs dry, and after this many commands
+/// at the latest, so one ack never waits behind an unbounded backlog
+/// from other connections.
+const FLUSH_EVERY: usize = 32;
+
+/// The connections a lane has queued replies on since its last flush.
+#[derive(Default)]
+struct Replies(Vec<Arc<ConnHandle>>);
+
+impl Replies {
+    /// Queues `frame` on `conn` and remembers the connection for the
+    /// next [`Replies::flush`].
+    fn send(&mut self, conn: &Arc<ConnHandle>, frame: &Frame) {
+        conn.send(frame);
+        if !self.0.iter().any(|queued| Arc::ptr_eq(queued, conn)) {
+            self.0.push(Arc::clone(conn));
+        }
+    }
+
+    /// Writes out everything queued since the last flush: one socket
+    /// write per connection, however many replies it holds.
+    fn flush(&mut self) {
+        for conn in self.0.drain(..) {
+            conn.flush();
+        }
+    }
+}
+
 /// One worker lane: a dedicated thread owning its sessions outright —
 /// no locking on the session hot path; the channel is the
 /// synchronization.
@@ -796,6 +837,7 @@ struct Lane {
     /// Commands for sessions migrating *to* this lane whose state has
     /// not arrived yet; drained in order on `Adopt`.
     parked: HashMap<u64, VecDeque<Command>>,
+    replies: Replies,
 }
 
 fn lane_loop(rx: Receiver<Command>, shared: Arc<Shared>, me: usize) {
@@ -804,10 +846,30 @@ fn lane_loop(rx: Receiver<Command>, shared: Arc<Shared>, me: usize) {
         shared,
         sessions: HashMap::new(),
         parked: HashMap::new(),
+        replies: Replies::default(),
     };
-    while let Ok(cmd) = rx.recv() {
+    let mut batch = 0;
+    loop {
+        let next = match rx.try_recv() {
+            Err(TryRecvError::Empty) => {
+                // The queue ran dry: the batch ends before the lane blocks.
+                lane.replies.flush();
+                batch = 0;
+                rx.recv().ok()
+            }
+            received => received.ok(),
+        };
+        let Some(cmd) = next else {
+            break;
+        };
         lane.receive(cmd);
+        batch += 1;
+        if batch == FLUSH_EVERY {
+            lane.replies.flush();
+            batch = 0;
+        }
     }
+    lane.replies.flush();
     // Channel disconnected: the server is shutting down. Sessions drop
     // here, joining their engines' in-flight work.
 }
@@ -848,11 +910,13 @@ impl Lane {
                 .remove(&session);
             if let Some(conn) = conn {
                 conn.detach_session(session);
-                reply_error(
+                self.replies.send(
                     &conn,
-                    session,
-                    ErrorCode::Internal,
-                    "session panicked and was evicted",
+                    &error_frame(
+                        session,
+                        ErrorCode::Internal,
+                        "session panicked and was evicted",
+                    ),
                 );
             }
         }
@@ -915,7 +979,7 @@ impl Lane {
                             pushed: Vec::new(),
                         },
                     );
-                    conn.send(&Frame::SessionOpened { session });
+                    self.replies.send(&conn, &Frame::SessionOpened { session });
                 }
                 Err(message) => {
                     self.shared
@@ -924,11 +988,14 @@ impl Lane {
                         .expect("session table")
                         .remove(&session);
                     conn.detach_session(session);
-                    conn.send(&Frame::ErrorReply {
-                        session,
-                        code: ErrorCode::BadSpec,
-                        message,
-                    });
+                    self.replies.send(
+                        &conn,
+                        &Frame::ErrorReply {
+                            session,
+                            code: ErrorCode::BadSpec,
+                            message,
+                        },
+                    );
                 }
             },
             Command::Step {
@@ -965,7 +1032,7 @@ impl Lane {
                     None => unknown_session(session),
                 };
                 inflight.fetch_sub(1, Ordering::AcqRel);
-                conn.send(&reply);
+                self.replies.send(&conn, &reply);
                 self.push_features(session, iteration);
             }
             Command::Extract { session, conn } => {
@@ -976,7 +1043,7 @@ impl Lane {
                     },
                     None => unknown_session(session),
                 };
-                conn.send(&reply);
+                self.replies.send(&conn, &reply);
             }
             Command::Features { session, conn } => {
                 let reply = match self.sessions.get(&session) {
@@ -986,7 +1053,7 @@ impl Lane {
                     },
                     None => unknown_session(session),
                 };
-                conn.send(&reply);
+                self.replies.send(&conn, &reply);
             }
             Command::Poll { session, conn } => {
                 let reply = match self.sessions.get(&session) {
@@ -996,7 +1063,7 @@ impl Lane {
                     },
                     None => unknown_session(session),
                 };
-                conn.send(&reply);
+                self.replies.send(&conn, &reply);
             }
             Command::Stats { session, conn } => {
                 let reply = match self.sessions.get(&session) {
@@ -1006,7 +1073,7 @@ impl Lane {
                     },
                     None => unknown_session(session),
                 };
-                conn.send(&reply);
+                self.replies.send(&conn, &reply);
             }
             Command::Subscribe { session, conn } => match self.sessions.get_mut(&session) {
                 Some(owned) => {
@@ -1015,26 +1082,32 @@ impl Lane {
                     // a catch-up event for already-converged features.
                     owned.pushed = Vec::new();
                     let iteration = owned.session.poll().iteration;
-                    conn.send(&Frame::SubscriptionAck {
-                        session,
-                        subscribed: true,
-                    });
+                    self.replies.send(
+                        &conn,
+                        &Frame::SubscriptionAck {
+                            session,
+                            subscribed: true,
+                        },
+                    );
                     self.push_features(session, iteration);
                 }
                 None => {
-                    conn.send(&unknown_session(session));
+                    self.replies.send(&conn, &unknown_session(session));
                 }
             },
             Command::Unsubscribe { session, conn } => match self.sessions.get_mut(&session) {
                 Some(owned) => {
                     owned.subscriber = None;
-                    conn.send(&Frame::SubscriptionAck {
-                        session,
-                        subscribed: false,
-                    });
+                    self.replies.send(
+                        &conn,
+                        &Frame::SubscriptionAck {
+                            session,
+                            subscribed: false,
+                        },
+                    );
                 }
                 None => {
-                    conn.send(&unknown_session(session));
+                    self.replies.send(&conn, &unknown_session(session));
                 }
             },
             Command::Snapshot { session, conn } => {
@@ -1045,7 +1118,7 @@ impl Lane {
                     },
                     None => unknown_session(session),
                 };
-                conn.send(&reply);
+                self.replies.send(&conn, &reply);
             }
             Command::Restore {
                 session,
@@ -1062,7 +1135,7 @@ impl Lane {
                             pushed: Vec::new(),
                         },
                     );
-                    conn.send(&Frame::SessionOpened { session });
+                    self.replies.send(&conn, &Frame::SessionOpened { session });
                 }
                 Err(message) => {
                     self.shared
@@ -1071,11 +1144,14 @@ impl Lane {
                         .expect("session table")
                         .remove(&session);
                     conn.detach_session(session);
-                    conn.send(&Frame::ErrorReply {
-                        session,
-                        code: ErrorCode::BadSpec,
-                        message,
-                    });
+                    self.replies.send(
+                        &conn,
+                        &Frame::ErrorReply {
+                            session,
+                            code: ErrorCode::BadSpec,
+                            message,
+                        },
+                    );
                 }
             },
             Command::Close { session, conn } => {
@@ -1095,7 +1171,7 @@ impl Lane {
                     } else {
                         unknown_session(session)
                     };
-                    conn.send(&reply);
+                    self.replies.send(&conn, &reply);
                 }
             }
             Command::Migrate { session, to } => {
@@ -1127,11 +1203,14 @@ impl Lane {
         if features.is_empty() || features == owned.pushed {
             return;
         }
-        subscriber.send(&Frame::FeatureEvent {
-            session,
-            iteration,
-            features: features.clone(),
-        });
+        self.replies.send(
+            subscriber,
+            &Frame::FeatureEvent {
+                session,
+                iteration,
+                features: features.clone(),
+            },
+        );
         owned.pushed = features;
     }
 }

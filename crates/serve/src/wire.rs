@@ -70,7 +70,7 @@
 //! assert_eq!(read_frame(&mut stream, &mut scratch).unwrap(), None); // clean EOF
 //! ```
 
-use std::io::{Read, Write};
+use std::io::Read;
 
 use insitu::collect::{PredictorLayout, Retention};
 use insitu::extract::{BreakpointResult, DelayTimeResult, FeatureKind, OutlierReport};
@@ -874,18 +874,6 @@ pub fn read_frame<R: Read>(r: &mut R, scratch: &mut Vec<u8>) -> Result<Option<Fr
         WireError::Truncated => WireError::Malformed("frame body shorter than its fields"),
         other => other,
     })
-}
-
-/// Writes one frame to a stream (without flushing). `scratch` is reused
-/// across calls.
-pub fn write_frame<W: Write>(
-    w: &mut W,
-    frame: &Frame,
-    scratch: &mut Vec<u8>,
-) -> std::io::Result<()> {
-    scratch.clear();
-    frame.encode(scratch);
-    w.write_all(scratch)
 }
 
 // ---- primitive encoders ----------------------------------------------------

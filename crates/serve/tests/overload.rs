@@ -95,11 +95,14 @@ fn sheds_under_load_recovers_and_serves_identical_bits() {
     reference.drain();
     reference.extract_now(reference_region).unwrap();
 
-    // Budgeted engine: 150 µs per step. The unstalled pipeline costs a few
-    // µs; the armed 50 µs-per-location stall pushes one sample stage to
-    // ~600 µs (12 locations), far over budget.
+    // Budgeted engine: 1.5 ms per step. The unstalled pipeline costs a few
+    // µs; the armed 500 µs-per-location stall pushes one sample stage to
+    // ~6 ms (12 locations), far over budget. The budget sits far above the
+    // unstalled cost so that host noise cannot trip the calm phases: with
+    // α = 1/8 a single hiccup must last about 12 ms to push the EWMA past
+    // 1.5 ms.
     let config = EngineConfig {
-        budget: Some(StepBudget::new(Duration::from_micros(150))),
+        budget: Some(StepBudget::new(Duration::from_micros(1_500))),
         ..EngineConfig::default()
     };
     let mut engine = Engine::with_config(config);
@@ -118,9 +121,9 @@ fn sheds_under_load_recovers_and_serves_identical_bits() {
     }
     assert_eq!(engine.shed_steps(), 0);
 
-    // Phase 2 — overload: every provider query sleeps 50 µs.
+    // Phase 2 — overload: every provider query sleeps 500 µs.
     arm(FaultPlan {
-        stall: Some(Duration::from_micros(50)),
+        stall: Some(Duration::from_micros(500)),
         ..FaultPlan::default()
     });
     let mut sheds_during_load = 0u64;
@@ -134,10 +137,10 @@ fn sheds_under_load_recovers_and_serves_identical_bits() {
     disarm();
     assert!(
         sheds_during_load > STALLED / 2,
-        "the 150 µs budget must shed most ~600 µs steps, shed {sheds_during_load}/{STALLED}"
+        "the 1.5 ms budget must shed most ~6 ms steps, shed {sheds_during_load}/{STALLED}"
     );
 
-    // Phase 3 — recovery: the EWMA (α = 1/8) decays ~600 µs → 150 µs in
+    // Phase 3 — recovery: the EWMA (α = 1/8) decays ~6 ms → 1.5 ms in
     // about 11 unstalled steps; after a generous settling prefix no
     // further step may shed.
     let mut last_shed_iteration = None;
