@@ -11,6 +11,7 @@
 //!  accept thread ──intake──► event thread 0 ── slab of ConnState
 //!                └─intake──► event thread 1 ── slab of ConnState
 //!                                 │ readable: read → FrameAssembler → on_frame
+//!                                 │ batch end: on_batch_end (hand-off)
 //!                                 │ writable / dirty: flush ConnHandle outbuf
 //!                                 ▼
 //!                          ConnEvents handler (the server's router)
@@ -20,19 +21,29 @@
 //! reassembly of `[len][kind][payload]` frames across arbitrary read
 //! boundaries, with the frame-size cap enforced on the length prefix
 //! *before* any body is buffered — and a [`ConnHandle`] whose outbuf any
-//! thread may append replies to. A reply is a queue operation: `send`
-//! encodes into the outbuf and nothing reaches the socket until someone
-//! calls [`ConnHandle::flush`], so a batch of replies costs one `write()`.
-//! Worker lanes flush the connections they replied on when their queue
-//! runs dry (or after a bounded number of commands); the event thread
-//! flushes what its own callbacks queued at the end of each readiness
-//! batch. A remainder the socket will not take parks in the outbuf and
-//! the owning event thread (woken via a self-pipe) finishes it under
-//! write interest when the peer drains. A peer that stops reading past
-//! the outbuf cap is torn down rather than buffered without bound; a
-//! peer that stalls *mid-frame* past the idle timeout is torn down by the
-//! sweep (frame-aligned idle connections are left alone — idling is not
-//! a protocol violation).
+//! thread may append replies to.
+//!
+//! **Readiness batches.** Each poll wait yields a batch of ready
+//! connections. The event thread reads all of them, delivering every
+//! frame through [`ConnEvents::on_frame`] into a per-thread
+//! [`ConnEvents::Batch`], and then calls [`ConnEvents::on_batch_end`]
+//! once: the handler hands the whole batch on in one go (the server sends
+//! each worker lane one message per batch, not one per frame). The hook
+//! runs again after the batch's flushes and the idle sweep, so the
+//! closes those cause are handed on in the same loop turn.
+//!
+//! **Replies.** A reply is a queue operation: `send` encodes into the
+//! outbuf and nothing reaches the socket until someone calls
+//! [`ConnHandle::flush`], so a batch of replies costs one `write()`.
+//! Every path that writes the socket — a worker's flush,
+//! [`ConnHandle::close`], teardown and write readiness — writes under the
+//! outbuf lock, so bytes reach the socket in queue order. A remainder the
+//! socket will not take parks in the outbuf and the owning event thread
+//! (woken via a self-pipe) finishes it under write interest when the peer
+//! drains. A peer that stops reading past the outbuf cap is torn down
+//! rather than buffered without bound; a peer that stalls *mid-frame*
+//! past the idle timeout is torn down by the sweep (frame-aligned idle
+//! connections are left alone — idling is not a protocol violation).
 //!
 //! Each connection is one descriptor: the event thread reads and the
 //! flushing thread writes through the same shared socket.
@@ -42,7 +53,7 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -204,14 +215,18 @@ impl FrameAssembler {
 
 /// How the reactor hands connection activity to the application.
 ///
-/// All three callbacks run on the event thread owning the connection;
-/// they must not block for long (route to a worker, reply via
-/// [`ConnHandle::send`], return). Replies queued from `on_frame` and
-/// `on_decode_error` are flushed by the reactor at the end of the
-/// readiness batch; callers need not flush them.
+/// Every callback runs on the event thread owning the connection; they
+/// must not block for long (queue work, reply via [`ConnHandle::send`],
+/// return). The reactor writes a connection only under write readiness
+/// or when it is marked dirty, so a handler flushes what it queues
+/// itself — typically once, at the batch end.
 pub trait ConnEvents: Send + Sync + 'static {
+    /// Work the callbacks collect during one readiness batch. Each event
+    /// thread owns one, passed to [`ConnEvents::on_batch_end`] when the
+    /// batch ends.
+    type Batch: Default + Send + 'static;
     /// A complete frame arrived.
-    fn on_frame(&self, conn: &Arc<ConnHandle>, frame: Frame);
+    fn on_frame(&self, batch: &mut Self::Batch, conn: &Arc<ConnHandle>, frame: Frame);
     /// A frame failed to decode. `fatal` distinguishes the unframeable
     /// length prefix (the connection is torn down right after this call;
     /// a best-effort flush delivers any reply queued here) from a bad
@@ -219,7 +234,10 @@ pub trait ConnEvents: Send + Sync + 'static {
     fn on_decode_error(&self, conn: &Arc<ConnHandle>, err: WireError, fatal: bool);
     /// The connection is gone — peer hang-up, I/O error, overflow, stall
     /// eviction, or server shutdown. Called exactly once per connection.
-    fn on_close(&self, conn: &Arc<ConnHandle>);
+    fn on_close(&self, batch: &mut Self::Batch, conn: &Arc<ConnHandle>);
+    /// The readiness batch ended: every frame read in it, and every close
+    /// since the last call, has been delivered into `batch`.
+    fn on_batch_end(&self, batch: &mut Self::Batch);
 }
 
 /// Buffered output for one connection: bytes encoded but not yet
@@ -240,16 +258,20 @@ struct OutBuf {
 }
 
 impl OutBuf {
-    /// Pushes buffered bytes into the socket until done or `WouldBlock`.
-    /// `Ok(true)` means fully drained.
-    fn drain(&mut self) -> io::Result<bool> {
+    /// Pushes buffered bytes into the socket until done or `WouldBlock`,
+    /// counting each write that carried bytes in `writes`. `Ok(true)`
+    /// means fully drained.
+    fn drain(&mut self, writes: &AtomicU64) -> io::Result<bool> {
         let Some(mut sock) = self.sock.as_deref() else {
             return Ok(true);
         };
         while self.sent < self.buf.len() {
             match sock.write(&self.buf[self.sent..]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.sent += n,
+                Ok(n) => {
+                    self.sent += n;
+                    writes.fetch_add(1, Ordering::Relaxed);
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
@@ -276,6 +298,8 @@ impl OutBuf {
 /// close. Cheap to clone via `Arc`; stays valid after the connection
 /// dies (operations become no-ops).
 pub struct ConnHandle {
+    /// The connection's number within its reactor, in registration order.
+    id: u64,
     token: usize,
     shard: Arc<ShardShared>,
     out: Mutex<OutBuf>,
@@ -289,8 +313,9 @@ pub struct ConnHandle {
 }
 
 impl ConnHandle {
-    fn new(token: usize, shard: Arc<ShardShared>, sock: Arc<Stream>, cap: usize) -> Self {
+    fn new(id: u64, token: usize, shard: Arc<ShardShared>, sock: Arc<Stream>, cap: usize) -> Self {
         Self {
+            id,
             token,
             shard,
             out: Mutex::new(OutBuf {
@@ -303,6 +328,13 @@ impl ConnHandle {
             dirty: AtomicBool::new(false),
             sessions: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The connection's number: connections are numbered from 0 in the
+    /// order they were registered with the reactor, so `id % n` deals
+    /// them round-robin over `n` of anything.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Queues `frame` on the connection's outbuf. Nothing reaches the
@@ -337,7 +369,7 @@ impl ConnHandle {
         if out.broken || out.pending() == 0 {
             return;
         }
-        let drained = match out.drain() {
+        let drained = match out.drain(&self.shard.writes) {
             Ok(drained) => drained,
             Err(_) => {
                 out.broken = true;
@@ -355,7 +387,7 @@ impl ConnHandle {
     /// thread closes the connection.
     pub fn close(&self) {
         let mut out = self.out.lock().expect("conn outbuf");
-        let _ = out.drain();
+        let _ = out.drain(&self.shard.writes);
         out.broken = true;
         drop(out);
         self.mark_dirty();
@@ -390,8 +422,9 @@ impl ConnHandle {
 /// State shared between a shard's event thread and everyone holding one
 /// of its connection handles.
 struct ShardShared {
-    /// Freshly accepted sockets awaiting admission into the slab.
-    intake: Mutex<Vec<Stream>>,
+    /// Freshly accepted sockets, with their connection numbers, awaiting
+    /// admission into the slab.
+    intake: Mutex<Vec<(u64, Stream)>>,
     /// Tokens whose outbufs want event-thread attention. May contain
     /// stale tokens (connection died, token reused); processing is
     /// idempotent against current slab state, so stale entries are at
@@ -399,6 +432,8 @@ struct ShardShared {
     dirty: Mutex<Vec<usize>>,
     /// Write end of the self-pipe; one byte unblocks the poll wait.
     waker: UnixStream,
+    /// Socket writes that carried bytes, on this shard's connections.
+    writes: AtomicU64,
 }
 
 impl ShardShared {
@@ -444,13 +479,13 @@ pub struct Reactor {
     shards: Vec<Arc<ShardShared>>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     running: Arc<AtomicBool>,
-    next: AtomicUsize,
+    next: AtomicU64,
 }
 
 impl Reactor {
     /// Spawns the event threads and returns the handle used to register
     /// connections. Poller construction errors surface here, not later.
-    pub fn start(config: ReactorConfig, events: Arc<dyn ConnEvents>) -> io::Result<Self> {
+    pub fn start<E: ConnEvents>(config: ReactorConfig, events: Arc<E>) -> io::Result<Self> {
         let threads_wanted = config.event_threads.max(1);
         let running = Arc::new(AtomicBool::new(true));
         let mut shards = Vec::with_capacity(threads_wanted);
@@ -465,6 +500,7 @@ impl Reactor {
                 intake: Mutex::new(Vec::new()),
                 dirty: Mutex::new(Vec::new()),
                 waker: wake_tx,
+                writes: AtomicU64::new(0),
             });
             shards.push(Arc::clone(&shard));
             let events = Arc::clone(&events);
@@ -479,22 +515,29 @@ impl Reactor {
             shards,
             threads: Mutex::new(threads),
             running,
-            next: AtomicUsize::new(0),
+            next: AtomicU64::new(0),
         })
     }
 
-    /// Hands a freshly accepted connection to the least recently used
-    /// shard. The socket is switched to non-blocking here.
+    /// Numbers a freshly accepted connection (see [`ConnHandle::id`]) and
+    /// hands it to the shards round-robin. The socket is switched to
+    /// non-blocking here.
     pub fn register(&self, sock: Stream) -> io::Result<()> {
         sock.set_nonblocking(true)?;
-        let at = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.shards[at]
-            .intake
-            .lock()
-            .expect("intake list")
-            .push(sock);
-        self.shards[at].wake();
+        let id = self.next.fetch_add(1, Ordering::Relaxed);
+        let shard = &self.shards[(id % self.shards.len() as u64) as usize];
+        shard.intake.lock().expect("intake list").push((id, sock));
+        shard.wake();
         Ok(())
+    }
+
+    /// Socket writes that carried bytes since startup, over every
+    /// connection.
+    pub fn writes(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|shard| shard.writes.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Stops the event threads, tearing down every connection (each gets
@@ -532,16 +575,18 @@ struct ConnState {
     stalled_since: Option<Instant>,
 }
 
-struct EventThread {
+struct EventThread<E: ConnEvents> {
     slab: Vec<Option<ConnState>>,
     free: Vec<usize>,
     poller: Poller,
-    events: Arc<dyn ConnEvents>,
+    events: Arc<E>,
+    /// What the callbacks collected since the last batch end.
+    batch: E::Batch,
     cfg: ReactorConfig,
 }
 
-impl EventThread {
-    fn admit(&mut self, sock: Stream, shard: &Arc<ShardShared>) {
+impl<E: ConnEvents> EventThread<E> {
+    fn admit(&mut self, id: u64, sock: Stream, shard: &Arc<ShardShared>) {
         let token = match self.free.pop() {
             Some(t) => t,
             None => {
@@ -559,6 +604,7 @@ impl EventThread {
         }
         let sock = Arc::new(sock);
         let handle = Arc::new(ConnHandle::new(
+            id,
             token,
             Arc::clone(shard),
             Arc::clone(&sock),
@@ -584,24 +630,23 @@ impl EventThread {
         {
             let mut out = state.handle.out.lock().expect("conn outbuf");
             if !out.broken {
-                let _ = out.drain();
+                let _ = out.drain(&state.handle.shard.writes);
             }
             out.sock = None;
             out.broken = true;
             out.buf = Vec::new();
             out.sent = 0;
         }
-        self.events.on_close(&state.handle);
+        self.events.on_close(&mut self.batch, &state.handle);
         self.free.push(token);
     }
 
     /// Services read readiness: bounded reads, incremental reassembly,
-    /// frame dispatch, stall-clock upkeep. Returns whether the connection
-    /// is still open, in which case the caller flushes whatever the
-    /// dispatch queued on it.
-    fn readable(&mut self, token: usize, scratch: &mut [u8]) -> bool {
+    /// frame dispatch, stall-clock upkeep; tears the connection down on
+    /// hang-up, read error or an unframeable prefix.
+    fn readable(&mut self, token: usize, scratch: &mut [u8]) {
         let Some(state) = self.slab.get_mut(token).and_then(Option::as_mut) else {
-            return false;
+            return;
         };
         let mut dead = false;
         let mut fatal = None;
@@ -613,9 +658,9 @@ impl EventThread {
                 }
                 Ok(n) => {
                     let handle = &state.handle;
-                    let events = &self.events;
+                    let (events, batch) = (&self.events, &mut self.batch);
                     let fed = state.asm.feed(&scratch[..n], |result| match result {
-                        Ok(frame) => events.on_frame(handle, frame),
+                        Ok(frame) => events.on_frame(batch, handle, frame),
                         Err(err) => events.on_decode_error(handle, err, false),
                     });
                     if let Err(err) = fed {
@@ -643,18 +688,13 @@ impl EventThread {
             let handle = Arc::clone(&state.handle);
             self.events.on_decode_error(&handle, err, true);
             self.teardown(token);
-            false
         } else if dead {
             self.teardown(token);
-            false
-        } else {
-            true
         }
     }
 
-    /// Services write readiness, dirty requests and the flush after a
-    /// read: drains the outbuf and keeps poller write interest in sync
-    /// with whether bytes remain.
+    /// Services write readiness and dirty requests: drains the outbuf
+    /// and keeps poller write interest in sync with whether bytes remain.
     fn flush(&mut self, token: usize) {
         let Some(state) = self.slab.get_mut(token).and_then(Option::as_mut) else {
             return;
@@ -666,7 +706,7 @@ impl EventThread {
             if out.broken {
                 Err(io::ErrorKind::ConnectionAborted.into())
             } else {
-                out.drain()
+                out.drain(&state.handle.shard.writes)
             }
         };
         match outcome {
@@ -704,6 +744,10 @@ impl EventThread {
         }
     }
 
+    fn end_batch(&mut self) {
+        self.events.on_batch_end(&mut self.batch);
+    }
+
     fn live_tokens(&self) -> Vec<usize> {
         self.slab
             .iter()
@@ -713,11 +757,11 @@ impl EventThread {
     }
 }
 
-fn event_loop(
+fn event_loop<E: ConnEvents>(
     shard: Arc<ShardShared>,
     poller: Poller,
     wake_rx: UnixStream,
-    events: Arc<dyn ConnEvents>,
+    events: Arc<E>,
     running: Arc<AtomicBool>,
     cfg: ReactorConfig,
 ) {
@@ -726,6 +770,7 @@ fn event_loop(
         free: Vec::new(),
         poller,
         events,
+        batch: E::Batch::default(),
         cfg,
     };
     let mut ready: Vec<PollEvent> = Vec::new();
@@ -753,8 +798,8 @@ fn event_loop(
         }
         // Admit new connections.
         let incoming = std::mem::take(&mut *shard.intake.lock().expect("intake list"));
-        for sock in incoming {
-            et.admit(sock, &shard);
+        for (id, sock) in incoming {
+            et.admit(id, sock, &shard);
         }
         // Dirty outbufs queued by writer threads.
         let dirty = std::mem::take(&mut *shard.dirty.lock().expect("dirty list"));
@@ -764,14 +809,16 @@ fn event_loop(
             if ev.token == WAKER_TOKEN {
                 continue;
             }
-            // A connection just read from is flushed too: replies its
-            // frames queued here (`Busy`, unknown session, decode errors)
-            // go out with the batch, without a self-pipe wake.
-            let open = ev.readable && et.readable(ev.token, &mut scratch);
-            if open || ev.writable {
+            if ev.readable {
+                et.readable(ev.token, &mut scratch);
+            }
+            if ev.writable {
                 flush_queue.push_back(ev.token);
             }
         }
+        // Hand the batch's work on before writing anything, so workers
+        // start while this thread flushes.
+        et.end_batch();
         while let Some(token) = flush_queue.pop_front() {
             et.flush(token);
         }
@@ -780,12 +827,15 @@ fn event_loop(
             et.sweep(now);
             last_sweep = now;
         }
+        // Closes from failed flushes and the sweep.
+        et.end_batch();
     }
     // Shutdown (or poller failure): tear everything down so each
     // connection gets its on_close exactly once.
     for token in et.live_tokens() {
         et.teardown(token);
     }
+    et.end_batch();
 }
 
 #[cfg(test)]
@@ -897,9 +947,16 @@ mod tests {
             intake: Mutex::new(Vec::new()),
             dirty: Mutex::new(Vec::new()),
             waker,
+            writes: AtomicU64::new(0),
         });
         sock.set_nonblocking(true).expect("nonblocking socket");
-        let handle = ConnHandle::new(0, Arc::clone(&shard), Arc::new(Stream::Unix(sock)), 1 << 20);
+        let handle = ConnHandle::new(
+            0,
+            0,
+            Arc::clone(&shard),
+            Arc::new(Stream::Unix(sock)),
+            1 << 20,
+        );
         (handle, shard, wake_rx)
     }
 
@@ -938,17 +995,21 @@ mod tests {
     }
 
     /// Replies to `Poll { session }`: every third session is answered
-    /// `Busy` straight from the event thread, the rest are handed to a
-    /// lane thread that acks them and flushes when its queue runs dry.
-    /// Both record each reply in `order` under the lock they queue it
-    /// under, so `order` is the outbuf's queue order.
+    /// `Busy` straight from the event thread and flushed at the batch
+    /// end, the rest are handed to a lane thread that acks them and
+    /// flushes when its queue runs dry. Both record each reply in `order`
+    /// under the lock they queue it under, so `order` is the outbuf's
+    /// queue order.
     struct SplitReplies {
         lane: Mutex<std::sync::mpsc::Sender<(Arc<ConnHandle>, u64)>>,
         order: Arc<Mutex<Vec<u64>>>,
     }
 
     impl ConnEvents for SplitReplies {
-        fn on_frame(&self, conn: &Arc<ConnHandle>, frame: Frame) {
+        /// Connections answered from the event thread in this batch.
+        type Batch = Vec<Arc<ConnHandle>>;
+
+        fn on_frame(&self, answered: &mut Self::Batch, conn: &Arc<ConnHandle>, frame: Frame) {
             let Frame::Poll { session } = frame else {
                 panic!("unexpected request {frame:?}");
             };
@@ -956,6 +1017,7 @@ mod tests {
                 let mut order = self.order.lock().unwrap();
                 conn.send(&Frame::Busy { session, depth: 1 });
                 order.push(session);
+                answered.push(Arc::clone(conn));
             } else {
                 let lane = self.lane.lock().unwrap();
                 lane.send((Arc::clone(conn), session)).unwrap();
@@ -966,7 +1028,13 @@ mod tests {
             panic!("unexpected decode error {err}");
         }
 
-        fn on_close(&self, _: &Arc<ConnHandle>) {}
+        fn on_close(&self, _: &mut Self::Batch, _: &Arc<ConnHandle>) {}
+
+        fn on_batch_end(&self, answered: &mut Self::Batch) {
+            for conn in answered.drain(..) {
+                conn.flush();
+            }
+        }
     }
 
     #[test]

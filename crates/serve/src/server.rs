@@ -6,11 +6,11 @@
 //!  accept thread ──► reactor event threads (fixed count)
 //!                        │  epoll/poll readiness, frame reassembly,
 //!                        │  routing, backpressure  [crate::reactor]
-//!                        ▼
+//!                        ▼  one message per lane per readiness batch
 //!                 worker lanes (dedicated threads, one per lane)
 //!                        │  own the sessions, run the engines,
 //!                        │  push subscription events
-//!                        ▼
+//!                        ▼  one write per connection per batch
 //!                 replies through each connection's outbuf
 //! ```
 //!
@@ -24,6 +24,16 @@
 //! given: a small host still gets the configured lane structure (and
 //! with it testable rebalancing), it just timeslices the lanes.
 //!
+//! **One lane per connection.** Connections are dealt to lanes
+//! round-robin in accept order, and a session opens on its connection's
+//! lane, so one client's burst is served by one lane and answered by one
+//! write.
+//!
+//! **Batched hand-off.** The router collects the commands of a whole
+//! reactor readiness batch per lane and hands each lane one message when
+//! the batch ends (the reactor's batch-end hook), not one channel send
+//! per frame.
+//!
 //! **Backpressure is shed-don't-stall**: every session carries an
 //! inflight gauge counting `StepSamples` frames queued to its lane but
 //! not yet processed. A step arriving with the gauge at
@@ -35,27 +45,36 @@
 //! `Unsubscribe`) bypass the gauge so a client can always drain state
 //! from a busy session.
 //!
-//! **Lanes rebalance dynamically**: sessions are placed round-robin at
-//! open, but workloads skew — one hot session can back its lane up while
-//! others idle. The router tracks per-lane queue depth and a per-session
-//! service-time EWMA; when a step finds its lane's backlog at least
-//! [`ServerConfig::rebalance_depth`] deeper than the lightest lane's
-//! (hysteresis, so balanced load never thrashes) and the session is past
-//! its migration cooldown, the session's engine is handed to the lighter
-//! lane at that step boundary. Migration is a `Migrate` → `Adopt`
-//! command handoff between the lanes; commands routed to the new lane
-//! before the state arrives are parked and drained in order, so
-//! per-session FIFO — and therefore bit-identical extraction — is
-//! preserved. [`Server::migrations`] counts completed handoffs.
+//! **Lanes rebalance on averaged depth**: placement follows connections,
+//! but workloads skew — one hot session can back its lane up while
+//! others idle. The router samples every lane's queue depth right after
+//! each readiness batch's hand-off and keeps an exponential average of it
+//! over about 64 batches; it also keeps a per-session service-time EWMA.
+//! When a step finds its lane's averaged depth at least
+//! [`ServerConfig::rebalance_depth`] above the lightest lane's and the
+//! session is past its migration cooldown, the session's engine is
+//! handed to the lighter lane at that step boundary. Averaging is what
+//! keeps uniform load in place: a burst that reaches one lane before the
+//! other moves the averages only a little, while a backlog that persists
+//! moves them all the way. Migration is a `Migrate` → `Adopt` command
+//! handoff between the lanes; commands routed to the new lane before the
+//! state arrives are parked and drained in order, so per-session FIFO —
+//! and therefore bit-identical extraction — is preserved. Only the owning
+//! connection's steps migrate a session, so the `Migrate` rides the
+//! owner's batch behind everything the owner routed before it. Another
+//! connection may address the session too: its commands go to the lane at
+//! once, with the session table locked, so none reaches a lane after the
+//! session has left it. [`Server::migrations`] counts completed handoffs.
 //!
-//! **Replies are batched per lane**: a lane queues each reply on its
-//! connection's outbuf and flushes every connection it replied on when
-//! its command queue runs dry (or after a bounded number of commands), so
-//! a burst of steps from one client costs one socket write, not one per
-//! `StepAck`. Replies the router sends from the event thread (`Busy`,
-//! unknown session, protocol errors) are flushed by the reactor at the
-//! end of its readiness batch. Every reply goes through the one outbuf
-//! in queue order, so per-connection order is unchanged.
+//! **One write per connection per batch**: a lane queues each reply on
+//! its connection's outbuf and writes the connection right after the last
+//! command of the batch addressed to it, so a burst of steps from one
+//! client costs one socket write ([`Server::reply_writes`] counts them)
+//! and no connection waits for the commands queued behind its own.
+//! Replies the router sends from the event thread (`Busy`, unknown
+//! session, protocol errors) are written at the end of the readiness
+//! batch, right after the hand-off. Every reply goes through the one
+//! outbuf in queue order, so per-connection order is unchanged.
 //!
 //! **Subscriptions stream features**: a client that sends
 //! [`Frame::Subscribe`] gets a [`Frame::FeatureEvent`] pushed whenever a
@@ -83,8 +102,8 @@ use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use insitu::region::FeatureValue;
@@ -114,10 +133,13 @@ pub struct ServerConfig {
     /// stops reading past it is disconnected instead of buffered
     /// without bound.
     pub outbuf_cap: usize,
-    /// Lane-rebalancing hysteresis: migrate a stepping session when its
-    /// lane's queue is at least this much deeper than the lightest
-    /// lane's (and at least this deep in absolute terms). Zero disables
-    /// rebalancing.
+    /// Lane-rebalancing hysteresis, on averaged queue depth: migrate a
+    /// stepping session when its lane's depth, averaged over the last
+    /// readiness batches, is at least this much deeper than the lightest
+    /// lane's average (and at least this deep in absolute terms). A burst
+    /// that reaches one lane before another moves the averages only a
+    /// little, so uniform load does not migrate; a backlog that persists
+    /// does. Zero disables rebalancing.
     pub rebalance_depth: usize,
     /// Minimum routed steps between two migrations of the same session,
     /// so a borderline session does not ping-pong between lanes.
@@ -200,7 +222,7 @@ enum Command {
     /// state to the lane behind `to` (as a [`Command::Adopt`]).
     Migrate {
         session: u64,
-        to: Sender<Command>,
+        to: Sender<Vec<Command>>,
     },
     /// Rebalancing: the migrated session state, arriving at its new
     /// lane. Lane-to-lane, never produced by the router.
@@ -230,9 +252,10 @@ impl Command {
         }
     }
 
-    /// The connection a command would reply to, for the lane's panic
-    /// eviction path.
-    fn reply_conn(&self) -> Option<Arc<ConnHandle>> {
+    /// The connection a command replies to: the lane writes it after
+    /// the last command of a run addressed to it, and its panic eviction
+    /// path answers there.
+    fn reply_conn(&self) -> Option<&Arc<ConnHandle>> {
         match self {
             Command::Open { conn, .. }
             | Command::Step { conn, .. }
@@ -243,8 +266,8 @@ impl Command {
             | Command::Subscribe { conn, .. }
             | Command::Unsubscribe { conn, .. }
             | Command::Snapshot { conn, .. }
-            | Command::Restore { conn, .. } => Some(Arc::clone(conn)),
-            Command::Close { conn, .. } => conn.as_ref().map(Arc::clone),
+            | Command::Restore { conn, .. } => Some(conn),
+            Command::Close { conn, .. } => conn.as_ref(),
             Command::Migrate { .. } | Command::Adopt { .. } => None,
         }
     }
@@ -263,6 +286,8 @@ struct LaneSession {
 /// Routing record for one open session.
 struct Entry {
     lane: usize,
+    /// The connection that opened the session ([`ConnHandle::id`]).
+    owner: u64,
     inflight: Arc<AtomicUsize>,
     /// EWMA of per-step service time in nanoseconds (0 = no step
     /// measured yet; such sessions are never migrated).
@@ -284,8 +309,11 @@ struct Shared {
     next_session: AtomicU64,
     running: AtomicBool,
     inflight_limit: usize,
-    /// Commands queued to each lane but not yet processed.
+    /// Commands handed to each lane but not yet processed.
     lane_depth: Vec<AtomicUsize>,
+    /// Each lane's depth averaged over readiness batches (`f64` bits),
+    /// the quantity rebalancing compares.
+    avg_depth: Vec<AtomicU64>,
     /// Completed lane migrations (observable via [`Server::migrations`]).
     migrations: AtomicU64,
     rebalance_depth: usize,
@@ -296,7 +324,25 @@ struct Shared {
 /// event threads) and leave as lane commands or immediate replies.
 struct Router {
     shared: Arc<Shared>,
-    lanes: Vec<Sender<Command>>,
+    lanes: Vec<Sender<Vec<Command>>>,
+}
+
+/// What one event thread's router collects over a readiness batch: the
+/// commands for each lane, handed off at the batch's end, and the
+/// connections it answered itself, flushed right after.
+#[derive(Default)]
+struct Handoff {
+    lanes: Vec<Vec<Command>>,
+    replies: Replies,
+}
+
+impl Handoff {
+    fn push(&mut self, lane: usize, cmd: Command) {
+        if self.lanes.len() <= lane {
+            self.lanes.resize_with(lane + 1, Vec::new);
+        }
+        self.lanes[lane].push(cmd);
+    }
 }
 
 /// A running analysis server. Dropping it (or calling
@@ -350,6 +396,12 @@ impl Server {
         self.shared.migrations.load(Ordering::Relaxed)
     }
 
+    /// Socket writes that carried replies since startup, over every
+    /// connection (0 once the server has stopped).
+    pub fn reply_writes(&self) -> u64 {
+        self.reactor.as_ref().map_or(0, |reactor| reactor.writes())
+    }
+
     fn start(
         listener: Listener,
         tcp_addr: Option<SocketAddr>,
@@ -364,6 +416,7 @@ impl Server {
             running: AtomicBool::new(true),
             inflight_limit: config.inflight_limit.max(1),
             lane_depth: (0..lane_count).map(|_| AtomicUsize::new(0)).collect(),
+            avg_depth: (0..lane_count).map(|_| AtomicU64::new(0)).collect(),
             migrations: AtomicU64::new(0),
             rebalance_depth: config.rebalance_depth,
             rebalance_cooldown: config.rebalance_cooldown.max(1),
@@ -372,7 +425,7 @@ impl Server {
         let mut senders = Vec::with_capacity(lane_count);
         let mut workers = Vec::with_capacity(lane_count);
         for me in 0..lane_count {
-            let (tx, rx) = mpsc::channel::<Command>();
+            let (tx, rx) = mpsc::channel::<Vec<Command>>();
             senders.push(tx);
             let shared_for_lane = Arc::clone(&shared);
             workers.push(
@@ -393,7 +446,7 @@ impl Server {
                 idle_timeout: config.idle_timeout,
                 outbuf_cap: config.outbuf_cap.max(1 << 16),
             },
-            Arc::clone(&router) as Arc<dyn ConnEvents>,
+            Arc::clone(&router),
         )?);
 
         let accept = {
@@ -477,37 +530,68 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>, reactor: Arc<Reactor>) {
     }
 }
 
-impl Router {
-    /// Queues a command to a lane, keeping the depth gauge consistent.
-    /// `false` means the lane is gone (server stopping).
-    fn dispatch(&self, lane: usize, cmd: Command) -> bool {
-        self.shared.lane_depth[lane].fetch_add(1, Ordering::AcqRel);
-        if self.lanes[lane].send(cmd).is_ok() {
-            return true;
-        }
-        self.shared.lane_depth[lane].fetch_sub(1, Ordering::AcqRel);
-        false
-    }
+/// Readiness batches an averaged lane depth spans (see
+/// `Router::sample_depths`). Chosen on measurements from a 2-core host:
+/// serve-fleet's traffic (two connections on two lanes, 6 s traced)
+/// migrated 230–286 sessions at 16, 89–112 at 32 and 3–24 at 64, while
+/// at 64 the hot pipelined session of the service tests still migrated
+/// 3–7 times in each of 20 runs.
+const DEPTH_WINDOW: f64 = 64.0;
 
+impl Router {
     /// Routes a session-addressed control command (gauge-exempt).
     fn route_control(
         &self,
+        batch: &mut Handoff,
         conn: &Arc<ConnHandle>,
         session: u64,
         make: impl FnOnce(Arc<ConnHandle>) -> Command,
     ) {
-        let lane = {
-            let table = self.shared.sessions.lock().expect("session table");
-            match table.get(&session) {
-                Some(entry) => entry.lane,
-                None => {
-                    reply_unknown(conn, session);
-                    return;
-                }
-            }
+        let table = self.shared.sessions.lock().expect("session table");
+        let Some(entry) = table.get(&session) else {
+            drop(table);
+            batch.replies.send(conn, &unknown_session(session));
+            return;
         };
-        if !self.dispatch(lane, make(Arc::clone(conn))) {
-            reply_error(conn, session, ErrorCode::Internal, "server stopping");
+        let (lane, owned) = (entry.lane, entry.owner == conn.id());
+        self.queue(table, batch, owned, lane, make(Arc::clone(conn)));
+    }
+
+    /// Queues `cmd` for `lane` and unlocks the session table. The owning
+    /// connection's commands ride its event thread's batch, which holds
+    /// them in routing order with any `Migrate` decided among them.
+    /// Another connection's command goes to the lane at once: its own
+    /// event thread's batch can end after the owner's, and handed on then
+    /// it could reach the old lane after the session left it. Sent with
+    /// the table still locked, it is queued ahead of any `Migrate` decided
+    /// after its lookup.
+    fn queue(
+        &self,
+        table: MutexGuard<'_, HashMap<u64, Entry>>,
+        batch: &mut Handoff,
+        owned: bool,
+        lane: usize,
+        cmd: Command,
+    ) {
+        if owned {
+            drop(table);
+            batch.push(lane, cmd);
+        } else {
+            self.hand(&mut batch.replies, lane, vec![cmd]);
+        }
+    }
+
+    /// Sends `cmds` to `lane` as one message, counted into its depth;
+    /// refuses them if the lane is gone (server stopping).
+    fn hand(&self, replies: &mut Replies, lane: usize, cmds: Vec<Command>) {
+        let n = cmds.len();
+        let depth = &self.shared.lane_depth[lane];
+        depth.fetch_add(n, Ordering::AcqRel);
+        if let Err(mpsc::SendError(cmds)) = self.lanes[lane].send(cmds) {
+            depth.fetch_sub(n, Ordering::AcqRel);
+            for cmd in cmds {
+                refuse(replies, cmd);
+            }
         }
     }
 
@@ -516,8 +600,8 @@ impl Router {
     /// receive a `Migrate` command when the decision fires (the entry is
     /// already retargeted at that point).
     fn rebalance(&self, entry: &mut Entry) -> Option<usize> {
-        let depth_gate = self.shared.rebalance_depth;
-        if depth_gate == 0
+        let depth_gate = self.shared.rebalance_depth as f64;
+        if depth_gate == 0.0
             || entry.migrating
             || entry.closing
             || entry.service_ns.load(Ordering::Relaxed) == 0
@@ -525,25 +609,30 @@ impl Router {
         {
             return None;
         }
-        let here = self.shared.lane_depth[entry.lane].load(Ordering::Relaxed);
+        let avg = &self.shared.avg_depth;
+        let here = load_f64(&avg[entry.lane]);
         if here < depth_gate {
             return None;
         }
-        let (best, best_depth) = self
-            .shared
-            .lane_depth
+        let (best, best_depth) = avg
             .iter()
+            .map(load_f64)
             .enumerate()
-            .map(|(i, d)| (i, d.load(Ordering::Relaxed)))
-            .min_by_key(|&(_, depth)| depth)?;
-        // Hysteresis: only migrate across an imbalance of at least the
-        // depth gate. This damps migration but does not stop it under
-        // uniform load: a client's burst lands on one lane's queue before
-        // the others', so momentary gaps cross the gate and sessions do
-        // move between equally loaded lanes.
+            .min_by(|a, b| a.1.total_cmp(&b.1))?;
+        // Hysteresis on averaged depth: a burst that reaches one lane
+        // before the others moves the averages by a fraction of its
+        // size, so equally loaded lanes stay put.
         if best == entry.lane || here < best_depth + depth_gate {
             return None;
         }
+        // The session takes one command a batch with it. Moving that
+        // much of the averages now keeps one wide imbalance from
+        // migrating every eligible session before the next sample:
+        // without it, `uniform_load_does_not_migrate_sessions` moves all
+        // 32 sessions of the client still bursting when the other one
+        // finishes.
+        add_f64(&avg[entry.lane], -1.0);
+        add_f64(&avg[best], 1.0);
         let from = entry.lane;
         entry.lane = best;
         entry.migrating = true;
@@ -551,17 +640,35 @@ impl Router {
         Some(from)
     }
 
-    /// Admits a new session id into the table and dispatches its
-    /// creating command (`Open`, or `Restore` — which is an open that
-    /// also carries state). Rolls the admission back if the lane is
-    /// gone.
-    fn admit(&self, conn: &Arc<ConnHandle>, make: impl FnOnce(u64, Arc<ConnHandle>) -> Command) {
+    /// Folds every lane's current depth into its exponential average,
+    /// with weight `1 / DEPTH_WINDOW`.
+    fn sample_depths(&self) {
+        let weight = 1.0 / DEPTH_WINDOW;
+        for (depth, avg) in self.shared.lane_depth.iter().zip(&self.shared.avg_depth) {
+            let now = depth.load(Ordering::Relaxed) as f64;
+            let _ = avg.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                let old = f64::from_bits(bits);
+                Some((old + (now - old) * weight).to_bits())
+            });
+        }
+    }
+
+    /// Admits a new session id into the table and queues its creating
+    /// command (`Open`, or `Restore` — which is an open that also carries
+    /// state) on its connection's lane.
+    fn admit(
+        &self,
+        batch: &mut Handoff,
+        conn: &Arc<ConnHandle>,
+        make: impl FnOnce(u64, Arc<ConnHandle>) -> Command,
+    ) {
         let session = self.shared.next_session.fetch_add(1, Ordering::Relaxed);
-        let lane = (session as usize) % self.lanes.len();
+        let lane = (conn.id() % self.lanes.len() as u64) as usize;
         self.shared.sessions.lock().expect("session table").insert(
             session,
             Entry {
                 lane,
+                owner: conn.id(),
                 inflight: Arc::new(AtomicUsize::new(0)),
                 service_ns: Arc::new(AtomicU64::new(0)),
                 steps_routed: 0,
@@ -571,82 +678,70 @@ impl Router {
             },
         );
         conn.attach_session(session);
-        if !self.dispatch(lane, make(session, Arc::clone(conn))) {
-            self.shared
-                .sessions
-                .lock()
-                .expect("session table")
-                .remove(&session);
-            conn.detach_session(session);
-            reply_error(conn, 0, ErrorCode::Internal, "server stopping");
-        }
+        batch.push(lane, make(session, Arc::clone(conn)));
     }
 
     fn handle_step(
         &self,
+        batch: &mut Handoff,
         conn: &Arc<ConnHandle>,
         session: u64,
         iteration: u64,
         locations: Vec<u64>,
         values: Vec<f64>,
     ) {
-        let (target, inflight, service_ns, migrate_from) = {
-            let mut table = self.shared.sessions.lock().expect("session table");
-            let Some(entry) = table.get_mut(&session) else {
-                drop(table);
-                reply_unknown(conn, session);
-                return;
-            };
-            entry.steps_routed += 1;
-            let migrate_from = self.rebalance(entry);
-            (
-                entry.lane,
-                Arc::clone(&entry.inflight),
-                Arc::clone(&entry.service_ns),
-                migrate_from,
-            )
+        let mut table = self.shared.sessions.lock().expect("session table");
+        let Some(entry) = table.get_mut(&session) else {
+            drop(table);
+            batch.replies.send(conn, &unknown_session(session));
+            return;
         };
+        entry.steps_routed += 1;
+        // Only the owner's steps migrate a session: the `Migrate` joins
+        // the owner's batch behind every command it routed to the old
+        // lane (see `Router::queue`).
+        let owned = entry.owner == conn.id();
+        let migrate_from = if owned { self.rebalance(entry) } else { None };
         if let Some(from) = migrate_from {
             self.shared.migrations.fetch_add(1, Ordering::Relaxed);
-            let to = self.lanes[target].clone();
-            self.dispatch(from, Command::Migrate { session, to });
+            let to = self.lanes[entry.lane].clone();
+            batch.push(from, Command::Migrate { session, to });
         }
         // Shed-don't-stall: reserve an inflight slot or bounce.
-        if !try_acquire(&inflight, self.shared.inflight_limit) {
-            conn.send(&Frame::Busy {
-                session,
-                depth: self.shared.inflight_limit as u32,
-            });
+        if !try_acquire(&entry.inflight, self.shared.inflight_limit) {
+            drop(table);
+            let depth = self.shared.inflight_limit as u32;
+            batch.replies.send(conn, &Frame::Busy { session, depth });
             return;
         }
-        let cmd = Command::Step {
+        let lane = entry.lane;
+        let step = Command::Step {
             session,
             iteration,
             locations,
             values,
-            inflight: Arc::clone(&inflight),
-            service_ns,
+            inflight: Arc::clone(&entry.inflight),
+            service_ns: Arc::clone(&entry.service_ns),
             conn: Arc::clone(conn),
         };
-        if !self.dispatch(target, cmd) {
-            inflight.fetch_sub(1, Ordering::AcqRel);
-            reply_error(conn, session, ErrorCode::Internal, "server stopping");
-        }
+        self.queue(table, batch, owned, lane, step);
     }
 }
 
 impl ConnEvents for Router {
-    fn on_frame(&self, conn: &Arc<ConnHandle>, frame: Frame) {
+    type Batch = Handoff;
+
+    fn on_frame(&self, batch: &mut Handoff, conn: &Arc<ConnHandle>, frame: Frame) {
         match frame {
             Frame::OpenSession(spec) => {
-                self.admit(conn, |session, conn| Command::Open {
+                self.admit(batch, conn, |session, conn| Command::Open {
                     session,
                     spec: Box::new(spec),
                     conn,
                 });
             }
             Frame::Restore { spec, data } => {
-                self.admit(conn, |session, conn| Command::Restore {
+                self.admit(batch, conn, |session, conn| Command::Restore {
                     session,
                     spec: Box::new(spec),
                     data,
@@ -658,54 +753,64 @@ impl ConnEvents for Router {
                 iteration,
                 locations,
                 values,
-            } => self.handle_step(conn, session, iteration, locations, values),
+            } => self.handle_step(batch, conn, session, iteration, locations, values),
             Frame::Extract { session } => {
-                self.route_control(conn, session, |conn| Command::Extract { session, conn });
+                self.route_control(batch, conn, session, |conn| Command::Extract {
+                    session,
+                    conn,
+                });
             }
             Frame::Features { session } => {
-                self.route_control(conn, session, |conn| Command::Features { session, conn });
+                self.route_control(batch, conn, session, |conn| Command::Features {
+                    session,
+                    conn,
+                });
             }
             Frame::Poll { session } => {
-                self.route_control(conn, session, |conn| Command::Poll { session, conn });
+                self.route_control(batch, conn, session, |conn| Command::Poll { session, conn });
             }
             Frame::Stats { session } => {
-                self.route_control(conn, session, |conn| Command::Stats { session, conn });
+                self.route_control(batch, conn, session, |conn| Command::Stats {
+                    session,
+                    conn,
+                });
             }
             Frame::Subscribe { session } => {
-                self.route_control(conn, session, |conn| Command::Subscribe { session, conn });
+                self.route_control(batch, conn, session, |conn| Command::Subscribe {
+                    session,
+                    conn,
+                });
             }
             Frame::Unsubscribe { session } => {
-                self.route_control(conn, session, |conn| Command::Unsubscribe { session, conn });
+                self.route_control(batch, conn, session, |conn| Command::Unsubscribe {
+                    session,
+                    conn,
+                });
             }
             Frame::Snapshot { session } => {
-                self.route_control(conn, session, |conn| Command::Snapshot { session, conn });
+                self.route_control(batch, conn, session, |conn| Command::Snapshot {
+                    session,
+                    conn,
+                });
             }
             Frame::CloseSession { session } => {
                 // The entry stays in the table (marked closing) until the
                 // lane has dropped the session: commands racing the close
                 // keep routing to the owner and resolve there, in order.
-                let lane = {
-                    let mut table = self.shared.sessions.lock().expect("session table");
-                    match table.get_mut(&session) {
-                        Some(entry) => {
-                            entry.closing = true;
-                            entry.lane
-                        }
-                        None => {
-                            drop(table);
-                            reply_unknown(conn, session);
-                            return;
-                        }
-                    }
+                let mut table = self.shared.sessions.lock().expect("session table");
+                let Some(entry) = table.get_mut(&session) else {
+                    drop(table);
+                    batch.replies.send(conn, &unknown_session(session));
+                    return;
                 };
-                conn.detach_session(session);
-                let cmd = Command::Close {
+                entry.closing = true;
+                let (lane, owned) = (entry.lane, entry.owner == conn.id());
+                let close = Command::Close {
                     session,
                     conn: Some(Arc::clone(conn)),
                 };
-                if !self.dispatch(lane, cmd) {
-                    reply_error(conn, session, ErrorCode::Internal, "server stopping");
-                }
+                self.queue(table, batch, owned, lane, close);
+                conn.detach_session(session);
             }
             // Response frames arriving at the server are a peer bug.
             _ => {
@@ -725,9 +830,10 @@ impl ConnEvents for Router {
         // stream), the peer gets the diagnostic; on the fatal path the
         // reactor tears the connection down right after this reply.
         reply_error(conn, 0, ErrorCode::Protocol, &err.to_string());
+        conn.flush();
     }
 
-    fn on_close(&self, conn: &Arc<ConnHandle>) {
+    fn on_close(&self, batch: &mut Handoff, conn: &Arc<ConnHandle>) {
         // The connection is gone: evict every session it still owned.
         for session in conn.take_sessions() {
             let lane = {
@@ -740,7 +846,7 @@ impl ConnEvents for Router {
                     None => continue,
                 }
             };
-            self.dispatch(
+            batch.push(
                 lane,
                 Command::Close {
                     session,
@@ -749,6 +855,47 @@ impl ConnEvents for Router {
             );
         }
     }
+
+    /// Hands each lane everything the batch routed to it as one message,
+    /// samples the lane depths for rebalancing, then writes the replies
+    /// the router sent itself.
+    fn on_batch_end(&self, batch: &mut Handoff) {
+        let mut handed = false;
+        for (lane, cmds) in batch.lanes.iter_mut().enumerate() {
+            let n = cmds.len();
+            if n == 0 {
+                continue;
+            }
+            handed = true;
+            let cmds = std::mem::replace(cmds, Vec::with_capacity(n));
+            self.hand(&mut batch.replies, lane, cmds);
+        }
+        if handed {
+            self.sample_depths();
+        }
+        batch.replies.flush();
+    }
+}
+
+/// Answers a command whose lane is gone.
+fn refuse(replies: &mut Replies, cmd: Command) {
+    if let Command::Step { inflight, .. } = &cmd {
+        inflight.fetch_sub(1, Ordering::AcqRel);
+    }
+    if let Some(conn) = cmd.reply_conn() {
+        let frame = error_frame(cmd.session_id(), ErrorCode::Internal, "server stopping");
+        replies.send(conn, &frame);
+    }
+}
+
+fn load_f64(cell: &AtomicU64) -> f64 {
+    f64::from_bits(cell.load(Ordering::Relaxed))
+}
+
+fn add_f64(cell: &AtomicU64, delta: f64) {
+    let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+        Some((f64::from_bits(bits) + delta).max(0.0).to_bits())
+    });
 }
 
 /// Reserves one inflight slot unless the gauge is at the limit.
@@ -764,10 +911,6 @@ fn try_acquire(gauge: &AtomicUsize, limit: usize) -> bool {
             Err(observed) => current = observed,
         }
     }
-}
-
-fn reply_unknown(conn: &Arc<ConnHandle>, session: u64) {
-    reply_error(conn, session, ErrorCode::UnknownSession, "no such session");
 }
 
 fn reply_error(conn: &Arc<ConnHandle>, session: u64, code: ErrorCode, msg: &str) {
@@ -797,12 +940,6 @@ fn ewma_update(cell: &AtomicU64, sample_ns: u64) {
     };
     cell.store(new, Ordering::Relaxed);
 }
-
-/// Most commands a lane handles between two flushes of its replies: a
-/// lane flushes when its queue runs dry, and after this many commands
-/// at the latest, so one ack never waits behind an unbounded backlog
-/// from other connections.
-const FLUSH_EVERY: usize = 32;
 
 /// The connections a lane has queued replies on since its last flush.
 #[derive(Default)]
@@ -840,7 +977,7 @@ struct Lane {
     replies: Replies,
 }
 
-fn lane_loop(rx: Receiver<Command>, shared: Arc<Shared>, me: usize) {
+fn lane_loop(rx: Receiver<Vec<Command>>, shared: Arc<Shared>, me: usize) {
     let mut lane = Lane {
         me,
         shared,
@@ -848,33 +985,30 @@ fn lane_loop(rx: Receiver<Command>, shared: Arc<Shared>, me: usize) {
         parked: HashMap::new(),
         replies: Replies::default(),
     };
-    let mut batch = 0;
-    loop {
-        let next = match rx.try_recv() {
-            Err(TryRecvError::Empty) => {
-                // The queue ran dry: the batch ends before the lane blocks.
-                lane.replies.flush();
-                batch = 0;
-                rx.recv().ok()
-            }
-            received => received.ok(),
-        };
-        let Some(cmd) = next else {
-            break;
-        };
-        lane.receive(cmd);
-        batch += 1;
-        if batch == FLUSH_EVERY {
-            lane.replies.flush();
-            batch = 0;
-        }
+    for batch in rx {
+        lane.run(batch);
     }
-    lane.replies.flush();
     // Channel disconnected: the server is shutting down. Sessions drop
     // here, joining their engines' in-flight work.
 }
 
 impl Lane {
+    /// Runs one hand-off batch in order. Each connection is written right
+    /// after the last command of a run addressed to it, so a client's
+    /// burst is answered in one write and no connection waits for the
+    /// commands behind its own.
+    fn run(&mut self, batch: Vec<Command>) {
+        let mut batch = batch.into_iter().peekable();
+        while let Some(cmd) = batch.next() {
+            let conn = cmd.reply_conn().map(Arc::as_ptr);
+            self.receive(cmd);
+            let next = batch.peek().and_then(Command::reply_conn).map(Arc::as_ptr);
+            if next.is_none() || next != conn {
+                self.replies.flush();
+            }
+        }
+    }
+
     fn receive(&mut self, cmd: Command) {
         if let Command::Adopt { session, state } = cmd {
             self.adopt(session, *state);
@@ -898,7 +1032,7 @@ impl Lane {
     /// [`ErrorCode::Internal`].
     fn handle_isolated(&mut self, cmd: Command) {
         let session = cmd.session_id();
-        let conn = cmd.reply_conn();
+        let conn = cmd.reply_conn().cloned();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.handle(cmd)));
         if outcome.is_err() {
             self.sessions.remove(&session);
@@ -1180,10 +1314,10 @@ impl Lane {
                 // retains a sender to another lane — shutdown stays a
                 // simple channel-disconnect cascade.
                 if let Some(state) = self.sessions.remove(&session) {
-                    let _ = to.send(Command::Adopt {
+                    let _ = to.send(vec![Command::Adopt {
                         session,
                         state: Box::new(state),
-                    });
+                    }]);
                 }
             }
         }

@@ -5,7 +5,7 @@
 //! shutdown must wind every session down without hanging.
 
 use std::io::{Read, Write};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use insitu::collect::Retention;
@@ -591,4 +591,225 @@ fn windowed_sessions_stream_far_past_their_window() {
     assert_eq!(status.samples_collected, 2000 * 8);
     client.close_session(session).expect("close");
     server.shutdown();
+}
+
+type Features = Vec<(String, insitu::region::FeatureValue)>;
+
+/// The traffic of the burst tests below: loadgen sessions of `bursts`
+/// steps, session `at` of a connection replaying pulse seed `at % 8`.
+fn burst_config(bursts: u64) -> LoadgenConfig {
+    LoadgenConfig {
+        steps: bursts,
+        ..LoadgenConfig::default()
+    }
+}
+
+fn burst_values(config: &LoadgenConfig, at: usize, it: u64) -> Vec<f64> {
+    (1..=config.locations as u64)
+        .map(|l| loadgen::pulse_value((at % 8) as u64, it, l))
+        .collect()
+}
+
+/// Opens `sessions` sessions on `client` for `bursts` steps each.
+fn open_bursts(client: &mut Client, sessions: usize, bursts: u64) -> Vec<u64> {
+    (0..sessions)
+        .map(|_| {
+            client
+                .open_session(burst_config(bursts).session_spec())
+                .expect("open")
+        })
+        .collect()
+}
+
+/// Steps `ids` through every burst, then returns their features.
+fn step_bursts(client: &mut Client, ids: &[u64], bursts: u64) -> Vec<Features> {
+    let config = burst_config(bursts);
+    let locations: Vec<u64> = (1..=config.locations as u64).collect();
+    for it in 0..bursts {
+        let bounced = client
+            .step_burst(ids, it, &locations, |session| {
+                let at = ids.iter().position(|&s| s == session).expect("own session");
+                burst_values(&config, at, it)
+            })
+            .expect("burst");
+        assert_eq!(
+            bounced, 0,
+            "one step a session never reaches the inflight limit"
+        );
+    }
+    ids.iter()
+        .map(|&id| client.extract(id).expect("extract"))
+        .collect()
+}
+
+/// Checks every session against an in-process session fed its stream.
+fn assert_bursts_match_references(served: &[Features], bursts: u64) {
+    let config = burst_config(bursts);
+    let locations: Vec<u64> = (1..=config.locations as u64).collect();
+    for (at, got) in served.iter().enumerate() {
+        let mut reference = Session::open(&config.session_spec()).expect("reference open");
+        for it in 0..bursts {
+            reference
+                .step(it, &locations, &burst_values(&config, at, it))
+                .expect("reference step");
+        }
+        assert_eq!(
+            *got,
+            reference.extract(),
+            "session {at} differs from its reference"
+        );
+    }
+}
+
+/// Two connections stepping identical bursts on a two-lane server are
+/// uniform load: each connection's sessions open on its own lane and must
+/// stay there. A burst reaches one lane before the other, which an
+/// instantaneous depth gate mistakes for an imbalance (about one
+/// migration per 500 steps); the averaged depth does not. Every session
+/// still equals its in-process reference.
+#[test]
+fn uniform_load_does_not_migrate_sessions() {
+    const SESSIONS: usize = 32;
+    const BURSTS: u64 = 240;
+    let server = Server::bind_tcp(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind tcp");
+    let addr = server.tcp_addr().expect("tcp addr");
+    let served: Vec<Vec<Features>> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut client = Client::connect_tcp(addr).expect("connect");
+                    let ids = open_bursts(&mut client, SESSIONS, BURSTS);
+                    step_bursts(&mut client, &ids, BURSTS)
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client thread"))
+            .collect()
+    });
+    let migrations = server.migrations();
+    server.shutdown();
+    for features in &served {
+        assert_bursts_match_references(features, BURSTS);
+    }
+    // The one imbalance left is the tail: whichever client finishes first
+    // leaves its lane idle while the other still bursts 32 deep, and
+    // rebalancing rightly moves sessions toward the idle lane. Each move
+    // shifts one command of averaged depth, so the gap closes below the
+    // 16-deep gate after at most (32 - 16) / 2 + 1 = 9 moves; a client
+    // the scheduler stalls mid-run can open one more such episode. On a
+    // 2-core host this test read 0–2 migrations over 20 runs, and 39–149
+    // over 12 runs with the instantaneous depth gate.
+    assert!(
+        migrations <= 16,
+        "{migrations} migrations between two equally loaded lanes over {} steps",
+        2 * SESSIONS as u64 * BURSTS
+    );
+}
+
+/// A burst from one connection is served by one lane and answered by one
+/// socket write, not one per lane that holds some of its sessions.
+/// Rebalancing is off: a lone client keeping one of four lanes busy is a
+/// real imbalance, so it would spread the sessions, and each lane then
+/// answers its share in a write of its own.
+#[test]
+fn a_burst_on_one_connection_is_answered_in_one_write() {
+    const SESSIONS: usize = 32;
+    const BURSTS: u64 = 200;
+    let server = Server::bind_tcp(
+        "127.0.0.1:0",
+        ServerConfig {
+            rebalance_depth: 0,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind tcp");
+    let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).expect("connect");
+    // Each open is a round trip of its own: count from the first burst.
+    let ids = open_bursts(&mut client, SESSIONS, BURSTS);
+    let before = server.reply_writes();
+    let served = step_bursts(&mut client, &ids, BURSTS);
+    // The extracts are `SESSIONS` more lock-step replies.
+    let writes = server.reply_writes() - before - SESSIONS as u64;
+    let per_burst = writes as f64 / BURSTS as f64;
+    assert!(
+        per_burst <= 1.25,
+        "{writes} reply writes for {BURSTS} bursts ({per_burst:.2} a burst)"
+    );
+    server.shutdown();
+    assert_bursts_match_references(&served, BURSTS);
+}
+
+/// Other connections may address a session while it migrates. A lone
+/// client on four lanes is a real imbalance, so rebalancing spreads its
+/// sessions while three more connections keep polling them. Every poll
+/// must find its session wherever it lives: one that reached the lane a
+/// session had just left would come back `UnknownSession`.
+#[test]
+fn sessions_polled_from_other_connections_stay_addressable_while_they_migrate() {
+    const SESSIONS: usize = 32;
+    const BURSTS: u64 = 240;
+    const POLLERS: usize = 3;
+    /// Stops the pollers however stepping ends: a failed step must not
+    /// leave the scope waiting on them forever.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(false, Ordering::Relaxed);
+        }
+    }
+    let server = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).expect("bind tcp");
+    let addr = server.tcp_addr().expect("tcp addr");
+    let mut owner = Client::connect_tcp(addr).expect("connect");
+    let ids = open_bursts(&mut owner, SESSIONS, BURSTS);
+    let stepping = AtomicBool::new(true);
+    let served = std::thread::scope(|scope| {
+        let pollers: Vec<_> = (0..POLLERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client = Client::connect_tcp(addr).expect("connect");
+                    let mut polls = 0u64;
+                    // Four pipelined polls a session per round: the
+                    // poller's event thread routes many in one readiness
+                    // batch, and a session can migrate while they wait
+                    // for the batch to end.
+                    let round = 4 * ids.len();
+                    while stepping.load(Ordering::Relaxed) {
+                        for &session in ids.iter().cycle().take(round) {
+                            client.send(&Frame::Poll { session }).expect("send poll");
+                        }
+                        for _ in 0..round {
+                            match client.recv().expect("poll reply") {
+                                Frame::Status { .. } => polls += 1,
+                                other => panic!("a poll of a live session got {other:?}"),
+                            }
+                        }
+                    }
+                    polls
+                })
+            })
+            .collect();
+        let stop = StopOnDrop(&stepping);
+        let served = step_bursts(&mut owner, &ids, BURSTS);
+        drop(stop);
+        for poller in pollers {
+            assert!(poller.join().expect("poller") > 0, "a poller never polled");
+        }
+        served
+    });
+    let migrations = server.migrations();
+    server.shutdown();
+    assert!(
+        migrations >= 1,
+        "a lone client on four lanes never migrated a session"
+    );
+    assert_bursts_match_references(&served, BURSTS);
 }
