@@ -3,13 +3,13 @@
 //! family, and the spatial sampling window. The `ablate_*` binaries print
 //! them.
 
-use insitu::collect::MiniBatch;
-use insitu::model::{
-    metrics, ConvergenceCriteria, IncrementalTrainer, OptimizerKind, TrainerConfig,
-};
+use insitu::model::OptimizerKind;
+use insitu::prelude::*;
+use lulesh::LuleshSim;
 
-use crate::fitting::{fit_series, FitConfig};
-use crate::lulesh_exp;
+use crate::fitting::{self, fit_trainer};
+use crate::lulesh_exp::{physics_iterations, score_velocity_fits, velocity_fit};
+use crate::table::{fmt_pct, TextTable};
 
 /// One ablation measurement: a configuration label, the resulting error
 /// rate, and the number of training batches it took.
@@ -23,82 +23,79 @@ pub struct AblationRow {
     pub batches: usize,
 }
 
-/// Mini-batch size ablation on the LULESH velocity series at the probe
-/// location.
-pub fn minibatch_sweep(size: usize, location: usize, batch_sizes: &[usize]) -> Vec<AblationRow> {
-    let sim = lulesh_exp::run_physics_only(size);
-    let values = sim
-        .diagnostics()
-        .series_at(location)
-        .map(|s| s.values().to_vec())
-        .unwrap_or_default();
-    batch_sizes
-        .iter()
-        .map(|&batch| {
-            let outcome = fit_series(
-                &values,
-                0.6,
-                FitConfig {
-                    batch,
-                    ..FitConfig::default()
-                },
-            );
-            AblationRow {
-                label: format!("batch={batch}"),
-                error_rate_percent: outcome.error_rate_percent,
-                batches: outcome.batches,
-            }
+/// Renders ablation rows as a table: `header` (the configuration), error
+/// rate and mini-batches.
+pub fn table(header: &str, rows: &[AblationRow]) -> TextTable {
+    let mut table = TextTable::new(vec![header, "error rate", "batches"]);
+    for row in rows {
+        let error = fmt_pct(row.error_rate_percent);
+        table.add_row(vec![row.label.clone(), error, row.batches.to_string()]);
+    }
+    table
+}
+
+/// Scores one labelled velocity fit per configuration, all trained under
+/// one engine over a physics-only run of `size`.
+fn sweep(size: usize, fits: Vec<(String, AnalysisSpec<LuleshSim>, u64)>) -> Vec<AblationRow> {
+    score_velocity_fits(size, fits)
+        .into_iter()
+        .map(|(label, score)| AblationRow {
+            label,
+            error_rate_percent: score.mean_error_percent(),
+            batches: score.batches,
         })
         .collect()
 }
 
-/// AR order × lag ablation (extends the paper's Figure 4).
+/// Mini-batch size ablation on the LULESH velocity series at the probe
+/// location, trained on 60 % of the run.
+pub fn minibatch_sweep(size: usize, location: usize, batch_sizes: &[usize]) -> Vec<AblationRow> {
+    let cut = fitting::cut(physics_iterations(size), 0.6);
+    let spatial = IterParam::single(location as u64);
+    let fits = batch_sizes
+        .iter()
+        .map(|&batch| {
+            let spec = velocity_fit(spatial, cut, 1).batch_capacity(batch);
+            (format!("batch={batch}"), spec.build().expect("complete"), 1)
+        })
+        .collect();
+    sweep(size, fits)
+}
+
+/// AR order × lag ablation (extends the paper's Figure 4), trained on 60 %
+/// of the run. Combinations whose lags leave no full mini-batch before the
+/// cut are skipped.
 pub fn lag_order_sweep(
     size: usize,
     location: usize,
     orders: &[usize],
     lags: &[usize],
 ) -> Vec<AblationRow> {
-    let sim = lulesh_exp::run_physics_only(size);
-    let values = sim
-        .diagnostics()
-        .series_at(location)
-        .map(|s| s.values().to_vec())
-        .unwrap_or_default();
-    let mut rows = Vec::new();
+    let cut = fitting::cut(physics_iterations(size), 0.6);
+    let spatial = IterParam::single(location as u64);
+    let mut fits = Vec::new();
     for &order in orders {
         for &lag in lags {
-            if order * lag + 4 >= values.len() {
-                continue;
-            }
-            let outcome = fit_series(
-                &values,
-                0.6,
-                FitConfig {
+            if fitting::fills_a_batch(order, lag as u64, cut) {
+                let trainer = TrainerConfig {
                     order,
-                    lag_steps: lag,
-                    ..FitConfig::default()
-                },
-            );
-            rows.push(AblationRow {
-                label: format!("order={order} lag={lag}"),
-                error_rate_percent: outcome.error_rate_percent,
-                batches: outcome.batches,
-            });
+                    ..fit_trainer()
+                };
+                let spec = velocity_fit(spatial, cut, lag as u64).trainer(trainer);
+                let label = format!("order={order} lag={lag}");
+                fits.push((label, spec.build().expect("complete"), lag as u64));
+            }
         }
     }
-    rows
+    sweep(size, fits)
 }
 
 /// Optimizer ablation: SGD vs momentum vs Adagrad on the same mini-batch
-/// stream (a decaying LULESH velocity series).
+/// stream (the LULESH velocity series at the probe location, trained on
+/// 60 % of the run).
 pub fn optimizer_sweep(size: usize, location: usize) -> Vec<AblationRow> {
-    let sim = lulesh_exp::run_physics_only(size);
-    let values = sim
-        .diagnostics()
-        .series_at(location)
-        .map(|s| s.values().to_vec())
-        .unwrap_or_default();
+    let cut = fitting::cut(physics_iterations(size), 0.6);
+    let spatial = IterParam::single(location as u64);
     let optimizers = [
         ("sgd", OptimizerKind::Sgd { learning_rate: 0.1 }),
         (
@@ -110,71 +107,34 @@ pub fn optimizer_sweep(size: usize, location: usize) -> Vec<AblationRow> {
         ),
         ("adagrad", OptimizerKind::Adagrad { learning_rate: 0.3 }),
     ];
-    let order = 3;
-    optimizers
-        .iter()
-        .map(|(label, kind)| {
-            let mut trainer = IncrementalTrainer::new(TrainerConfig {
-                order,
-                optimizer: *kind,
-                epochs_per_batch: 6,
-                convergence: ConvergenceCriteria::default(),
-            })
-            .expect("valid trainer configuration");
-            let train_end = (values.len() as f64 * 0.6) as usize;
-            let mut batch = MiniBatch::new(order, 16);
-            let mut batches = 0;
-            for i in order..train_end {
-                batch.push_with(values[i], |out| {
-                    for (k, slot) in out.iter_mut().enumerate() {
-                        *slot = values[i - (k + 1)];
-                    }
-                    Some(())
-                });
-                if batch.is_full() {
-                    trainer.train_batch(&batch).expect("uniform row order");
-                    batch.clear();
-                    batches += 1;
-                }
-            }
-            let mut inputs = vec![0.0; order];
-            let mut predicted = Vec::new();
-            let mut actual = Vec::new();
-            for i in order..values.len() {
-                for (k, slot) in inputs.iter_mut().enumerate() {
-                    *slot = values[i - (k + 1)];
-                }
-                if let Ok(p) = trainer.predict(&inputs) {
-                    predicted.push(p);
-                    actual.push(values[i]);
-                }
-            }
-            AblationRow {
-                label: (*label).to_string(),
-                error_rate_percent: metrics::error_rate_percent(&predicted, &actual),
-                batches,
-            }
+    let fits = optimizers
+        .into_iter()
+        .map(|(label, optimizer)| {
+            let trainer = TrainerConfig {
+                optimizer,
+                ..fit_trainer()
+            };
+            let spec = velocity_fit(spatial, cut, 1).trainer(trainer);
+            (label.to_string(), spec.build().expect("complete"), 1)
         })
-        .collect()
+        .collect();
+    sweep(size, fits)
 }
 
 /// Spatial-window ablation (generalizes the paper's Table I): error rate of
 /// the fit as a function of which location interval supplies the training
-/// data.
+/// data, one analysis per window.
 pub fn window_sweep(size: usize, windows: &[(usize, usize)], fraction: f64) -> Vec<AblationRow> {
-    let sim = lulesh_exp::run_physics_only(size);
-    windows
+    let cut = fitting::cut(physics_iterations(size), fraction);
+    let fits = windows
         .iter()
         .map(|&(begin, end)| {
-            let series = lulesh_exp::velocity_series(&sim, begin, end);
-            let error = crate::fitting::mean_fit_error(&series, fraction, FitConfig::default());
-            AblationRow {
-                label: format!("locations ({begin},{end})"),
-                error_rate_percent: error,
-                batches: 0,
-            }
+            let spatial = IterParam::new(begin as u64, end as u64, 1).expect("a window");
+            let spec = velocity_fit(spatial, cut, 1).build().expect("complete");
+            (format!("locations ({begin},{end})"), spec, 1)
         })
-        .collect()
+        .collect();
+    sweep(size, fits)
 }
 
 #[cfg(test)]

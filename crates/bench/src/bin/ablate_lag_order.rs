@@ -1,24 +1,11 @@
 //! Ablation: AR model order and lag vs. curve-fitting error (extends the
 //! paper's Figure 4).
 
-use bench::ablation::lag_order_sweep;
-use bench::table::{fmt_pct, TextTable};
+use bench::ablation::{self, lag_order_sweep};
 
 fn main() {
-    let size = if std::env::var("BENCH_QUICK").is_ok() {
-        16
-    } else {
-        30
-    };
+    let size = bench::quick_or(16, 30);
     let rows = lag_order_sweep(size, 8.min(size / 2), &[1, 2, 3, 5], &[1, 10, 25, 50, 100]);
-    let mut table = TextTable::new(vec!["configuration", "error rate", "batches"]);
-    for row in &rows {
-        table.add_row(vec![
-            row.label.clone(),
-            fmt_pct(row.error_rate_percent),
-            row.batches.to_string(),
-        ]);
-    }
     println!("Ablation — AR order x lag (LULESH velocity, size {size})");
-    println!("{table}");
+    println!("{}", ablation::table("configuration", &rows));
 }

@@ -1,23 +1,10 @@
 //! Ablation: mini-batch size vs. curve-fitting error and number of updates.
 
-use bench::ablation::minibatch_sweep;
-use bench::table::{fmt_pct, TextTable};
+use bench::ablation::{self, minibatch_sweep};
 
 fn main() {
-    let size = if std::env::var("BENCH_QUICK").is_ok() {
-        16
-    } else {
-        30
-    };
+    let size = bench::quick_or(16, 30);
     let rows = minibatch_sweep(size, 8.min(size / 2), &[4, 8, 16, 32, 64]);
-    let mut table = TextTable::new(vec!["configuration", "error rate", "batches"]);
-    for row in &rows {
-        table.add_row(vec![
-            row.label.clone(),
-            fmt_pct(row.error_rate_percent),
-            row.batches.to_string(),
-        ]);
-    }
     println!("Ablation — mini-batch size (LULESH velocity, size {size})");
-    println!("{table}");
+    println!("{}", ablation::table("configuration", &rows));
 }

@@ -1,24 +1,11 @@
 //! Ablation: optimizer family (SGD / momentum / Adagrad) vs. curve-fitting
 //! error on the same mini-batch stream.
 
-use bench::ablation::optimizer_sweep;
-use bench::table::{fmt_pct, TextTable};
+use bench::ablation::{self, optimizer_sweep};
 
 fn main() {
-    let size = if std::env::var("BENCH_QUICK").is_ok() {
-        16
-    } else {
-        30
-    };
+    let size = bench::quick_or(16, 30);
     let rows = optimizer_sweep(size, 8.min(size / 2));
-    let mut table = TextTable::new(vec!["optimizer", "error rate", "batches"]);
-    for row in &rows {
-        table.add_row(vec![
-            row.label.clone(),
-            fmt_pct(row.error_rate_percent),
-            row.batches.to_string(),
-        ]);
-    }
     println!("Ablation — optimizer family (LULESH velocity, size {size})");
-    println!("{table}");
+    println!("{}", ablation::table("optimizer", &rows));
 }

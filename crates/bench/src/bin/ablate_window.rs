@@ -1,15 +1,10 @@
 //! Ablation: spatial sampling window vs. curve-fitting error (generalizes
 //! the paper's Table I).
 
-use bench::ablation::window_sweep;
-use bench::table::{fmt_pct, TextTable};
+use bench::ablation::{self, window_sweep};
 
 fn main() {
-    let size = if std::env::var("BENCH_QUICK").is_ok() {
-        16
-    } else {
-        30
-    };
+    let size = bench::quick_or(16, 30);
     let third = size / 3;
     let windows = [
         (1, third),
@@ -18,10 +13,6 @@ fn main() {
         (1, size - 1),
     ];
     let rows = window_sweep(size, &windows, 0.4);
-    let mut table = TextTable::new(vec!["window", "error rate"]);
-    for row in &rows {
-        table.add_row(vec![row.label.clone(), fmt_pct(row.error_rate_percent)]);
-    }
     println!("Ablation — spatial sampling window at 40% training (size {size})");
-    println!("{table}");
+    println!("{}", ablation::table("window", &rows));
 }

@@ -7,11 +7,7 @@ use bench::lulesh_exp::velocity_profiles;
 use bench::table::{fmt_f, TextTable};
 
 fn main() {
-    let size = if std::env::var("BENCH_QUICK").is_ok() {
-        16
-    } else {
-        30
-    };
+    let size = bench::quick_or(16, 30);
     let locations: Vec<usize> = (1..=10.min(size)).collect();
     let profiles = velocity_profiles(size, &locations);
     println!("Figure 5 — velocity over timesteps at locations 1..=10, domain size {size}");

@@ -5,11 +5,7 @@ use bench::table::{fmt_f, fmt_pct, TextTable};
 use bench::wd_exp::curve_fit_series;
 
 fn main() {
-    let resolution = if std::env::var("BENCH_QUICK").is_ok() {
-        16
-    } else {
-        32
-    };
+    let resolution = bench::quick_or(16, 32);
     let series = curve_fit_series(resolution, 0.25);
     println!("Figure 7 — curve-fitting (pred vs real) at 25% training, resolution {resolution}");
     let mut table = TextTable::new(vec!["diagnostic var.", "points", "error rate", "accuracy"]);
@@ -22,14 +18,14 @@ fn main() {
         ]);
     }
     println!("{table}");
-    println!("series (timestep: pred/real), one line per variable:");
+    println!("series (iteration: pred/real), one line per variable:");
     for (variable, outcome) in &series {
         let stride = (outcome.predicted.len() / 15).max(1);
         let mut line = format!("{:<12}: ", variable.name());
         for k in (0..outcome.predicted.len()).step_by(stride) {
             line.push_str(&format!(
                 "{}:{}/{} ",
-                outcome.indices[k],
+                outcome.iterations[k],
                 fmt_f(outcome.predicted[k], 3),
                 fmt_f(outcome.actual[k], 3)
             ));

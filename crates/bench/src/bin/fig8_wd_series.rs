@@ -7,11 +7,7 @@ use bench::wd_exp::normalized_series;
 use insitu::extract::DelayTimeExtractor;
 
 fn main() {
-    let resolution = if std::env::var("BENCH_QUICK").is_ok() {
-        16
-    } else {
-        32
-    };
+    let resolution = bench::quick_or(16, 32);
     let series = normalized_series(resolution);
     println!("Figure 8 — normalized diagnostic variables over timesteps, resolution {resolution}");
     let extractor = DelayTimeExtractor::new();

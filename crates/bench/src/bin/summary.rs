@@ -5,11 +5,7 @@ use bench::summary::headline;
 use bench::table::fmt_pct;
 
 fn main() {
-    let (size, resolution) = if std::env::var("BENCH_QUICK").is_ok() {
-        (16, 16)
-    } else {
-        (30, 32)
-    };
+    let (size, resolution) = bench::quick_or((16, 16), (30, 32));
     let h = headline(size, resolution);
     println!("Headline — feature-extraction accuracy and simulation overhead");
     println!(

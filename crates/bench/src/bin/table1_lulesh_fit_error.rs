@@ -6,11 +6,7 @@ use bench::lulesh_exp::fit_error_table;
 use bench::table::{fmt_pct, TextTable};
 
 fn main() {
-    let size = if std::env::var("BENCH_QUICK").is_ok() {
-        16
-    } else {
-        30
-    };
+    let size = bench::quick_or(16, 30);
     let lag = 50.min(size);
     let rows = fit_error_table(size, lag);
     let mut table = TextTable::new(vec![
@@ -19,28 +15,12 @@ fn main() {
         "60% iters".to_string(),
         "80% iters".to_string(),
     ]);
-    let intervals: Vec<(usize, usize)> = {
-        let mut seen = Vec::new();
-        for r in &rows {
-            if !seen.contains(&r.interval) {
-                seen.push(r.interval);
-            }
-        }
-        seen
-    };
-    for interval in intervals {
-        let cell = |fraction: f64| {
-            rows.iter()
-                .find(|r| r.interval == interval && (r.fraction - fraction).abs() < 1e-9)
-                .map(|r| fmt_pct(r.error_rate_percent))
-                .unwrap_or_default()
-        };
-        table.add_row(vec![
-            format!("({}, {})", interval.0, interval.1),
-            cell(0.4),
-            cell(0.6),
-            cell(0.8),
-        ]);
+    // One row per interval, its cells at 40/60/80 %.
+    for cells in rows.chunks(3) {
+        let (begin, end) = cells[0].interval;
+        let mut row = vec![format!("({begin}, {end})")];
+        row.extend(cells.iter().map(|r| fmt_pct(r.error_rate_percent)));
+        table.add_row(row);
     }
     println!(
         "Table I — error rates of curve-fitting (%) for velocity, domain size {size}, lag {lag}"

@@ -5,11 +5,10 @@ use bench::lulesh_exp::overhead_table;
 use bench::table::{fmt_f, fmt_pct, TextTable};
 
 fn main() {
-    let (sizes, ranks): (Vec<usize>, Vec<usize>) = if std::env::var("BENCH_QUICK").is_ok() {
-        (vec![20, 30], vec![1, 8])
-    } else {
-        (vec![30, 60, 90], vec![1, 8, 27])
-    };
+    let (sizes, ranks): (Vec<usize>, Vec<usize>) = bench::quick_or(
+        (vec![20, 30], vec![1, 8]),
+        (vec![30, 60, 90], vec![1, 8, 27]),
+    );
     let rows = overhead_table(&sizes, &ranks);
     let mut table = TextTable::new(vec![
         "size",

@@ -2,14 +2,10 @@
 //! for identifying the material break-point under various thresholds.
 
 use bench::lulesh_exp::early_termination_table;
-use bench::table::{fmt_f, fmt_pct, TextTable};
+use bench::table::{fmt_f, fmt_pct, fmt_radius, TextTable};
 
 fn main() {
-    let sizes: Vec<usize> = if std::env::var("BENCH_QUICK").is_ok() {
-        vec![20]
-    } else {
-        vec![30, 60, 90]
-    };
+    let sizes: Vec<usize> = bench::quick_or(vec![20], vec![30, 60, 90]);
     let thresholds = [0.1, 0.2, 0.5, 0.75, 1.0, 2.0, 5.0, 10.0, 20.0];
     let rows = early_termination_table(&sizes, &thresholds);
     let mut table = TextTable::new(vec![
@@ -26,8 +22,7 @@ fn main() {
             row.size.to_string(),
             fmt_f(row.threshold_percent, 2),
             row.radius
-                .map(|r| r.to_string())
-                .unwrap_or_else(|| "-".into()),
+                .map_or_else(|| "-".into(), |r| fmt_radius(r, row.bounded)),
             format!("{} ({})", row.iterations, row.full_iterations),
             fmt_pct(row.iteration_percent()),
             fmt_f(row.seconds, 4),

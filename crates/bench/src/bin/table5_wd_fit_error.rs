@@ -4,30 +4,17 @@
 
 use bench::table::{fmt_pct, TextTable};
 use bench::wd_exp::fit_error_table;
-use wdmerger::DiagnosticVariable;
 
 fn main() {
-    let resolution = if std::env::var("BENCH_QUICK").is_ok() {
-        16
-    } else {
-        32
-    };
+    let resolution = bench::quick_or(16, 32);
     let fractions = [0.10, 0.25, 0.50];
     let rows = fit_error_table(resolution, &fractions);
     let mut table = TextTable::new(vec!["diagnostic var.", "10%", "25%", "50%"]);
-    for variable in DiagnosticVariable::all() {
-        let cell = |fraction: f64| {
-            rows.iter()
-                .find(|r| r.variable == variable && (r.fraction - fraction).abs() < 1e-9)
-                .map(|r| fmt_pct(r.error_rate_percent))
-                .unwrap_or_default()
-        };
-        table.add_row(vec![
-            variable.name().to_string(),
-            cell(0.10),
-            cell(0.25),
-            cell(0.50),
-        ]);
+    // One row per variable, its cells in fraction order.
+    for cells in rows.chunks(fractions.len()) {
+        let mut row = vec![cells[0].variable.name().to_string()];
+        row.extend(cells.iter().map(|r| fmt_pct(r.error_rate_percent)));
+        table.add_row(row);
     }
     println!("Table V — error rates of curve-fitting (%), wdmerger resolution {resolution}");
     println!("{table}");

@@ -6,11 +6,7 @@ use bench::table::{fmt_f, fmt_pct, TextTable};
 use bench::wd_exp::delay_time_table;
 
 fn main() {
-    let resolution = if std::env::var("BENCH_QUICK").is_ok() {
-        16
-    } else {
-        32
-    };
+    let resolution = bench::quick_or(16, 32);
     let rows = delay_time_table(resolution, 0.25);
     let mut table = TextTable::new(vec![
         "diagnostic var.",

@@ -6,15 +6,13 @@ use bench::table::{fmt_f, fmt_pct, TextTable};
 use bench::wd_exp::overhead_table;
 
 fn main() {
-    let (resolutions, configs): (Vec<usize>, Vec<(usize, usize)>) =
-        if std::env::var("BENCH_QUICK").is_ok() {
-            (vec![16, 32], vec![(8, 1), (8, 2)])
-        } else {
-            (
-                vec![16, 32, 48],
-                vec![(8, 1), (8, 2), (8, 4), (16, 1), (16, 2), (32, 1)],
-            )
-        };
+    let (resolutions, configs): (Vec<usize>, Vec<(usize, usize)>) = bench::quick_or(
+        (vec![16, 32], vec![(8, 1), (8, 2)]),
+        (
+            vec![16, 32, 48],
+            vec![(8, 1), (8, 2), (8, 4), (16, 1), (16, 2), (32, 1)],
+        ),
+    );
     let rows = overhead_table(&resolutions, &configs, 0.5);
     let mut table = TextTable::new(vec![
         "resolution",

@@ -6,6 +6,11 @@
 //! library the same way the paper's integration does, and returns
 //! plain-data row structs that the `src/bin/*` binaries print.
 //!
+//! Every curve fit (Tables I, V and VI, Figures 4 and 7, the ablations) is
+//! an `Engine` analysis cut at its training fraction and scored by
+//! [`fitting::FitRun`]; Figure 7 returns a [`fitting::Reconstruction`] per
+//! variable. Only Table II's peak-profile extrapolation trains outside it.
+//!
 //! | paper artifact | function |
 //! |----------------|----------|
 //! | Table I        | [`lulesh_exp::fit_error_table`] |
@@ -36,6 +41,16 @@ pub mod snapbench;
 pub mod summary;
 pub mod table;
 pub mod wd_exp;
+
+/// `quick` when `BENCH_QUICK` is set (the CI-sized run of a table or
+/// figure binary), `full` otherwise.
+pub fn quick_or<T>(quick: T, full: T) -> T {
+    if std::env::var("BENCH_QUICK").is_ok() {
+        quick
+    } else {
+        full
+    }
+}
 
 /// Median wall-clock nanoseconds of `runs` executions of `f`, after one
 /// warm-up execution — the one timing discipline shared by every

@@ -1,30 +1,56 @@
 //! Case study 1: material deformation analysis with the LULESH proxy
 //! (Tables I–IV, Figures 4 and 5).
 
-use insitu::extract::{BreakpointExtractor, FeatureKind};
+use insitu::collect::MiniBatch;
+use insitu::extract::{BreakpointExtractor, BreakpointResult, FeatureKind};
 use insitu::model::{ConvergenceCriteria, OptimizerKind, TrainerConfig};
 use insitu::prelude::*;
+use insitu::region::AnalysisSpecBuilder;
 use lulesh::{LuleshConfig, LuleshSim};
 use parsim::ParallelConfig;
 
-use crate::fitting::{fit_series, mean_fit_error, FitConfig};
+use crate::fitting::{self, FitRun, Score};
 
 /// Runs the plain simulation (radial physics only — the accuracy studies do
 /// not need the 3D field work term) and returns it after completion.
 pub fn run_physics_only(size: usize) -> LuleshSim {
-    let config = LuleshConfig::with_edge_elems(size).without_element_fields();
-    let mut sim = LuleshSim::new(config);
+    let mut sim = LuleshSim::new(physics_only(size));
     sim.run_to_completion();
     sim
 }
 
-/// Extracts the velocity series (one `Vec<f64>` per location) for an
-/// inclusive location interval from a completed run.
-pub fn velocity_series(sim: &LuleshSim, begin: usize, end: usize) -> Vec<Vec<f64>> {
-    (begin..=end)
-        .filter_map(|loc| sim.diagnostics().series_at(loc))
-        .map(|series| series.values().to_vec())
-        .collect()
+fn physics_only(size: usize) -> LuleshConfig {
+    LuleshConfig::with_edge_elems(size).without_element_fields()
+}
+
+/// The harness's velocity fit over `spatial` (see [`fitting::fit_spec`]),
+/// trained up to iteration `cut`.
+pub fn velocity_fit(spatial: IterParam, cut: u64, lag: u64) -> AnalysisSpecBuilder<LuleshSim> {
+    fitting::fit_spec(LuleshSim::velocity_at, spatial, cut, lag)
+}
+
+/// Iterations of the physics-only run of `size`: where the fits place
+/// their training cuts.
+pub fn physics_iterations(size: usize) -> u64 {
+    run_physics_only(size).diagnostics().iterations()
+}
+
+/// Trains every `(key, spec, lag)` velocity fit under one engine over a
+/// physics-only run of `size` and scores each against the run's full
+/// velocity series. Returns each key with its score, in order.
+pub fn score_velocity_fits<K>(
+    size: usize,
+    fits: Vec<(K, AnalysisSpec<LuleshSim>, u64)>,
+) -> Vec<(K, Score)> {
+    let mut run = FitRun::new(LuleshSim::velocity_at);
+    for (key, spec, lag) in fits {
+        run.add(key, spec, lag);
+    }
+    LuleshSim::new(physics_only(size)).run_with(|sim, iteration| {
+        run.step(iteration, sim);
+        true
+    });
+    run.finish()
 }
 
 /// One cell of Table I: a location interval, a training fraction, and the
@@ -42,31 +68,39 @@ pub struct FitErrorRow {
 /// Table I: curve-fitting error rates for velocity by location interval and
 /// training fraction. Intervals are the paper's `(1,10)`, `(10,20)`,
 /// `(20,30)` scaled to the domain size.
+///
+/// Each cell is one analysis over the whole interval, so one model learns
+/// from every location in it; the cell is the mean of the per-location
+/// error rates. Rows run interval by interval, at 40, 60 and 80 %.
 pub fn fit_error_table(size: usize, lag: usize) -> Vec<FitErrorRow> {
-    let sim = run_physics_only(size);
     let scale = size as f64 / 30.0;
     let intervals = [
         (1, (10.0 * scale) as usize),
         ((10.0 * scale) as usize, (20.0 * scale) as usize),
         ((20.0 * scale) as usize, (30.0 * scale) as usize - 1),
     ];
-    let fractions = [0.4, 0.6, 0.8];
-    let config = FitConfig {
-        lag_steps: lag.max(1),
-        ..FitConfig::default()
-    };
-    let mut rows = Vec::new();
-    for &(begin, end) in &intervals {
-        let series = velocity_series(&sim, begin, end);
-        for &fraction in &fractions {
-            rows.push(FitErrorRow {
-                interval: (begin, end),
-                fraction,
-                error_rate_percent: mean_fit_error(&series, fraction, config),
-            });
+    let iterations = physics_iterations(size);
+    let lag = lag.max(1) as u64;
+    let mut fits = Vec::new();
+    for (begin, end) in intervals {
+        let spatial = IterParam::new(begin as u64, end as u64, 1).expect("an interval");
+        for fraction in [0.4, 0.6, 0.8] {
+            let spec = velocity_fit(spatial, fitting::cut(iterations, fraction), lag);
+            fits.push((
+                ((begin, end), fraction),
+                spec.build().expect("complete"),
+                lag,
+            ));
         }
     }
-    rows
+    score_velocity_fits(size, fits)
+        .into_iter()
+        .map(|((interval, fraction), score)| FitErrorRow {
+            interval,
+            fraction,
+            error_rate_percent: score.mean_error_percent(),
+        })
+        .collect()
 }
 
 /// One point of Figure 4: lag value, training fraction, error rate at the
@@ -82,31 +116,30 @@ pub struct LagRow {
 }
 
 /// Figure 4: curve-fitting error at `location` for each lag and training
-/// fraction.
+/// fraction. A cell whose lags reach back past its cut trains nothing and
+/// has no row.
 pub fn lag_sweep(size: usize, location: usize, lags: &[usize]) -> Vec<LagRow> {
-    let sim = run_physics_only(size);
-    let series = sim
-        .diagnostics()
-        .series_at(location)
-        .map(|s| s.values().to_vec())
-        .unwrap_or_default();
-    let fractions = [0.4, 0.6, 0.8];
-    let mut rows = Vec::new();
+    let iterations = physics_iterations(size);
+    let order = fitting::fit_trainer().order;
+    let mut fits = Vec::new();
     for &lag in lags {
-        for &fraction in &fractions {
-            let config = FitConfig {
-                lag_steps: lag.max(1),
-                ..FitConfig::default()
-            };
-            let outcome = fit_series(&series, fraction, config);
-            rows.push(LagRow {
-                lag,
-                fraction,
-                error_rate_percent: outcome.error_rate_percent,
-            });
+        for fraction in [0.4, 0.6, 0.8] {
+            let cut = fitting::cut(iterations, fraction);
+            let steps = lag.max(1) as u64;
+            if fitting::fills_a_batch(order, steps, cut) {
+                let spec = velocity_fit(IterParam::single(location as u64), cut, steps);
+                fits.push(((lag, fraction), spec.build().expect("complete"), steps));
+            }
         }
     }
-    rows
+    score_velocity_fits(size, fits)
+        .into_iter()
+        .map(|((lag, fraction), score)| LagRow {
+            lag,
+            fraction,
+            error_rate_percent: score.mean_error_percent(),
+        })
+        .collect()
 }
 
 /// One row of Table II: the break-point radius derived by feature
@@ -122,6 +155,9 @@ pub struct BreakpointRow {
     pub from_extraction: usize,
     /// Signed difference (simulation − extraction).
     pub difference: i64,
+    /// Whether the extraction found a location below the threshold;
+    /// `false` means the radius is the edge of the searched profile.
+    pub bounded: bool,
 }
 
 impl BreakpointRow {
@@ -157,8 +193,7 @@ pub fn breakpoint_table(
     // Partial-information run: stop at the training fraction.
     let full_iterations = full.diagnostics().iterations();
     let budget = ((full_iterations as f64) * train_fraction).round() as u64;
-    let partial_config = LuleshConfig::with_edge_elems(size).without_element_fields();
-    let mut partial = LuleshSim::new(partial_config);
+    let mut partial = LuleshSim::new(physics_only(size));
     partial.run_with(|_, iteration| iteration < budget);
 
     // Observed peak profile over the inner locations, then AR extrapolation
@@ -182,15 +217,15 @@ pub fn breakpoint_table(
             let from_simulation = full.diagnostics().breakpoint_radius(fraction);
             let extractor = BreakpointExtractor::new(fraction.clamp(1e-6, 1.0), initial_velocity)
                 .expect("valid threshold");
-            let from_extraction = extractor
+            let (from_extraction, bounded) = extractor
                 .extract_from_profile(&profile)
-                .map(|r| r.radius)
-                .unwrap_or(size);
+                .map_or((size, false), |r| (r.radius, r.bounded));
             BreakpointRow {
                 threshold_percent,
                 from_simulation,
                 from_extraction,
                 difference: from_simulation as i64 - from_extraction as i64,
+                bounded,
             }
         })
         .collect()
@@ -206,35 +241,47 @@ fn extrapolate_peaks(observed: &[f64], extra: usize) -> Vec<f64> {
     }
     let floor = 1e-12;
     let logs: Vec<f64> = observed.iter().map(|v| v.max(floor).ln()).collect();
-    let config = FitConfig {
+    // Continue the log profile from the last observed value at the local
+    // decay rate of the fitted profile.
+    let decay = estimate_decay(&fit_log_profile(&logs), &logs);
+    let mut last = logs[logs.len() - 1];
+    (0..extra)
+        .map(|_| {
+            last += decay;
+            last.exp()
+        })
+        .collect()
+}
+
+/// Trains an order-2 spatial AR model on the whole log-peak profile, in
+/// mini-batches of four locations (the final one short), and returns its
+/// one-step predictions from the third location on. Each window of three
+/// consecutive locations is one row, predictors nearest first.
+fn fit_log_profile(logs: &[f64]) -> Vec<f64> {
+    let mut trainer = IncrementalTrainer::new(TrainerConfig {
         order: 2,
-        lag_steps: 1,
-        batch: 4,
-        learning_rate: 0.2,
-        epochs: 30,
-    };
-    let outcome = fit_series(&logs, 1.0, config);
-    // Roll the trained model forward from the last observed values.
-    let mut window = [logs[logs.len() - 1], logs[logs.len() - 2]];
-    let mut out = Vec::with_capacity(extra);
-    // Rebuild a trainer-equivalent forecast from the outcome's predictions by
-    // continuing the one-step recursion with the last fitted relationship:
-    // use the ratio of consecutive predictions as a local decay rate.
-    let decay = estimate_decay(&outcome.predicted, &outcome.actual, &logs);
-    let mut last = window[0];
-    for _ in 0..extra {
-        last += decay;
-        window.rotate_right(1);
-        window[0] = last;
-        out.push(last.exp());
+        optimizer: OptimizerKind::Sgd { learning_rate: 0.2 },
+        epochs_per_batch: 30,
+        convergence: ConvergenceCriteria::default(),
+    })
+    .expect("valid trainer configuration");
+    let rows: Vec<&[f64]> = logs.windows(3).collect();
+    for chunk in rows.chunks(4) {
+        let mut batch = MiniBatch::new(2, 4);
+        for row in chunk {
+            batch.push(&[row[1], row[0]], row[2]).expect("order 2");
+        }
+        trainer.train_batch(&batch).expect("order 2");
     }
-    out
+    rows.iter()
+        .filter_map(|row| trainer.predict(&[row[1], row[0]]).ok())
+        .collect()
 }
 
 /// Estimates the per-location decrement of the log-peak profile from the
 /// fitted series (falls back to the observed decrement when the fit is
 /// degenerate).
-fn estimate_decay(predicted: &[f64], actual: &[f64], logs: &[f64]) -> f64 {
+fn estimate_decay(predicted: &[f64], logs: &[f64]) -> f64 {
     let fitted_decay = if predicted.len() >= 2 {
         (predicted[predicted.len() - 1] - predicted[0]) / (predicted.len() - 1) as f64
     } else {
@@ -245,7 +292,6 @@ fn estimate_decay(predicted: &[f64], actual: &[f64], logs: &[f64]) -> f64 {
     } else {
         0.0
     };
-    let _ = actual;
     if fitted_decay.is_finite() && fitted_decay < 0.0 {
         // Blend: the fit captures the local slope, the observation the trend.
         0.5 * fitted_decay + 0.5 * observed_decay
@@ -344,14 +390,14 @@ pub fn lulesh_analysis_spec(
 /// Runs one instrumented LULESH simulation: the full 3D workload with the
 /// in-situ region attached, optional early termination when the region both
 /// converged and can answer the threshold query. Returns
-/// `(iterations, wall_seconds, extracted_radius)`.
+/// `(iterations, wall_seconds, extracted_breakpoint)`.
 pub fn run_instrumented(
     size: usize,
     parallel: ParallelConfig,
     temporal_end: u64,
     threshold_fraction: f64,
     allow_early_stop: bool,
-) -> (u64, f64, Option<usize>) {
+) -> (u64, f64, Option<BreakpointResult>) {
     let config = LuleshConfig::with_edge_elems(size).with_parallel(parallel);
     let mut sim = LuleshSim::new(config);
     let exit = if allow_early_stop {
@@ -405,16 +451,16 @@ pub fn run_instrumented(
     let wall = started.elapsed().as_secs_f64();
 
     engine.extract_now(region).expect("region exists");
-    let radius = engine
+    let breakpoint = engine
         .status(region)
         .expect("region exists")
         .features
         .first()
         .and_then(|(_, f)| match f {
-            insitu::region::FeatureValue::Breakpoint(b) => Some(b.radius),
+            insitu::region::FeatureValue::Breakpoint(b) => Some(*b),
             _ => None,
         });
-    (summary.iterations, wall, radius)
+    (summary.iterations, wall, breakpoint)
 }
 
 /// Table III: plain vs. instrumented execution time for every size × rank
@@ -455,6 +501,9 @@ pub struct EarlyTerminationRow {
     pub threshold_percent: f64,
     /// Extracted region-of-interest radius.
     pub radius: Option<usize>,
+    /// Whether that radius lies inside the observed locations; `false`
+    /// means it is the edge of the observation window.
+    pub bounded: bool,
     /// Iterations executed before the region of interest was identified.
     pub iterations: u64,
     /// Iterations of the full simulation.
@@ -499,7 +548,7 @@ pub fn early_termination_table(
         let full_seconds = full_summary.compute_seconds;
         let temporal_end = (full_iterations as f64 * 0.4) as u64;
         for &threshold_percent in thresholds_percent {
-            let (iterations, seconds, radius) = run_instrumented(
+            let (iterations, seconds, breakpoint) = run_instrumented(
                 size,
                 parallel,
                 temporal_end,
@@ -509,7 +558,8 @@ pub fn early_termination_table(
             rows.push(EarlyTerminationRow {
                 size,
                 threshold_percent,
-                radius,
+                radius: breakpoint.map(|b| b.radius),
+                bounded: breakpoint.is_some_and(|b| b.bounded),
                 iterations,
                 full_iterations,
                 seconds,

@@ -85,6 +85,17 @@ pub fn fmt_pct(value: f64) -> String {
     format!("{value:.2}%")
 }
 
+/// Formats a break-point radius, marking one the extraction could not bound
+/// (every searched location still exceeded the threshold) as `>=radius`:
+/// the edge of the searched range is a lower bound, not an answer.
+pub fn fmt_radius(radius: usize, bounded: bool) -> String {
+    if bounded {
+        radius.to_string()
+    } else {
+        format!(">={radius}")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,5 +124,11 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(fmt_f(1.23456, 2), "1.23");
         assert_eq!(fmt_pct(3.25169), "3.25%");
+    }
+
+    #[test]
+    fn unbounded_radius_is_marked_as_a_lower_bound() {
+        assert_eq!(fmt_radius(8, true), "8");
+        assert_eq!(fmt_radius(10, false), ">=10");
     }
 }

@@ -7,7 +7,7 @@ use insitu::prelude::*;
 use parsim::ParallelConfig;
 use wdmerger::{DiagnosticVariable, WdMergerConfig, WdMergerSim};
 
-use crate::fitting::{fit_series, FitConfig, FitOutcome};
+use crate::fitting::{self, FitRun, Reconstruction};
 
 /// Runs the plain simulation at a resolution and returns it after
 /// completion.
@@ -17,17 +17,37 @@ pub fn run_full(resolution: usize) -> WdMergerSim {
     sim
 }
 
-/// The fit configuration used for the WD diagnostics (order-3 temporal AR,
-/// unit lag — every diagnostic timestep is sampled, as in the paper's
-/// Castro integration).
-pub fn wd_fit_config() -> FitConfig {
-    FitConfig {
-        order: 3,
-        lag_steps: 1,
-        batch: 8,
-        learning_rate: 0.05,
-        epochs: 4,
+/// The lag of [`wd_analysis_spec`]: every diagnostic timestep is sampled,
+/// as in the paper's Castro integration.
+const WD_LAG: u64 = 1;
+
+/// Trains [`wd_analysis_spec`] for every diagnostic variable at every
+/// training fraction under one engine over a full run, and scores each
+/// against the run's own series. Returns the completed simulation and one
+/// `(variable, fraction, reconstruction)` per fit, variables outermost.
+fn score_fits(
+    resolution: usize,
+    fractions: &[f64],
+) -> (WdMergerSim, Vec<(DiagnosticVariable, f64, Reconstruction)>) {
+    let config = WdMergerConfig::with_resolution(resolution);
+    let mut run = FitRun::new(WdMergerSim::diagnostic_at);
+    for variable in DiagnosticVariable::all() {
+        for &fraction in fractions {
+            let cut = fitting::cut(config.steps, fraction);
+            let spec = wd_analysis_spec(variable, cut, ExitAction::Continue);
+            run.add((variable, fraction), spec, WD_LAG);
+        }
     }
+    let mut sim = WdMergerSim::new(config);
+    sim.run_with(|sim, step| {
+        run.step(step, sim);
+        true
+    });
+    let fits = run
+        .finish()
+        .into_iter()
+        .map(|((variable, fraction), mut score)| (variable, fraction, score.series.remove(0)));
+    (sim, fits.collect())
 }
 
 /// One cell of Table V: the curve-fitting error rate for one diagnostic
@@ -44,34 +64,30 @@ pub struct WdFitErrorRow {
 
 /// Table V: error rates of curve fitting for the four diagnostic variables
 /// using training data from the given fractions of the total iterations.
+/// Rows run variable by variable, fractions in the given order.
 pub fn fit_error_table(resolution: usize, fractions: &[f64]) -> Vec<WdFitErrorRow> {
-    let sim = run_full(resolution);
-    let mut rows = Vec::new();
-    for variable in DiagnosticVariable::all() {
-        let values = sim.diagnostics().series(variable).values().to_vec();
-        for &fraction in fractions {
-            let outcome = fit_series(&values, fraction, wd_fit_config());
-            rows.push(WdFitErrorRow {
-                variable,
-                fraction,
-                error_rate_percent: outcome.error_rate_percent,
-            });
-        }
-    }
-    rows
+    score_fits(resolution, fractions)
+        .1
+        .into_iter()
+        .map(|(variable, fraction, fit)| WdFitErrorRow {
+            variable,
+            fraction,
+            error_rate_percent: fit.error_rate_percent,
+        })
+        .collect()
 }
 
 /// Figure 7: predicted-vs-real curves for each diagnostic variable at one
-/// training fraction. Returns `(variable, outcome)` pairs; the outcome holds
-/// the aligned `predicted` / `actual` series.
-pub fn curve_fit_series(resolution: usize, fraction: f64) -> Vec<(DiagnosticVariable, FitOutcome)> {
-    let sim = run_full(resolution);
-    DiagnosticVariable::all()
+/// training fraction, one reconstruction per variable (aligned
+/// `iterations` / `predicted` / `actual`).
+pub fn curve_fit_series(
+    resolution: usize,
+    fraction: f64,
+) -> Vec<(DiagnosticVariable, Reconstruction)> {
+    score_fits(resolution, &[fraction])
+        .1
         .into_iter()
-        .map(|variable| {
-            let values = sim.diagnostics().series(variable).values().to_vec();
-            (variable, fit_series(&values, fraction, wd_fit_config()))
-        })
+        .map(|(variable, _, fit)| (variable, fit))
         .collect()
 }
 
@@ -118,18 +134,21 @@ impl DelayTimeRow {
 /// vs. on the series reconstructed by the AR model trained on
 /// `train_fraction` of the iterations.
 pub fn delay_time_table(resolution: usize, train_fraction: f64) -> Vec<DelayTimeRow> {
-    let sim = run_full(resolution);
+    let (sim, fits) = score_fits(resolution, &[train_fraction]);
     let extractor = DelayTimeExtractor::new();
-    DiagnosticVariable::all()
-        .into_iter()
-        .filter_map(|variable| {
+    fits.into_iter()
+        .filter_map(|(variable, _, fit)| {
             let series = sim.diagnostics().series(variable);
-            let times = series.times().to_vec();
-            let values = series.values().to_vec();
-            let truth = extractor.extract(&times, &values).ok()?;
-            let outcome = fit_series(&values, train_fraction, wd_fit_config());
-            let fitted_times: Vec<f64> = outcome.indices.iter().map(|&i| times[i]).collect();
-            let fitted = extractor.extract(&fitted_times, &outcome.predicted).ok()?;
+            let times = series.times();
+            let truth = extractor.extract(times, series.values()).ok()?;
+            // Step `i` reports the state the diagnostics recorded at time
+            // index `i - 1`.
+            let fitted_times: Vec<f64> = fit
+                .iterations
+                .iter()
+                .map(|&it| times[it as usize - 1])
+                .collect();
+            let fitted = extractor.extract(&fitted_times, &fit.predicted).ok()?;
             Some(DelayTimeRow {
                 variable,
                 from_simulation: truth.delay_time,
@@ -155,7 +174,7 @@ pub fn wd_analysis_spec(
         .method(AnalysisMethod::CurveFitting)
         .feature(FeatureKind::DelayTime)
         .layout(insitu::collect::PredictorLayout::Temporal)
-        .lag(1)
+        .lag(WD_LAG)
         .batch_capacity(8)
         .trainer(TrainerConfig {
             order: 3,
@@ -347,6 +366,36 @@ mod tests {
         for (_, outcome) in &series {
             assert_eq!(outcome.predicted.len(), outcome.actual.len());
             assert!(!outcome.predicted.is_empty());
+        }
+    }
+
+    #[test]
+    fn scorer_predicts_the_cut_like_the_engine_status() {
+        // Each fit's region reports the engine's own prediction of the
+        // latest sampled step; at the cut that is the scorer's prediction
+        // there, bit for bit, for every variable.
+        let config = WdMergerConfig::with_resolution(12);
+        let cut = fitting::cut(config.steps, 0.5);
+        let mut run = FitRun::new(WdMergerSim::diagnostic_at);
+        for variable in DiagnosticVariable::all() {
+            let spec = wd_analysis_spec(variable, cut, ExitAction::Continue);
+            run.add(variable, spec, WD_LAG);
+        }
+        let mut at_cut = Vec::new();
+        WdMergerSim::new(config).run_with(|sim, step| {
+            let report = run.step(step, sim);
+            if step == cut {
+                at_cut = report.regions().iter().map(|s| s.predicted_value).collect();
+            }
+            true
+        });
+        let scores = run.finish();
+        assert_eq!(scores.len(), 4);
+        for ((_, score), engine) in scores.iter().zip(at_cut) {
+            let fit = &score.series[0];
+            let k = fit.iterations.iter().position(|&it| it == cut).unwrap();
+            let engine = engine.expect("the model trained before the cut");
+            assert_eq!(fit.predicted[k].to_bits(), engine.to_bits());
         }
     }
 

@@ -105,7 +105,7 @@ fn nanos_since(start: std::time::Instant) -> u64 {
 }
 
 /// Folds `sample` into an EWMA with α = 1/8, the constant the budget and
-/// the serve crate's service time use. An EWMA of 0 means "nothing
+/// the background placement estimates use. An EWMA of 0 means "nothing
 /// measured yet": the first sample seeds it, and the result is never 0.
 fn ewma(current_ns: u64, sample_ns: u64) -> u64 {
     if current_ns == 0 {
@@ -887,9 +887,8 @@ impl<D: ?Sized> Engine<D> {
         }
 
         // Budget accounting: fold this step's measured cost into the EWMA
-        // (α = 1/8, the serve crate's service-time constant) and the
-        // cumulative total. Untimed engines skip all of this — stage_ns
-        // stays zero.
+        // (α = 1/8) and the cumulative total. Untimed engines skip all of
+        // this — stage_ns stays zero.
         let step_cost: u64 = stage_ns[Stage::Sample as usize]
             + stage_ns[Stage::Assemble as usize]
             + stage_ns[Stage::Train as usize]

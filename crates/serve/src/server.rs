@@ -49,7 +49,7 @@
 //! but workloads skew — one hot session can back its lane up while
 //! others idle. The router samples every lane's queue depth right after
 //! each readiness batch's hand-off and keeps an exponential average of it
-//! over about 64 batches; it also keeps a per-session service-time EWMA.
+//! over about 64 batches.
 //! When a step finds its lane's averaged depth at least
 //! [`ServerConfig::rebalance_depth`] above the lightest lane's and the
 //! session is past its migration cooldown, the session's engine is
@@ -104,7 +104,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use insitu::region::FeatureValue;
 
@@ -142,7 +142,8 @@ pub struct ServerConfig {
     /// does. Zero disables rebalancing.
     pub rebalance_depth: usize,
     /// Minimum routed steps between two migrations of the same session,
-    /// so a borderline session does not ping-pong between lanes.
+    /// so a borderline session does not ping-pong between lanes. A new
+    /// session also stays on its first lane for this many routed steps.
     pub rebalance_cooldown: u64,
 }
 
@@ -173,8 +174,6 @@ enum Command {
         locations: Vec<u64>,
         values: Vec<f64>,
         inflight: Arc<AtomicUsize>,
-        /// The session's service-time EWMA, updated by the lane.
-        service_ns: Arc<AtomicU64>,
         conn: Arc<ConnHandle>,
     },
     Extract {
@@ -289,9 +288,6 @@ struct Entry {
     /// The connection that opened the session ([`ConnHandle::id`]).
     owner: u64,
     inflight: Arc<AtomicUsize>,
-    /// EWMA of per-step service time in nanoseconds (0 = no step
-    /// measured yet; such sessions are never migrated).
-    service_ns: Arc<AtomicU64>,
     /// Steps routed so far, the clock for the migration cooldown.
     steps_routed: u64,
     /// `steps_routed` at the last migration decision.
@@ -604,7 +600,6 @@ impl Router {
         if depth_gate == 0.0
             || entry.migrating
             || entry.closing
-            || entry.service_ns.load(Ordering::Relaxed) == 0
             || entry.steps_routed.wrapping_sub(entry.last_migrated) < self.shared.rebalance_cooldown
         {
             return None;
@@ -670,7 +665,6 @@ impl Router {
                 lane,
                 owner: conn.id(),
                 inflight: Arc::new(AtomicUsize::new(0)),
-                service_ns: Arc::new(AtomicU64::new(0)),
                 steps_routed: 0,
                 last_migrated: 0,
                 migrating: false,
@@ -721,7 +715,6 @@ impl Router {
             locations,
             values,
             inflight: Arc::clone(&entry.inflight),
-            service_ns: Arc::clone(&entry.service_ns),
             conn: Arc::clone(conn),
         };
         self.queue(table, batch, owned, lane, step);
@@ -929,18 +922,6 @@ fn unknown_session(session: u64) -> Frame {
     error_frame(session, ErrorCode::UnknownSession, "no such session")
 }
 
-/// Folds one observation into a service-time EWMA (α = 1/8), clamped
-/// away from zero so "has been measured" stays distinguishable.
-fn ewma_update(cell: &AtomicU64, sample_ns: u64) {
-    let old = cell.load(Ordering::Relaxed);
-    let new = if old == 0 {
-        sample_ns.max(1)
-    } else {
-        (old - old / 8 + sample_ns / 8).max(1)
-    };
-    cell.store(new, Ordering::Relaxed);
-}
-
 /// The connections a lane has queued replies on since its last flush.
 #[derive(Default)]
 struct Replies(Vec<Arc<ConnHandle>>);
@@ -1138,31 +1119,22 @@ impl Lane {
                 locations,
                 values,
                 inflight,
-                service_ns,
                 conn,
             } => {
                 let reply = match self.sessions.get_mut(&session) {
-                    Some(owned) => {
-                        let started = Instant::now();
-                        let outcome = owned.session.step(iteration, &locations, &values);
-                        ewma_update(
-                            &service_ns,
-                            started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                        );
-                        match outcome {
-                            Ok((samples, batches_trained)) => Frame::StepAck {
-                                session,
-                                iteration,
-                                samples,
-                                batches_trained,
-                            },
-                            Err(message) => Frame::ErrorReply {
-                                session,
-                                code: ErrorCode::Protocol,
-                                message,
-                            },
-                        }
-                    }
+                    Some(owned) => match owned.session.step(iteration, &locations, &values) {
+                        Ok((samples, batches_trained)) => Frame::StepAck {
+                            session,
+                            iteration,
+                            samples,
+                            batches_trained,
+                        },
+                        Err(message) => Frame::ErrorReply {
+                            session,
+                            code: ErrorCode::Protocol,
+                            message,
+                        },
+                    },
                     None => unknown_session(session),
                 };
                 inflight.fetch_sub(1, Ordering::AcqRel);
