@@ -99,7 +99,12 @@ impl Collector {
     /// * `spatial`, `temporal` — the sampling characteristics.
     /// * `order`, `lag`, `layout` — AR model structure (see
     ///   [`BatchAssembler`]).
-    /// * `batch_capacity` — mini-batch size.
+    /// * `batch_capacity` — the mini-batch fill threshold, in rows: a batch
+    ///   is handed out by the first [`Collector::assemble`] that brings it
+    ///   to at least this many rows. An iteration's rows are never split
+    ///   across batches, so this is a lower bound on a batch's size, not
+    ///   its size: 29 rows per iteration at capacity 16 make 29-row
+    ///   batches.
     ///
     /// # Panics
     ///
@@ -423,6 +428,36 @@ mod tests {
             c.batch_pool().buffers_created()
         );
         assert!(c.batch_pool().recycle_hits() >= batches - 2);
+    }
+
+    #[test]
+    fn batch_capacity_is_a_lower_bound_never_splitting_an_iteration() {
+        // Temporal layout: each of the 29 locations forms a row once it has
+        // `order` earlier samples, so every later iteration yields 29 rows.
+        let mut c = Collector::new(
+            IterParam::new(1, 29, 1).unwrap(),
+            IterParam::new(0, 100, 1).unwrap(),
+            2,
+            1,
+            PredictorLayout::Temporal,
+            16,
+        );
+        let provider = |_d: &(), loc: usize| loc as f64;
+        for it in 0..=10u64 {
+            let event = c.observe(it, &(), &provider);
+            if it < 2 {
+                assert_eq!(event, CollectionEvent::Collected { samples: 29 });
+                continue;
+            }
+            match event {
+                CollectionEvent::BatchReady { batch, .. } => {
+                    assert_eq!(batch.capacity(), 16);
+                    assert_eq!(batch.len(), 29, "iteration {it} split or merged");
+                    c.recycle(batch);
+                }
+                other => panic!("iteration {it}: expected a batch, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -214,7 +214,11 @@ impl<D: ?Sized> AnalysisSpecBuilder<D> {
         self
     }
 
-    /// Sets the mini-batch capacity.
+    /// Sets the mini-batch capacity: the row count at which a batch is
+    /// handed to the trainer. It is a lower bound, not a batch size: an
+    /// iteration's rows are never split across batches, so a batch closes
+    /// on the first iteration that brings it to `capacity` rows or more
+    /// (at capacity 16, iterations of 29 rows each train on 29-row batches).
     pub fn batch_capacity(mut self, capacity: usize) -> Self {
         self.batch_capacity = capacity;
         self

@@ -3,7 +3,6 @@
 //! ```text
 //! insitu-serve [--tcp ADDR] [--unix PATH] [--workers N] [--inflight N]
 //!              [--event-threads N] [--idle-timeout-ms N]
-//!              [--rebalance-depth N] [--rebalance-cooldown N]
 //! ```
 //!
 //! Listens on TCP (default `127.0.0.1:7407`) or a Unix socket and serves
@@ -11,9 +10,7 @@
 //! count (each lane is a dedicated thread), `--inflight` sets the
 //! per-session backpressure limit, `--event-threads` sizes the reactor
 //! that multiplexes every connection, `--idle-timeout-ms` bounds how
-//! long a connection may stall mid-frame (0 disables the sweep), and the
-//! `--rebalance-*` knobs tune dynamic lane rebalancing
-//! (`--rebalance-depth 0` disables it).
+//! long a connection may stall mid-frame (0 disables the sweep).
 
 use serve::{Server, ServerConfig};
 
@@ -42,18 +39,10 @@ fn main() {
                     "--idle-timeout-ms",
                 ) as u64)
             }
-            "--rebalance-depth" => {
-                config.rebalance_depth = parse(&value("--rebalance-depth"), "--rebalance-depth")
-            }
-            "--rebalance-cooldown" => {
-                config.rebalance_cooldown =
-                    parse(&value("--rebalance-cooldown"), "--rebalance-cooldown") as u64
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: insitu-serve [--tcp ADDR] [--unix PATH] [--workers N] [--inflight N] \
-                     [--event-threads N] [--idle-timeout-ms N] [--rebalance-depth N] \
-                     [--rebalance-cooldown N]"
+                     [--event-threads N] [--idle-timeout-ms N]"
                 );
                 return;
             }

@@ -12,7 +12,7 @@
 //!   `ErrorReply` and dies; its lane and the sessions sharing it do not);
 //! * **lane stalls**: every step sleeps [`FaultPlan::stall`] on its lane
 //!   thread, creating the backlog that exercises shed-don't-stall
-//!   backpressure and lane rebalancing under degraded service;
+//!   backpressure under degraded service;
 //! * **snapshot mangling**: [`FaultPlan::truncate_snapshot`] /
 //!   [`FaultPlan::corrupt_snapshot`] damage every serialized blob
 //!   (truncated tail, flipped bit), proving restore fails closed with a

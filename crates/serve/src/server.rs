@@ -21,13 +21,14 @@
 //! on the event thread) to a **worker lane** — a dedicated thread owning
 //! a disjoint set of sessions. Lanes spend their idle time blocked on
 //! their command channel, so [`ServerConfig::workers`] is honored as
-//! given: a small host still gets the configured lane structure (and
-//! with it testable rebalancing), it just timeslices the lanes.
+//! given: a small host still gets the configured lane structure, it just
+//! timeslices the lanes.
 //!
 //! **One lane per connection.** Connections are dealt to lanes
 //! round-robin in accept order, and a session opens on its connection's
-//! lane, so one client's burst is served by one lane and answered by one
-//! write.
+//! lane and stays there until it closes, so one client's burst is served
+//! by one lane and answered by one write. Other connections may address
+//! the session too; their commands reach the same lane.
 //!
 //! **Batched hand-off.** The router collects the commands of a whole
 //! reactor readiness batch per lane and hands each lane one message when
@@ -44,27 +45,6 @@
 //! (`Extract`/`Features`/`Poll`/`CloseSession`/`Subscribe`/
 //! `Unsubscribe`) bypass the gauge so a client can always drain state
 //! from a busy session.
-//!
-//! **Lanes rebalance on averaged depth**: placement follows connections,
-//! but workloads skew — one hot session can back its lane up while
-//! others idle. The router samples every lane's queue depth right after
-//! each readiness batch's hand-off and keeps an exponential average of it
-//! over about 64 batches.
-//! When a step finds its lane's averaged depth at least
-//! [`ServerConfig::rebalance_depth`] above the lightest lane's and the
-//! session is past its migration cooldown, the session's engine is
-//! handed to the lighter lane at that step boundary. Averaging is what
-//! keeps uniform load in place: a burst that reaches one lane before the
-//! other moves the averages only a little, while a backlog that persists
-//! moves them all the way. Migration is a `Migrate` → `Adopt` command
-//! handoff between the lanes; commands routed to the new lane before the
-//! state arrives are parked and drained in order, so per-session FIFO —
-//! and therefore bit-identical extraction — is preserved. Only the owning
-//! connection's steps migrate a session, so the `Migrate` rides the
-//! owner's batch behind everything the owner routed before it. Another
-//! connection may address the session too: its commands go to the lane at
-//! once, with the session table locked, so none reaches a lane after the
-//! session has left it. [`Server::migrations`] counts completed handoffs.
 //!
 //! **One write per connection per batch**: a lane queues each reply on
 //! its connection's outbuf and writes the connection right after the last
@@ -97,13 +77,13 @@
 //! `catch_unwind`, evicts the poisoned session, answers
 //! [`ErrorCode::Internal`], and keeps serving its other sessions.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use insitu::region::FeatureValue;
@@ -133,18 +113,6 @@ pub struct ServerConfig {
     /// stops reading past it is disconnected instead of buffered
     /// without bound.
     pub outbuf_cap: usize,
-    /// Lane-rebalancing hysteresis, on averaged queue depth: migrate a
-    /// stepping session when its lane's depth, averaged over the last
-    /// readiness batches, is at least this much deeper than the lightest
-    /// lane's average (and at least this deep in absolute terms). A burst
-    /// that reaches one lane before another moves the averages only a
-    /// little, so uniform load does not migrate; a backlog that persists
-    /// does. Zero disables rebalancing.
-    pub rebalance_depth: usize,
-    /// Minimum routed steps between two migrations of the same session,
-    /// so a borderline session does not ping-pong between lanes. A new
-    /// session also stays on its first lane for this many routed steps.
-    pub rebalance_cooldown: u64,
 }
 
 impl Default for ServerConfig {
@@ -155,8 +123,6 @@ impl Default for ServerConfig {
             event_threads: 2,
             idle_timeout: Duration::from_secs(10),
             outbuf_cap: 16 << 20,
-            rebalance_depth: 16,
-            rebalance_cooldown: 64,
         }
     }
 }
@@ -217,22 +183,10 @@ enum Command {
         data: Vec<u8>,
         conn: Arc<ConnHandle>,
     },
-    /// Rebalancing: the receiving lane owns `session` and must hand its
-    /// state to the lane behind `to` (as a [`Command::Adopt`]).
-    Migrate {
-        session: u64,
-        to: Sender<Vec<Command>>,
-    },
-    /// Rebalancing: the migrated session state, arriving at its new
-    /// lane. Lane-to-lane, never produced by the router.
-    Adopt {
-        session: u64,
-        state: Box<LaneSession>,
-    },
 }
 
 impl Command {
-    /// The session a command addresses, for the migration parking gate.
+    /// The session a command addresses, for panic eviction and refusals.
     fn session_id(&self) -> u64 {
         match self {
             Command::Open { session, .. }
@@ -245,9 +199,7 @@ impl Command {
             | Command::Subscribe { session, .. }
             | Command::Unsubscribe { session, .. }
             | Command::Snapshot { session, .. }
-            | Command::Restore { session, .. }
-            | Command::Migrate { session, .. }
-            | Command::Adopt { session, .. } => *session,
+            | Command::Restore { session, .. } => *session,
         }
     }
 
@@ -267,13 +219,11 @@ impl Command {
             | Command::Snapshot { conn, .. }
             | Command::Restore { conn, .. } => Some(conn),
             Command::Close { conn, .. } => conn.as_ref(),
-            Command::Migrate { .. } | Command::Adopt { .. } => None,
         }
     }
 }
 
-/// A session as owned by its worker lane, with streaming state. Boxed
-/// through [`Command::Adopt`] when it migrates between lanes.
+/// A session as owned by its worker lane, with streaming state.
 struct LaneSession {
     session: Session,
     /// Connection receiving [`Frame::FeatureEvent`] pushes, if any.
@@ -282,21 +232,11 @@ struct LaneSession {
     pushed: Vec<(String, FeatureValue)>,
 }
 
-/// Routing record for one open session.
+/// Routing record for one open session: the lane it lives on from
+/// `Open`/`Restore` until `Close`, and its backpressure gauge.
 struct Entry {
     lane: usize,
-    /// The connection that opened the session ([`ConnHandle::id`]).
-    owner: u64,
     inflight: Arc<AtomicUsize>,
-    /// Steps routed so far, the clock for the migration cooldown.
-    steps_routed: u64,
-    /// `steps_routed` at the last migration decision.
-    last_migrated: u64,
-    /// A `Migrate`/`Adopt` handoff is in flight: the new lane parks this
-    /// session's commands until the state arrives.
-    migrating: bool,
-    /// `CloseSession` has been routed: no further migrations.
-    closing: bool,
 }
 
 /// State shared by the accept thread, the router, and the worker lanes.
@@ -305,15 +245,6 @@ struct Shared {
     next_session: AtomicU64,
     running: AtomicBool,
     inflight_limit: usize,
-    /// Commands handed to each lane but not yet processed.
-    lane_depth: Vec<AtomicUsize>,
-    /// Each lane's depth averaged over readiness batches (`f64` bits),
-    /// the quantity rebalancing compares.
-    avg_depth: Vec<AtomicU64>,
-    /// Completed lane migrations (observable via [`Server::migrations`]).
-    migrations: AtomicU64,
-    rebalance_depth: usize,
-    rebalance_cooldown: u64,
 }
 
 /// The reactor-facing frame router: decoded frames arrive here (on the
@@ -387,9 +318,11 @@ impl Server {
         self.tcp_addr
     }
 
-    /// Completed session-to-lighter-lane migrations since startup.
+    /// Sessions moved between lanes since startup: always 0, because a
+    /// session stays on its connection's lane until it closes.
+    #[deprecated(note = "sessions never migrate between lanes; this always returns 0")]
     pub fn migrations(&self) -> u64 {
-        self.shared.migrations.load(Ordering::Relaxed)
+        0
     }
 
     /// Socket writes that carried replies since startup, over every
@@ -411,11 +344,6 @@ impl Server {
             next_session: AtomicU64::new(1),
             running: AtomicBool::new(true),
             inflight_limit: config.inflight_limit.max(1),
-            lane_depth: (0..lane_count).map(|_| AtomicUsize::new(0)).collect(),
-            avg_depth: (0..lane_count).map(|_| AtomicU64::new(0)).collect(),
-            migrations: AtomicU64::new(0),
-            rebalance_depth: config.rebalance_depth,
-            rebalance_cooldown: config.rebalance_cooldown.max(1),
         });
 
         let mut senders = Vec::with_capacity(lane_count);
@@ -427,7 +355,7 @@ impl Server {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("serve-lane-{me}"))
-                    .spawn(move || lane_loop(rx, shared_for_lane, me))?,
+                    .spawn(move || lane_loop(rx, shared_for_lane))?,
             );
         }
 
@@ -484,9 +412,7 @@ impl Server {
         }
         // The router is now the last holder of the lane senders:
         // dropping it disconnects the channels and the lanes exit,
-        // dropping their sessions (which joins training work). A
-        // `Migrate` still queued holds a sender to its target lane, but
-        // only until the owning lane drains it — the cascade terminates.
+        // dropping their sessions (which joins training work).
         self.router = None;
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -526,15 +452,13 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>, reactor: Arc<Reactor>) {
     }
 }
 
-/// Readiness batches an averaged lane depth spans (see
-/// `Router::sample_depths`). Chosen on measurements from a 2-core host:
-/// serve-fleet's traffic (two connections on two lanes, 6 s traced)
-/// migrated 230–286 sessions at 16, 89–112 at 32 and 3–24 at 64, while
-/// at 64 the hot pipelined session of the service tests still migrated
-/// 3–7 times in each of 20 runs.
-const DEPTH_WINDOW: f64 = 64.0;
-
 impl Router {
+    /// The lane `session` lives on, if it is open.
+    fn lane_of(&self, session: u64) -> Option<usize> {
+        let table = self.shared.sessions.lock().expect("session table");
+        table.get(&session).map(|entry| entry.lane)
+    }
+
     /// Routes a session-addressed control command (gauge-exempt).
     fn route_control(
         &self,
@@ -543,108 +467,19 @@ impl Router {
         session: u64,
         make: impl FnOnce(Arc<ConnHandle>) -> Command,
     ) {
-        let table = self.shared.sessions.lock().expect("session table");
-        let Some(entry) = table.get(&session) else {
-            drop(table);
-            batch.replies.send(conn, &unknown_session(session));
-            return;
-        };
-        let (lane, owned) = (entry.lane, entry.owner == conn.id());
-        self.queue(table, batch, owned, lane, make(Arc::clone(conn)));
-    }
-
-    /// Queues `cmd` for `lane` and unlocks the session table. The owning
-    /// connection's commands ride its event thread's batch, which holds
-    /// them in routing order with any `Migrate` decided among them.
-    /// Another connection's command goes to the lane at once: its own
-    /// event thread's batch can end after the owner's, and handed on then
-    /// it could reach the old lane after the session left it. Sent with
-    /// the table still locked, it is queued ahead of any `Migrate` decided
-    /// after its lookup.
-    fn queue(
-        &self,
-        table: MutexGuard<'_, HashMap<u64, Entry>>,
-        batch: &mut Handoff,
-        owned: bool,
-        lane: usize,
-        cmd: Command,
-    ) {
-        if owned {
-            drop(table);
-            batch.push(lane, cmd);
-        } else {
-            self.hand(&mut batch.replies, lane, vec![cmd]);
+        match self.lane_of(session) {
+            Some(lane) => batch.push(lane, make(Arc::clone(conn))),
+            None => batch.replies.send(conn, &unknown_session(session)),
         }
     }
 
-    /// Sends `cmds` to `lane` as one message, counted into its depth;
-    /// refuses them if the lane is gone (server stopping).
+    /// Sends `cmds` to `lane` as one message; refuses them if the lane is
+    /// gone (server stopping).
     fn hand(&self, replies: &mut Replies, lane: usize, cmds: Vec<Command>) {
-        let n = cmds.len();
-        let depth = &self.shared.lane_depth[lane];
-        depth.fetch_add(n, Ordering::AcqRel);
         if let Err(mpsc::SendError(cmds)) = self.lanes[lane].send(cmds) {
-            depth.fetch_sub(n, Ordering::AcqRel);
             for cmd in cmds {
                 refuse(replies, cmd);
             }
-        }
-    }
-
-    /// The step-boundary rebalance check. Runs with the session table
-    /// locked and the entry mutably borrowed; returns the lane that must
-    /// receive a `Migrate` command when the decision fires (the entry is
-    /// already retargeted at that point).
-    fn rebalance(&self, entry: &mut Entry) -> Option<usize> {
-        let depth_gate = self.shared.rebalance_depth as f64;
-        if depth_gate == 0.0
-            || entry.migrating
-            || entry.closing
-            || entry.steps_routed.wrapping_sub(entry.last_migrated) < self.shared.rebalance_cooldown
-        {
-            return None;
-        }
-        let avg = &self.shared.avg_depth;
-        let here = load_f64(&avg[entry.lane]);
-        if here < depth_gate {
-            return None;
-        }
-        let (best, best_depth) = avg
-            .iter()
-            .map(load_f64)
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(&b.1))?;
-        // Hysteresis on averaged depth: a burst that reaches one lane
-        // before the others moves the averages by a fraction of its
-        // size, so equally loaded lanes stay put.
-        if best == entry.lane || here < best_depth + depth_gate {
-            return None;
-        }
-        // The session takes one command a batch with it. Moving that
-        // much of the averages now keeps one wide imbalance from
-        // migrating every eligible session before the next sample:
-        // without it, `uniform_load_does_not_migrate_sessions` moves all
-        // 32 sessions of the client still bursting when the other one
-        // finishes.
-        add_f64(&avg[entry.lane], -1.0);
-        add_f64(&avg[best], 1.0);
-        let from = entry.lane;
-        entry.lane = best;
-        entry.migrating = true;
-        entry.last_migrated = entry.steps_routed;
-        Some(from)
-    }
-
-    /// Folds every lane's current depth into its exponential average,
-    /// with weight `1 / DEPTH_WINDOW`.
-    fn sample_depths(&self) {
-        let weight = 1.0 / DEPTH_WINDOW;
-        for (depth, avg) in self.shared.lane_depth.iter().zip(&self.shared.avg_depth) {
-            let now = depth.load(Ordering::Relaxed) as f64;
-            let _ = avg.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-                let old = f64::from_bits(bits);
-                Some((old + (now - old) * weight).to_bits())
-            });
         }
     }
 
@@ -663,12 +498,7 @@ impl Router {
             session,
             Entry {
                 lane,
-                owner: conn.id(),
                 inflight: Arc::new(AtomicUsize::new(0)),
-                steps_routed: 0,
-                last_migrated: 0,
-                migrating: false,
-                closing: false,
             },
         );
         conn.attach_session(session);
@@ -684,23 +514,12 @@ impl Router {
         locations: Vec<u64>,
         values: Vec<f64>,
     ) {
-        let mut table = self.shared.sessions.lock().expect("session table");
-        let Some(entry) = table.get_mut(&session) else {
+        let table = self.shared.sessions.lock().expect("session table");
+        let Some(entry) = table.get(&session) else {
             drop(table);
             batch.replies.send(conn, &unknown_session(session));
             return;
         };
-        entry.steps_routed += 1;
-        // Only the owner's steps migrate a session: the `Migrate` joins
-        // the owner's batch behind every command it routed to the old
-        // lane (see `Router::queue`).
-        let owned = entry.owner == conn.id();
-        let migrate_from = if owned { self.rebalance(entry) } else { None };
-        if let Some(from) = migrate_from {
-            self.shared.migrations.fetch_add(1, Ordering::Relaxed);
-            let to = self.lanes[entry.lane].clone();
-            batch.push(from, Command::Migrate { session, to });
-        }
         // Shed-don't-stall: reserve an inflight slot or bounce.
         if !try_acquire(&entry.inflight, self.shared.inflight_limit) {
             drop(table);
@@ -708,16 +527,19 @@ impl Router {
             batch.replies.send(conn, &Frame::Busy { session, depth });
             return;
         }
-        let lane = entry.lane;
-        let step = Command::Step {
-            session,
-            iteration,
-            locations,
-            values,
-            inflight: Arc::clone(&entry.inflight),
-            conn: Arc::clone(conn),
-        };
-        self.queue(table, batch, owned, lane, step);
+        let (lane, inflight) = (entry.lane, Arc::clone(&entry.inflight));
+        drop(table);
+        batch.push(
+            lane,
+            Command::Step {
+                session,
+                iteration,
+                locations,
+                values,
+                inflight,
+                conn: Arc::clone(conn),
+            },
+        );
     }
 }
 
@@ -787,22 +609,13 @@ impl ConnEvents for Router {
                 });
             }
             Frame::CloseSession { session } => {
-                // The entry stays in the table (marked closing) until the
-                // lane has dropped the session: commands racing the close
-                // keep routing to the owner and resolve there, in order.
-                let mut table = self.shared.sessions.lock().expect("session table");
-                let Some(entry) = table.get_mut(&session) else {
-                    drop(table);
-                    batch.replies.send(conn, &unknown_session(session));
-                    return;
-                };
-                entry.closing = true;
-                let (lane, owned) = (entry.lane, entry.owner == conn.id());
-                let close = Command::Close {
+                // The entry stays in the table until the lane has dropped
+                // the session: commands racing the close keep routing to
+                // its lane and resolve there, in order.
+                self.route_control(batch, conn, session, |conn| Command::Close {
                     session,
-                    conn: Some(Arc::clone(conn)),
-                };
-                self.queue(table, batch, owned, lane, close);
+                    conn: Some(conn),
+                });
                 conn.detach_session(session);
             }
             // Response frames arriving at the server are a peer bug.
@@ -829,15 +642,8 @@ impl ConnEvents for Router {
     fn on_close(&self, batch: &mut Handoff, conn: &Arc<ConnHandle>) {
         // The connection is gone: evict every session it still owned.
         for session in conn.take_sessions() {
-            let lane = {
-                let mut table = self.shared.sessions.lock().expect("session table");
-                match table.get_mut(&session) {
-                    Some(entry) => {
-                        entry.closing = true;
-                        entry.lane
-                    }
-                    None => continue,
-                }
+            let Some(lane) = self.lane_of(session) else {
+                continue;
             };
             batch.push(
                 lane,
@@ -850,21 +656,15 @@ impl ConnEvents for Router {
     }
 
     /// Hands each lane everything the batch routed to it as one message,
-    /// samples the lane depths for rebalancing, then writes the replies
-    /// the router sent itself.
+    /// then writes the replies the router sent itself.
     fn on_batch_end(&self, batch: &mut Handoff) {
-        let mut handed = false;
         for (lane, cmds) in batch.lanes.iter_mut().enumerate() {
             let n = cmds.len();
             if n == 0 {
                 continue;
             }
-            handed = true;
             let cmds = std::mem::replace(cmds, Vec::with_capacity(n));
             self.hand(&mut batch.replies, lane, cmds);
-        }
-        if handed {
-            self.sample_depths();
         }
         batch.replies.flush();
     }
@@ -879,16 +679,6 @@ fn refuse(replies: &mut Replies, cmd: Command) {
         let frame = error_frame(cmd.session_id(), ErrorCode::Internal, "server stopping");
         replies.send(conn, &frame);
     }
-}
-
-fn load_f64(cell: &AtomicU64) -> f64 {
-    f64::from_bits(cell.load(Ordering::Relaxed))
-}
-
-fn add_f64(cell: &AtomicU64, delta: f64) {
-    let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-        Some((f64::from_bits(bits) + delta).max(0.0).to_bits())
-    });
 }
 
 /// Reserves one inflight slot unless the gauge is at the limit.
@@ -949,21 +739,15 @@ impl Replies {
 /// no locking on the session hot path; the channel is the
 /// synchronization.
 struct Lane {
-    me: usize,
     shared: Arc<Shared>,
     sessions: HashMap<u64, LaneSession>,
-    /// Commands for sessions migrating *to* this lane whose state has
-    /// not arrived yet; drained in order on `Adopt`.
-    parked: HashMap<u64, VecDeque<Command>>,
     replies: Replies,
 }
 
-fn lane_loop(rx: Receiver<Vec<Command>>, shared: Arc<Shared>, me: usize) {
+fn lane_loop(rx: Receiver<Vec<Command>>, shared: Arc<Shared>) {
     let mut lane = Lane {
-        me,
         shared,
         sessions: HashMap::new(),
-        parked: HashMap::new(),
         replies: Replies::default(),
     };
     for batch in rx {
@@ -982,26 +766,12 @@ impl Lane {
         let mut batch = batch.into_iter().peekable();
         while let Some(cmd) = batch.next() {
             let conn = cmd.reply_conn().map(Arc::as_ptr);
-            self.receive(cmd);
+            self.handle_isolated(cmd);
             let next = batch.peek().and_then(Command::reply_conn).map(Arc::as_ptr);
             if next.is_none() || next != conn {
                 self.replies.flush();
             }
         }
-    }
-
-    fn receive(&mut self, cmd: Command) {
-        if let Command::Adopt { session, state } = cmd {
-            self.adopt(session, *state);
-            return;
-        }
-        let session = cmd.session_id();
-        if !self.sessions.contains_key(&session) && self.should_park(&cmd, session) {
-            self.parked.entry(session).or_default().push_back(cmd);
-            return;
-        }
-        self.handle_isolated(cmd);
-        self.shared.lane_depth[self.me].fetch_sub(1, Ordering::AcqRel);
     }
 
     /// Runs [`Lane::handle`] under `catch_unwind`, so a panicking
@@ -1017,7 +787,6 @@ impl Lane {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.handle(cmd)));
         if outcome.is_err() {
             self.sessions.remove(&session);
-            self.parked.remove(&session);
             self.shared
                 .sessions
                 .lock()
@@ -1037,49 +806,8 @@ impl Lane {
         }
     }
 
-    /// True for session-addressed commands that outran their session's
-    /// in-flight migration to this lane: they wait for the `Adopt`.
-    /// `Open` creates the session and `Migrate` is only ever routed to
-    /// the current owner, so neither parks.
-    fn should_park(&self, cmd: &Command, session: u64) -> bool {
-        if matches!(cmd, Command::Open { .. } | Command::Migrate { .. }) {
-            return false;
-        }
-        let table = self.shared.sessions.lock().expect("session table");
-        table
-            .get(&session)
-            .is_some_and(|e| e.lane == self.me && e.migrating)
-    }
-
-    /// Installs migrated session state and replays its parked commands
-    /// in arrival order.
-    fn adopt(&mut self, session: u64, state: LaneSession) {
-        let still_open = {
-            let mut table = self.shared.sessions.lock().expect("session table");
-            match table.get_mut(&session) {
-                Some(entry) if entry.lane == self.me => {
-                    entry.migrating = false;
-                    true
-                }
-                // Closed while the state was in flight: drop it here,
-                // joining its in-flight work.
-                _ => false,
-            }
-        };
-        if still_open {
-            self.sessions.insert(session, state);
-        }
-        if let Some(queue) = self.parked.remove(&session) {
-            for cmd in queue {
-                self.handle_isolated(cmd);
-                self.shared.lane_depth[self.me].fetch_sub(1, Ordering::AcqRel);
-            }
-        }
-    }
-
     fn handle(&mut self, cmd: Command) {
         match cmd {
-            Command::Adopt { .. } => unreachable!("Adopt is handled in receive"),
             Command::Open {
                 session,
                 spec,
@@ -1278,18 +1006,6 @@ impl Lane {
                         unknown_session(session)
                     };
                     self.replies.send(&conn, &reply);
-                }
-            }
-            Command::Migrate { session, to } => {
-                // Hand the state over. The `to` sender travels inside
-                // the command and drops right after, so no lane ever
-                // retains a sender to another lane — shutdown stays a
-                // simple channel-disconnect cascade.
-                if let Some(state) = self.sessions.remove(&session) {
-                    let _ = to.send(vec![Command::Adopt {
-                        session,
-                        state: Box::new(state),
-                    }]);
                 }
             }
         }

@@ -366,20 +366,16 @@ fn slow_readers_are_disconnected_at_the_outbuf_cap() {
     server.shutdown();
 }
 
-/// The rebalancing acceptance property: a hot session driven with a deep
-/// pipeline on an otherwise idle server **must migrate** between lanes
-/// (hysteresis crossed) and its features must stay bit-identical to the
-/// in-process engine — migration moves state, never reorders or drops a
-/// step.
+/// A session driven with a deep pipeline keeps per-session FIFO: every
+/// ack comes back in step order and the served features stay
+/// bit-identical to the in-process engine fed the same stream.
 #[test]
-fn hot_sessions_migrate_between_lanes_without_perturbing_features() {
+fn pipelined_session_acks_in_order_and_matches_reference() {
     let server = Server::bind_tcp(
         "127.0.0.1:0",
         ServerConfig {
             workers: 2,
             inflight_limit: 32,
-            rebalance_depth: 2,
-            rebalance_cooldown: 4,
             ..ServerConfig::default()
         },
     )
@@ -399,10 +395,9 @@ fn hot_sessions_migrate_between_lanes_without_perturbing_features() {
     let session = client.open_session(spec()).expect("open");
 
     // Drive the session with a sliding window of 8 pipelined steps: deep
-    // enough to keep the owning lane's queue past the depth gate (2) on
-    // every routing decision, shallow enough (< inflight_limit) that no
-    // step is ever shed — shedding would break the step order and the
-    // bit-identity this test pins.
+    // enough that several steps share a lane hand-off, shallow enough
+    // (< inflight_limit) that no step is ever shed — shedding would break
+    // the step order and the bit-identity this test pins.
     const STEPS: u64 = 600;
     const WINDOW: u64 = 8;
     let locations: Vec<u64> = (1..=8).collect();
@@ -446,12 +441,7 @@ fn hot_sessions_migrate_between_lanes_without_perturbing_features() {
     assert_eq!(
         served,
         reference.extract(),
-        "migration perturbed the served features"
-    );
-    assert!(
-        server.migrations() >= 1,
-        "a hot session pipelined 8-deep against a 2-step hysteresis gate \
-         never migrated — rebalancing is not firing"
+        "pipelining perturbed the served features"
     );
     client.close_session(session).expect("close");
     server.shutdown();
@@ -661,14 +651,11 @@ fn assert_bursts_match_references(served: &[Features], bursts: u64) {
     }
 }
 
-/// Two connections stepping identical bursts on a two-lane server are
-/// uniform load: each connection's sessions open on its own lane and must
-/// stay there. A burst reaches one lane before the other, which an
-/// instantaneous depth gate mistakes for an imbalance (about one
-/// migration per 500 steps); the averaged depth does not. Every session
-/// still equals its in-process reference.
+/// Two connections stepping identical bursts on a two-lane server, each
+/// connection's sessions on its own lane: every session equals its
+/// in-process reference.
 #[test]
-fn uniform_load_does_not_migrate_sessions() {
+fn bursts_from_two_connections_match_references() {
     const SESSIONS: usize = 32;
     const BURSTS: u64 = 240;
     let server = Server::bind_tcp(
@@ -695,43 +682,19 @@ fn uniform_load_does_not_migrate_sessions() {
             .map(|c| c.join().expect("client thread"))
             .collect()
     });
-    let migrations = server.migrations();
     server.shutdown();
     for features in &served {
         assert_bursts_match_references(features, BURSTS);
     }
-    // The one imbalance left is the tail: whichever client finishes first
-    // leaves its lane idle while the other still bursts 32 deep, and
-    // rebalancing rightly moves sessions toward the idle lane. Each move
-    // shifts one command of averaged depth, so the gap closes below the
-    // 16-deep gate after at most (32 - 16) / 2 + 1 = 9 moves; a client
-    // the scheduler stalls mid-run can open one more such episode. On a
-    // 2-core host this test read 0–2 migrations over 20 runs, and 39–149
-    // over 12 runs with the instantaneous depth gate.
-    assert!(
-        migrations <= 16,
-        "{migrations} migrations between two equally loaded lanes over {} steps",
-        2 * SESSIONS as u64 * BURSTS
-    );
 }
 
-/// A burst from one connection is served by one lane and answered by one
-/// socket write, not one per lane that holds some of its sessions.
-/// Rebalancing is off: a lone client keeping one of four lanes busy is a
-/// real imbalance, so it would spread the sessions, and each lane then
-/// answers its share in a write of its own.
+/// A burst from one connection is served by its one lane and answered by
+/// one socket write.
 #[test]
 fn a_burst_on_one_connection_is_answered_in_one_write() {
     const SESSIONS: usize = 32;
     const BURSTS: u64 = 200;
-    let server = Server::bind_tcp(
-        "127.0.0.1:0",
-        ServerConfig {
-            rebalance_depth: 0,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind tcp");
+    let server = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).expect("bind tcp");
     let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).expect("connect");
     // Each open is a round trip of its own: count from the first burst.
     let ids = open_bursts(&mut client, SESSIONS, BURSTS);
@@ -748,13 +711,12 @@ fn a_burst_on_one_connection_is_answered_in_one_write() {
     assert_bursts_match_references(&served, BURSTS);
 }
 
-/// Other connections may address a session while it migrates. A lone
-/// client on four lanes is a real imbalance, so rebalancing spreads its
-/// sessions while three more connections keep polling them. Every poll
-/// must find its session wherever it lives: one that reached the lane a
-/// session had just left would come back `UnknownSession`.
+/// Other connections may address a session that one connection owns and
+/// is stepping. Three more connections keep polling the owner's sessions
+/// while it bursts: every poll must find its session (none may come back
+/// `UnknownSession`), and the polls must not perturb the served features.
 #[test]
-fn sessions_polled_from_other_connections_stay_addressable_while_they_migrate() {
+fn sessions_polled_from_other_connections_stay_addressable() {
     const SESSIONS: usize = 32;
     const BURSTS: u64 = 240;
     const POLLERS: usize = 3;
@@ -779,8 +741,8 @@ fn sessions_polled_from_other_connections_stay_addressable_while_they_migrate() 
                     let mut polls = 0u64;
                     // Four pipelined polls a session per round: the
                     // poller's event thread routes many in one readiness
-                    // batch, and a session can migrate while they wait
-                    // for the batch to end.
+                    // batch, interleaved on the lane with the owner's
+                    // steps.
                     let round = 4 * ids.len();
                     while stepping.load(Ordering::Relaxed) {
                         for &session in ids.iter().cycle().take(round) {
@@ -805,11 +767,6 @@ fn sessions_polled_from_other_connections_stay_addressable_while_they_migrate() 
         }
         served
     });
-    let migrations = server.migrations();
     server.shutdown();
-    assert!(
-        migrations >= 1,
-        "a lone client on four lanes never migrated a session"
-    );
     assert_bursts_match_references(&served, BURSTS);
 }
